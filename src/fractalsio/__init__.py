@@ -10,18 +10,16 @@ same drivers over JSON configs.
 from .errors import (ConfigError, EvaluationError, FractalsioError, InputError,
                      ResourceLimitError)
 from .geometry import Euclidean, Heisenberg1, geometry_from_config
-from .symbolic import (EPWord, concat, cylinder_prob, is_prefix, power,
-                       validate_word)
+from .symbolic import EPWord, concat, is_prefix, power, validate_word
 from .ifs import IFS, SeparationReport, Similarity, similarity_dimension
-from .measure import (CellBlock, CylinderNet, ModulusSpec, QuadratureResult,
+from .measure import (CellBlock, ModulusSpec, QuadratureResult,
                       cells_for_words, complement_base_words, export_net_csv,
                       integrate, integrate_ball_complement, integrate_cells,
                       integrate_complement, integrate_cylinder, mc_integrate,
-                      net, pairwise_sum, refine, region_cells)
+                      net, pairwise_sum, region_cells)
 from .kernels import (ConstantOmega, HomogeneousKernel, PerturbedOmega,
                       PolynomialOverNorm, RieszComponent, SignOmega,
-                      bump_profile, eval_kernel, kernel_modulus_on,
-                      omega_from_config, perturb)
+                      bump_profile, omega_from_config)
 from .sio import (CriterionReport, DivergenceReport, MaximalEstimate, PVRow,
                   PVTrace, WitnessIntegrand, ball_cylinder_gap, criterion,
                   divergence_certificate, maximal_symbolic, pv_trace,
@@ -34,16 +32,16 @@ __all__ = [
     "ConfigError", "EvaluationError", "FractalsioError", "InputError",
     "ResourceLimitError",
     "Euclidean", "Heisenberg1", "geometry_from_config",
-    "EPWord", "concat", "cylinder_prob", "is_prefix", "power", "validate_word",
+    "EPWord", "concat", "is_prefix", "power", "validate_word",
     "IFS", "SeparationReport", "Similarity", "similarity_dimension",
-    "CellBlock", "CylinderNet", "ModulusSpec", "QuadratureResult",
-    "cells_for_words", "complement_base_words", "export_net_csv", "integrate",
+    "CellBlock", "ModulusSpec", "QuadratureResult", "cells_for_words",
+    "complement_base_words", "export_net_csv", "integrate",
     "integrate_ball_complement", "integrate_cells", "integrate_complement",
-    "integrate_cylinder", "mc_integrate", "net", "pairwise_sum", "refine",
+    "integrate_cylinder", "mc_integrate", "net", "pairwise_sum",
     "region_cells",
     "ConstantOmega", "HomogeneousKernel", "PerturbedOmega",
     "PolynomialOverNorm", "RieszComponent", "SignOmega", "bump_profile",
-    "eval_kernel", "kernel_modulus_on", "omega_from_config", "perturb",
+    "omega_from_config",
     "CriterionReport", "DivergenceReport", "MaximalEstimate", "PVRow",
     "PVTrace", "WitnessIntegrand", "ball_cylinder_gap", "criterion",
     "divergence_certificate", "maximal_symbolic", "pv_trace", "truncated",

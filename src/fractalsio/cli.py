@@ -8,10 +8,6 @@ resolved config so a run can be reproduced bit for bit from its own output.
 Exit codes: 0 for certified results and plain successes, 2 when the answer is
 inconclusive (an uncertified verdict, a flagged row, an infinite bracket),
 1 for configuration or evaluation errors.
-
-Threading: ``--threads`` and the FRACTALSIO_THREADS environment variable are
-validated and recorded in the report.  Evaluation is vectorized and runs
-serially regardless of the cap, so results never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -120,24 +115,6 @@ def _epword(raw) -> EPWord:
     raise ConfigError("word must be a letter list or {'pre': [...], 'period': [...]}")
 
 
-def _resolve_threads(args) -> int:
-    val = args.threads
-    if val is None:
-        env = os.environ.get("FRACTALSIO_THREADS")
-        if env is not None:
-            try:
-                val = int(env)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"FRACTALSIO_THREADS must be an integer, got {env!r}") from exc
-    if val is None:
-        return 1
-    val = int(val)
-    if val < 1:
-        raise ConfigError("thread count must be >= 1")
-    return val
-
-
 def _build_kernel(cfg: dict, ifs: IFS) -> HomogeneousKernel:
     if "kernel" not in cfg:
         raise ConfigError("config needs a 'kernel' section for this command")
@@ -156,10 +133,9 @@ def _emit_json(payload: dict, out_path):
     _emit(json.dumps(payload, indent=2), out_path)
 
 
-def _payload(command: str, cfg: dict, threads: int, body: dict) -> dict:
+def _payload(command: str, cfg: dict, body: dict) -> dict:
     out = {"command": command}
     out.update(body)
-    out["threads"] = threads
     out["config"] = cfg
     return out
 
@@ -230,30 +206,27 @@ def _integrand(ifs: IFS, desc) -> tuple:
 
 def cmd_dim(args) -> int:
     cfg = load_config(args.config, args.override)
-    threads = _resolve_threads(args)
     ifs = IFS.from_config(cfg)
     s = ifs.dim_s
     residual = abs(float(np.sum(ifs.ratios ** s)) - 1.0)
-    _emit_json(_payload("dim", cfg, threads, {"s": s, "residual": residual}),
+    _emit_json(_payload("dim", cfg, {"s": s, "residual": residual}),
                args.out)
     return 0
 
 
 def cmd_separation(args) -> int:
     cfg = load_config(args.config, args.override)
-    threads = _resolve_threads(args)
     ifs = IFS.from_config(cfg)
     p = _params(cfg)
     depth = _int_param(p, "depth", 12)
     rep = ifs.check_separation(depth=depth)
-    _emit_json(_payload("separation", cfg, threads, {"report": rep.as_dict()}),
+    _emit_json(_payload("separation", cfg, {"report": rep.as_dict()}),
                args.out)
     return 0 if rep.status in ("Separated", "StronglySeparated", "Overlapping") else 2
 
 
 def cmd_integrate(args) -> int:
     cfg = load_config(args.config, args.override)
-    threads = _resolve_threads(args)
     ifs = IFS.from_config(cfg)
     p = _params(cfg)
     f, mod = _integrand(ifs, _need(p, "integrand"))
@@ -278,20 +251,19 @@ def cmd_integrate(args) -> int:
         body = {"method": "net", **quad.as_dict()}
     else:
         raise ConfigError(f"unknown method {method!r} (use 'net' or 'mc')")
-    _emit_json(_payload("integrate", cfg, threads, body), args.out)
+    _emit_json(_payload("integrate", cfg, body), args.out)
     return 0
 
 
 def cmd_pv_trace(args) -> int:
     cfg = load_config(args.config, args.override)
-    threads = _resolve_threads(args)
     ifs = IFS.from_config(cfg)
     kern = _build_kernel(cfg, ifs)
     p = _params(cfg)
     K = _int_param(p, "K")
     if K == 0:
         if args.format == "json":
-            _emit_json(_payload("pv-trace", cfg, threads, {"rows": []}), args.out)
+            _emit_json(_payload("pv-trace", cfg, {"rows": []}), args.out)
         else:
             _emit(PV_CSV_HEADER + "\n", args.out)
         return 0
@@ -300,7 +272,7 @@ def cmd_pv_trace(args) -> int:
     trace = pv_trace(ifs, kern, w, K, depth)
     flagged = any(r.flag for r in trace.rows)
     if args.format == "json":
-        _emit_json(_payload("pv-trace", cfg, threads, trace.as_dict()), args.out)
+        _emit_json(_payload("pv-trace", cfg, trace.as_dict()), args.out)
     else:
         _emit(trace.to_csv_text(), args.out)
     return 2 if flagged else 0
@@ -308,7 +280,6 @@ def cmd_pv_trace(args) -> int:
 
 def cmd_truncated(args) -> int:
     cfg = load_config(args.config, args.override)
-    threads = _resolve_threads(args)
     ifs = IFS.from_config(cfg)
     kern = _build_kernel(cfg, ifs)
     p = _params(cfg)
@@ -316,27 +287,25 @@ def cmd_truncated(args) -> int:
     eps = float(_need(p, "eps"))
     depth = _int_param(p, "depth")
     quad = truncated(ifs, kern, x, eps, depth)
-    _emit_json(_payload("truncated", cfg, threads,
+    _emit_json(_payload("truncated", cfg,
                         {"x": x, "eps": eps, **quad.as_dict()}), args.out)
     return 0 if math.isfinite(quad.err) else 2
 
 
 def cmd_criterion(args) -> int:
     cfg = load_config(args.config, args.override)
-    threads = _resolve_threads(args)
     ifs = IFS.from_config(cfg)
     kern = _build_kernel(cfg, ifs)
     p = _params(cfg)
     word = tuple(int(a) for a in _need(p, "word"))
     depth = _int_param(p, "depth")
     rep = criterion(ifs, kern, word, depth)
-    _emit_json(_payload("criterion", cfg, threads, rep.as_dict()), args.out)
+    _emit_json(_payload("criterion", cfg, rep.as_dict()), args.out)
     return 0 if rep.verdict == "NonzeroCertified" else 2
 
 
 def cmd_maximal(args) -> int:
     cfg = load_config(args.config, args.override)
-    threads = _resolve_threads(args)
     ifs = IFS.from_config(cfg)
     kern = _build_kernel(cfg, ifs)
     p = _params(cfg)
@@ -344,7 +313,7 @@ def cmd_maximal(args) -> int:
     max_n = _int_param(p, "max_n")
     depth = _int_param(p, "depth")
     est = maximal_symbolic(ifs, kern, w, max_n, depth)
-    _emit_json(_payload("maximal", cfg, threads, est.as_dict()), args.out)
+    _emit_json(_payload("maximal", cfg, est.as_dict()), args.out)
     shaky = bool(est.separation) or any(
         not math.isfinite(q.err) for _, _, q in est.table)
     return 2 if shaky else 0
@@ -352,7 +321,6 @@ def cmd_maximal(args) -> int:
 
 def cmd_gap(args) -> int:
     cfg = load_config(args.config, args.override)
-    threads = _resolve_threads(args)
     ifs = IFS.from_config(cfg)
     kern = _build_kernel(cfg, ifs)
     p = _params(cfg)
@@ -363,7 +331,7 @@ def cmd_gap(args) -> int:
     radius_factor = float(p.get("radius_factor", 2.0))
     quad = ball_cylinder_gap(ifs, kern, w, n, m1, depth,
                              radius_factor=radius_factor)
-    _emit_json(_payload("gap", cfg, threads,
+    _emit_json(_payload("gap", cfg,
                         {"n": n, "m1": m1, "radius_factor": radius_factor,
                          **quad.as_dict()}), args.out)
     return 0 if math.isfinite(quad.err) else 2
@@ -371,7 +339,6 @@ def cmd_gap(args) -> int:
 
 def cmd_birkhoff(args) -> int:
     cfg = load_config(args.config, args.override)
-    threads = _resolve_threads(args)
     ifs = IFS.from_config(cfg)
     p = _params(cfg)
     target = tuple(int(a) for a in _need(p, "target"))
@@ -384,13 +351,12 @@ def cmd_birkhoff(args) -> int:
             "frequency": freq, "expected": expected, "stderr": stderr}
     if p.get("with_hitting_times"):
         body["hitting_times"] = hitting_times(ifs, target, n_steps, seed)
-    _emit_json(_payload("birkhoff", cfg, threads, body), args.out)
+    _emit_json(_payload("birkhoff", cfg, body), args.out)
     return 0
 
 
 def cmd_perturb(args) -> int:
     cfg = load_config(args.config, args.override)
-    threads = _resolve_threads(args)
     ifs = IFS.from_config(cfg)
     kern = _build_kernel(cfg, ifs)
     p = _params(cfg)
@@ -402,7 +368,7 @@ def cmd_perturb(args) -> int:
     u = np.asarray(direction, dtype=float)
     u = u / geom.norm(u)
     delta_at_dir = float(new_kern.omega.eval(geom, u) - kern.omega.eval(geom, u))
-    _emit_json(_payload("perturb", cfg, threads,
+    _emit_json(_payload("perturb", cfg,
                         {"kernel": new_kern.to_config(),
                          "delta_at_direction": delta_at_dir,
                          "sup_bound": eps}), args.out)
@@ -435,9 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="patch a dotted config path (JSON value or raw string)")
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     common.add_argument("--seed", type=int, help="override params.seed")
-    common.add_argument("--threads", type=int,
-                        help="worker cap (recorded; evaluation is serial), "
-                             "default from FRACTALSIO_THREADS")
 
     parser = _Parser(prog="fractalsio",
                      description="singular integrals on self-similar sets")

@@ -78,6 +78,16 @@ class Similarity:
         return geom.op(self.shift, geom.dilate(self.ratio, pts))
 
 
+def _compose(geom, ratio_a, shift_a, ratio_b, shift_b):
+    """(ratio, shift) of S_a o S_b, broadcasting over stacked maps.
+
+    Dilations are group automorphisms, so q_a * dilate(r_a, q_b * dilate(r_b, p))
+    is (q_a * dilate(r_a, q_b)) * dilate(r_a r_b, p).  Ratios broadcast like
+    the leading axes of the shifts.
+    """
+    return ratio_a * ratio_b, geom.op(shift_a, geom.dilate(ratio_a, shift_b))
+
+
 def _fixed_points(geom, ratios, shifts):
     """Fixed points of p -> shift * dilate(ratio, p), vectorized over maps.
 
@@ -210,38 +220,26 @@ class IFS:
 
     # ---- words and composition -------------------------------------------
 
-    def _letters_index(self, word) -> np.ndarray:
-        w = validate_word(word, n_letters=self.n_letters)
-        return np.asarray(w, dtype=np.int64) - 1
-
     def compose(self, word) -> Similarity:
         """The similarity S_{w_1} o ... o S_{w_n}; the word must be nonempty."""
-        idx = self._letters_index(word)
-        if idx.size == 0:
+        w = validate_word(word, n_letters=self.n_letters)
+        if not w:
             raise InputError("cannot compose the empty word")
-        geom = self.geometry
-        ratio = float(self.ratios[idx[-1]])
-        shift = self.shifts[idx[-1]]
-        for j in range(idx.size - 2, -1, -1):
-            rj = float(self.ratios[idx[j]])
-            shift = geom.op(self.shifts[idx[j]], geom.dilate(rj, shift))
-            ratio *= rj
-        return Similarity(ratio, shift)
+        ratio, shift = self.ratios[w[-1] - 1], self.shifts[w[-1] - 1]
+        for a in reversed(w[:-1]):
+            ratio, shift = _compose(self.geometry, self.ratios[a - 1],
+                                    self.shifts[a - 1], ratio, shift)
+        return Similarity(float(ratio), shift)
 
     def compose_batch(self, idx: np.ndarray):
         """Ratios and shifts for the words in ``idx`` (0-based, shape (M, L))."""
         idx = np.asarray(idx, dtype=np.int64)
         if idx.ndim != 2:
             raise InputError("word index array must be 2-d")
-        m, length = idx.shape
-        geom = self.geometry
-        if length == 0:
-            return np.ones(m), np.tile(geom.identity(), (m, 1))
-        rl = self.ratios[idx]
-        ratio = np.prod(rl, axis=1)
-        shift = self.shifts[idx[:, -1]]
-        for j in range(length - 2, -1, -1):
-            shift = geom.op(self.shifts[idx[:, j]], geom.dilate(rl[:, j], shift))
+        ratio, shift = np.ones(len(idx)), np.tile(self.geometry.identity(), (len(idx), 1))
+        for a in idx.T[::-1]:
+            ratio, shift = _compose(self.geometry, self.ratios[a], self.shifts[a],
+                                    ratio, shift)
         return ratio, shift
 
     def apply_word(self, word, pts):
@@ -249,26 +247,18 @@ class IFS:
         return sim.apply(self.geometry, pts)
 
     def word_ratio(self, word) -> float:
-        idx = self._letters_index(word)
-        return float(np.prod(self.ratios[idx])) if idx.size else 1.0
+        idx = np.asarray(validate_word(word, n_letters=self.n_letters), dtype=np.intp)
+        return float(np.prod(self.ratios[idx - 1]))
 
     def word_weight(self, word) -> float:
         """Natural-measure weight of the cylinder addressed by ``word``."""
-        idx = self._letters_index(word)
-        return float(np.prod(self.letter_weights[idx])) if idx.size else 1.0
+        idx = np.asarray(validate_word(word, n_letters=self.n_letters), dtype=np.intp)
+        return float(np.prod(self.letter_weights[idx - 1]))
 
     def fixed_point(self, word) -> np.ndarray:
         """The unique fixed point of S_w; lies on the attractor."""
         sim = self.compose(word)
         return _fixed_points(self.geometry, np.asarray(sim.ratio), sim.shift)
-
-    def fixed_points_batch(self, idx: np.ndarray) -> np.ndarray:
-        """Fixed points for each row of ``idx``; rows of length 0 get a default attractor point."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.shape[1] == 0:
-            return np.tile(self.fixed_point((1,)), (idx.shape[0], 1))
-        ratio, shift = self.compose_batch(idx)
-        return _fixed_points(self.geometry, ratio, shift)
 
     def code_point(self, w) -> np.ndarray:
         """Point addressed by the eventually periodic word ``w``.

@@ -388,18 +388,3 @@ class HomogeneousKernel:
         return (f"HomogeneousKernel(s={self.s:.12g}, "
                 f"omega={self.omega.to_config()!r})")
 
-
-def eval_kernel(kern: HomogeneousKernel, x, y):
-    """Free-function form of kern.eval."""
-    return kern.eval(x, y)
-
-
-def kernel_modulus_on(kern: HomogeneousKernel, delta: float) -> ModulusSpec:
-    """Free-function form of kern.modulus_on."""
-    return kern.modulus_on(delta)
-
-
-def perturb(kern: HomogeneousKernel, z_direction, rho: float,
-            eps: float) -> HomogeneousKernel:
-    """Free-function form of kern.perturb."""
-    return kern.perturb(z_direction, rho, eps)

@@ -2,13 +2,25 @@
 
 The natural measure of an N-map system gives the cylinder C_v the weight
 prod_j r_{v_j}^s.  A cell is a cylinder together with a representative point
-(the fixed point of its word, which lies inside it) and a certified diameter
+(the fixed point of S_v, which lies inside it) and a certified diameter
 bound.  For an integrand f with modulus of continuity omega_f,
 
     | int_R f dmu  -  sum_v mu(C_v) f(x_v) |  <=  sum_v mu(C_v) omega_f(d_v)
 
 whenever the cells v partition the region R.  Everything here returns a
 ``QuadratureResult`` carrying the midpoint value and that error bracket.
+
+Cells are built from self-similarity: the cells of a cylinder C_b refined by
+m letters are S_b applied to the depth-m net of the whole set, weighted by
+mu(C_b).  The relative net is expanded level by level as arrays of ratios,
+shifts and weights, and each base similarity S_b is applied to it by
+broadcasting, one letter of b at a time, so no cell is ever spelled out as a
+word.  A ``CellBlock`` keeps only the (base words, depth) segments it was
+built from, and rebuilds a cell's word on demand as a label for CSV export
+and error messages.  Ball complements track their active cells as an array
+of letters, split by masks, and add each outside cell as a base.  The empty
+word has no contraction to take a fixed point of, so its cell is represented
+by the fixed point of S_1.
 
 Sums are accumulated with a deterministic pairwise tree, so results are
 reproducible bit for bit across runs and platforms with the same wheel.
@@ -18,13 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError, InputError, ResourceLimitError
-from .ifs import IFS, _fixed_points
+from .ifs import IFS, _compose, _fixed_points
 from .symbolic import validate_word
 
 
@@ -116,54 +127,46 @@ class QuadratureResult:
 
 @dataclass
 class CellBlock:
-    """Cells (word, weight, representative, certified diameter) in a fixed order."""
+    """Quadrature cells in a fixed order, held as flat arrays.
 
-    words: list
+    ``segments`` lists, in cell order, the ``(bases, depth)`` blocks the
+    cells were built from: ``bases`` is an integer array with one base word
+    per row (1-based letters, all rows the same length), and each base
+    contributes the cells of every ``depth``-letter refinement of its
+    cylinder in lexicographic order.
+    """
+
     weights: np.ndarray
     points: np.ndarray
     diams: np.ndarray
+    segments: list
+    n_letters: int
 
     @property
     def count(self) -> int:
-        return len(self.words)
+        return len(self.weights)
 
+    @property
+    def depth(self) -> int:
+        """Length of the longest cell word."""
+        return max((bases.shape[1] + d for bases, d in self.segments), default=0)
 
-@dataclass
-class CylinderNet(CellBlock):
-    """All cells of one depth, in lexicographic word order."""
-
-    depth: int = 0
+    def word(self, i: int) -> tuple:
+        """The word of cell ``i``, rebuilt from the segments."""
+        i = int(i)
+        for bases, depth in self.segments:
+            size = self.n_letters ** depth
+            if 0 <= i < len(bases) * size:
+                b, k = divmod(i, size)
+                suffix = np.unravel_index(k, (self.n_letters,) * depth)
+                return (tuple(int(a) for a in bases[b])
+                        + tuple(int(a) + 1 for a in suffix))
+            i -= len(bases) * size
+        raise IndexError("cell index out of range")
 
 
 def _word_label(word) -> str:
     return ".".join(str(a) for a in word)
-
-
-def cells_for_words(ifs: IFS, words) -> CellBlock:
-    """Quadrature cells for an explicit list of words (lengths may differ)."""
-    words = [validate_word(w, n_letters=ifs.n_letters) for w in words]
-    m = len(words)
-    geom = ifs.geometry
-    weights = np.empty(m)
-    points = np.empty((m, geom.dim))
-    diams = np.empty(m)
-    diam_hi = ifs.diam_bracket()[1]
-    bylen = defaultdict(list)
-    for i, w in enumerate(words):
-        bylen[len(w)].append(i)
-    for length, idxs in sorted(bylen.items()):
-        ii = np.asarray(idxs, dtype=np.int64)
-        if length == 0:
-            weights[ii] = 1.0
-            points[ii] = ifs.fixed_point((1,))
-            diams[ii] = diam_hi
-            continue
-        letters = np.asarray([words[i] for i in idxs], dtype=np.int64) - 1
-        ratio, shift = ifs.compose_batch(letters)
-        weights[ii] = np.prod(ifs.letter_weights[letters], axis=1)
-        points[ii] = _fixed_points(geom, ratio, shift)
-        diams[ii] = ratio * diam_hi
-    return CellBlock(words, weights, points, diams)
 
 
 def _check_budget(count: int, cap: int):
@@ -173,25 +176,65 @@ def _check_budget(count: int, cap: int):
         )
 
 
-def _suffixes(n_letters: int, m: int):
-    return list(itertools.product(range(1, n_letters + 1), repeat=m))
+def _relative_net(ifs: IFS, depth: int):
+    """Ratios, shifts and weights of S_u for every word u of length ``depth``.
+
+    Lexicographic order, expanded one level at a time by prepending a
+    letter: S_{e u} = S_e o S_u.
+    """
+    geom = ifs.geometry
+    ratio, shift, weight = np.ones(1), geom.identity()[np.newaxis], np.ones(1)
+    for _ in range(depth):
+        ratio, shift = _compose(geom, ifs.ratios[:, np.newaxis],
+                                ifs.shifts[:, np.newaxis], ratio, shift)
+        ratio, shift = ratio.ravel(), shift.reshape(-1, geom.dim)
+        weight = np.outer(ifs.letter_weights, weight).ravel()
+    return ratio, shift, weight
 
 
-def net(ifs: IFS, depth: int, cap: int = None) -> CylinderNet:
+def _cell_block(ifs: IFS, segments) -> CellBlock:
+    """The cells of each ``(bases, depth)`` segment, in order.
+
+    The cells below a base v are S_v applied to the relative net by
+    broadcasting, one letter of v at a time from the last, so each cell's
+    map is composed S_{w_1} o (S_{w_2} o ...) along its whole word.
+    """
+    geom = ifs.geometry
+    parts = [(np.empty(0), np.empty((0, geom.dim)), np.empty(0))]
+    for bases, depth in segments:
+        ratio, shift, weight = _relative_net(ifs, depth)
+        ratio = np.broadcast_to(ratio, (len(bases),) + ratio.shape)
+        shift = np.broadcast_to(shift, (len(bases),) + shift.shape)
+        for a in bases.T[::-1] - 1:
+            ratio, shift = _compose(geom, ifs.ratios[a, np.newaxis],
+                                    ifs.shifts[a, np.newaxis], ratio, shift)
+        weight = np.outer(np.prod(ifs.letter_weights[bases - 1], axis=1), weight)
+        parts.append((ratio.ravel(), shift.reshape(-1, geom.dim), weight.ravel()))
+    ratio, shift, weight = map(np.concatenate, zip(*parts))
+    root = ratio == 1.0  # the empty word, whose fixed-point formula divides by 0
+    points = _fixed_points(geom, np.where(root, 0.0, ratio), shift)
+    points[root] = ifs.letter_fixed_points[0]
+    return CellBlock(weight, points, ratio * ifs.diam_bracket()[1], segments,
+                     ifs.n_letters)
+
+
+def _word_segments(ifs: IFS, words, depth: int) -> list:
+    """One ``(bases, depth)`` segment per run of equal-length words, in order."""
+    words = [validate_word(w, n_letters=ifs.n_letters) for w in words]
+    return [(np.array(list(run), dtype=np.int64), depth)
+            for _, run in itertools.groupby(words, len)]
+
+
+def cells_for_words(ifs: IFS, words) -> CellBlock:
+    """Quadrature cells for an explicit list of words (lengths may differ)."""
+    return _cell_block(ifs, _word_segments(ifs, words, 0))
+
+
+def net(ifs: IFS, depth: int, cap: int = None) -> CellBlock:
     """The full depth-``depth`` cylinder net in lexicographic order."""
     if not isinstance(depth, (int, np.integer)) or depth < 0:
         raise InputError("net depth must be a nonnegative integer")
-    cap = ifs.DEFAULT_CELL_CAP if cap is None else cap
-    _check_budget(ifs.n_letters ** depth, cap)
-    words = _suffixes(ifs.n_letters, depth)
-    cells = cells_for_words(ifs, words)
-    return CylinderNet(cells.words, cells.weights, cells.points, cells.diams,
-                       depth=int(depth))
-
-
-def refine(ifs: IFS, netobj: CylinderNet, cap: int = None) -> CylinderNet:
-    """The net one level deeper (every cell split into its children)."""
-    return net(ifs, netobj.depth + 1, cap=cap)
+    return region_cells(ifs, [()], depth, cap=cap)
 
 
 def region_cells(ifs: IFS, base_words, depth: int, cap: int = None) -> CellBlock:
@@ -202,14 +245,12 @@ def region_cells(ifs: IFS, base_words, depth: int, cap: int = None) -> CellBlock
     if depth < 0:
         raise InputError("refinement depth must be nonnegative")
     cap = ifs.DEFAULT_CELL_CAP if cap is None else cap
-    bases = [validate_word(b, n_letters=ifs.n_letters) for b in base_words]
-    suffixes = _suffixes(ifs.n_letters, depth)
-    _check_budget(len(bases) * len(suffixes), cap)
-    words = [b + s for b in bases for s in suffixes]
-    return cells_for_words(ifs, words)
+    segments = _word_segments(ifs, base_words, depth)
+    _check_budget(sum(len(bases) for bases, _ in segments) * ifs.n_letters ** depth, cap)
+    return _cell_block(ifs, segments)
 
 
-def _eval_f(f, points, words=None):
+def _eval_f(f, points, cells=None):
     """Evaluate an integrand on stacked points; accepts vectorized or scalar f."""
     vals = None
     try:
@@ -222,7 +263,7 @@ def _eval_f(f, points, words=None):
         vals = np.array([float(f(p)) for p in points])
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))
-        where = _word_label(words[i]) if words is not None else f"index {i}"
+        where = _word_label(cells.word(i)) if cells is not None else f"index {i}"
         raise EvaluationError(f"integrand returned a non-finite value on cell {where}")
     return vals
 
@@ -231,11 +272,10 @@ def integrate_cells(cells: CellBlock, f, mod: ModulusSpec) -> QuadratureResult:
     """Bracketed integral of f over the union of the given cells."""
     if cells.count == 0:
         return QuadratureResult(0.0, 0.0, 0, 0)
-    vals = _eval_f(f, cells.points, cells.words)
+    vals = _eval_f(f, cells.points, cells)
     value = pairwise_sum(cells.weights * vals)
     err = pairwise_sum(cells.weights * mod.omega(cells.diams))
-    depth = max(len(w) for w in cells.words)
-    return QuadratureResult(value, err, depth, cells.count)
+    return QuadratureResult(value, err, cells.depth, cells.count)
 
 
 def integrate(ifs: IFS, f, mod: ModulusSpec, depth: int) -> QuadratureResult:
@@ -297,40 +337,33 @@ def integrate_ball_complement(ifs: IFS, f, mod, center, eps: float, depth: int,
         raise InputError("refinement depth must be nonnegative")
     cap = ifs.DEFAULT_CELL_CAP if cap is None else cap
 
-    include_words = []
-    straddle_words = []
-    active = [()]
+    n = ifs.n_letters
+    letters = np.zeros((1, 0), dtype=np.int64)  # words of the active cells
+    segments = []
+    n_kept = 0
     for level in range(depth + 1):
-        if not active:
-            break
-        cells = cells_for_words(ifs, active)
+        cells = _cell_block(ifs, [(letters, 0)])
         dist = geom.dist(cells.points, center)
         outside = dist - cells.diams >= eps
         inside = dist + cells.diams <= eps
-        straddle = ~outside & ~inside
-        out_idx = np.nonzero(outside)[0]
-        if level == depth:
-            include_words.extend(active[i] for i in out_idx)
-            straddle_words.extend(active[i] for i in np.nonzero(straddle)[0])
-            active = []
-        else:
-            m = depth - level
-            extra = len(out_idx) * ifs.n_letters ** m
-            _check_budget(len(include_words) + extra
-                          + len(active) * ifs.n_letters, cap)
-            if len(out_idx):
-                suf = _suffixes(ifs.n_letters, m)
-                for i in out_idx:
-                    w = active[i]
-                    include_words.extend(w + s for s in suf)
-            active = [active[i] + (e,) for i in np.nonzero(straddle)[0]
-                      for e in range(1, ifs.n_letters + 1)]
+        m = depth - level
+        n_out = int(np.count_nonzero(outside))
+        if level < depth:
+            _check_budget(n_kept + n_out * n ** m + len(letters) * n, cap)
+        if n_out:
+            segments.append((letters[outside], m))
+            n_kept += n_out * n ** m
+        letters = letters[~outside & ~inside]
+        if level == depth or not len(letters):
+            break
+        letters = np.column_stack((np.repeat(letters, n, axis=0),
+                                   np.tile(np.arange(1, n + 1), len(letters))))
 
     value = 0.0
     err = 0.0
-    kept = cells_for_words(ifs, include_words)
+    kept = _cell_block(ifs, segments)
     if kept.count:
-        vals = _eval_f(f, kept.points, kept.words)
+        vals = _eval_f(f, kept.points, kept)
         value = pairwise_sum(kept.weights * vals)
         if callable(mod):
             delta = np.maximum(geom.dist(kept.points, center) - kept.diams,
@@ -340,20 +373,19 @@ def integrate_ball_complement(ifs: IFS, f, mod, center, eps: float, depth: int,
             omega_cells = mod.omega(kept.diams)
         err = pairwise_sum(kept.weights * omega_cells)
 
-    if straddle_words:
-        sc = cells_for_words(ifs, straddle_words)
+    sc = _cell_block(ifs, [(letters, 0)])
+    if sc.count:
         if region_sup is not None:
             err += pairwise_sum(sc.weights * float(region_sup))
         elif not callable(mod):
-            svals = np.abs(_eval_f(f, sc.points, sc.words))
+            svals = np.abs(_eval_f(f, sc.points, sc))
             err += pairwise_sum(sc.weights * (svals + mod.omega(sc.diams)))
         else:
             raise InputError(
                 "a per-cell modulus needs region_sup to bound straddling cells"
             )
 
-    return QuadratureResult(value, err, depth,
-                            kept.count + len(straddle_words))
+    return QuadratureResult(value, err, depth, kept.count + sc.count)
 
 
 def mc_integrate(ifs: IFS, f, n_samples: int, seed: int,
@@ -389,9 +421,9 @@ def mc_integrate(ifs: IFS, f, n_samples: int, seed: int,
 
 def export_net_csv(cells: CellBlock, f, path: str):
     """Write cells and integrand values as CSV columns cell,word,weight,diameter,fvalue."""
-    vals = _eval_f(f, cells.points, cells.words)
+    vals = _eval_f(f, cells.points, cells)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("cell,word,weight,diameter,fvalue\n")
-        for i, w in enumerate(cells.words):
-            fh.write(f"{i},{_word_label(w)},{cells.weights[i]:.17g},"
+        for i in range(cells.count):
+            fh.write(f"{i},{_word_label(cells.word(i))},{cells.weights[i]:.17g},"
                      f"{cells.diams[i]:.17g},{vals[i]:.17g}\n")

@@ -7,7 +7,6 @@ attractor through the coding map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,27 +99,3 @@ def is_prefix(u, w) -> bool:
     w = validate_word(w)
     return len(u) <= len(w) and w[: len(u)] == u
 
-
-def cylinder_prob(ratios, s: float, word) -> float:
-    """Natural-measure weight of the cylinder addressed by ``word``.
-
-    ``ratios`` are the contraction ratios and ``s`` the exponent; the weights
-    r_i^s must sum to 1 within 1e-10 or the arguments are rejected.
-    """
-    r = np.asarray(ratios, dtype=float)
-    if r.ndim != 1 or r.size < 1:
-        raise InputError("ratios must be a nonempty 1-d sequence")
-    if not np.all((r > 0.0) & (r < 1.0)):
-        raise InputError("ratios must lie in (0, 1)")
-    if not math.isfinite(s) or s <= 0:
-        raise InputError("exponent s must be positive and finite")
-    weights = r ** s
-    if abs(float(np.sum(weights)) - 1.0) > 1e-10:
-        raise ConfigError(
-            f"letter weights sum to {float(np.sum(weights))!r}, expected 1"
-        )
-    w = validate_word(word, n_letters=r.size)
-    if len(w) == 0:
-        return 1.0
-    idx = np.asarray(w, dtype=int) - 1
-    return float(np.prod(weights[idx]))

@@ -56,6 +56,17 @@ def heis_config():
     }
 
 
+def heis_twisted_config():
+    # three Heisenberg similarities with ratio 1/3 and non-collinear shifts, so
+    # compositions pick up the group twist (x y' - y x') / 2
+    return {
+        "geometry": {"kind": "heisenberg1"},
+        "maps": [{"r": 1.0 / 3.0, "q": [0.0, 0.0, 0.0]},
+                 {"r": 1.0 / 3.0, "q": [2.0 / 3.0, 0.0, 0.0]},
+                 {"r": 1.0 / 3.0, "q": [0.0, 2.0 / 3.0, 0.0]}],
+    }
+
+
 def make_ifs(cfg) -> IFS:
     return IFS.from_config(cfg)
 

@@ -26,3 +26,8 @@ def line_ifs():
 @pytest.fixture(scope="session")
 def heis_cantor():
     return h.make_ifs(h.heis_config())
+
+
+@pytest.fixture(scope="session")
+def heis_twisted():
+    return h.make_ifs(h.heis_twisted_config())

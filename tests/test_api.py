@@ -1,0 +1,49 @@
+import importlib
+
+import fractalsio
+
+PUBLIC = [
+    "ConfigError", "EvaluationError", "FractalsioError", "InputError",
+    "ResourceLimitError",
+    "Euclidean", "Heisenberg1", "geometry_from_config",
+    "EPWord", "concat", "is_prefix", "power", "validate_word",
+    "IFS", "SeparationReport", "Similarity", "similarity_dimension",
+    "CellBlock", "ModulusSpec", "QuadratureResult", "cells_for_words",
+    "complement_base_words", "export_net_csv", "integrate",
+    "integrate_ball_complement", "integrate_cells", "integrate_complement",
+    "integrate_cylinder", "mc_integrate", "net", "pairwise_sum",
+    "region_cells",
+    "ConstantOmega", "HomogeneousKernel", "PerturbedOmega",
+    "PolynomialOverNorm", "RieszComponent", "SignOmega", "bump_profile",
+    "omega_from_config",
+    "CriterionReport", "DivergenceReport", "MaximalEstimate", "PVRow",
+    "PVTrace", "WitnessIntegrand", "ball_cylinder_gap", "criterion",
+    "divergence_certificate", "maximal_symbolic", "pv_trace", "truncated",
+    "witness_g",
+    "OrbitSample", "birkhoff_frequency", "hitting_times", "sample_orbit",
+    "__version__",
+]
+
+REMOVED = [
+    ("fractalsio", "CylinderNet"), ("fractalsio", "refine"),
+    ("fractalsio", "cylinder_prob"), ("fractalsio", "eval_kernel"),
+    ("fractalsio", "kernel_modulus_on"), ("fractalsio", "perturb"),
+    ("fractalsio.measure", "CylinderNet"), ("fractalsio.measure", "refine"),
+    ("fractalsio.symbolic", "cylinder_prob"), ("fractalsio.kernels", "eval_kernel"),
+    ("fractalsio.kernels", "kernel_modulus_on"), ("fractalsio.kernels", "perturb"),
+]
+
+
+def test_all_is_pinned():
+    assert fractalsio.__all__ == PUBLIC
+
+
+def test_all_names_resolve():
+    for name in fractalsio.__all__:
+        assert getattr(fractalsio, name) is not None
+
+
+def test_removed_names_are_gone():
+    for module, name in REMOVED:
+        assert not hasattr(importlib.import_module(module), name), (module, name)
+    assert not hasattr(fractalsio.IFS, "fixed_points_batch")

@@ -33,6 +33,7 @@ def test_dim(mt_config, capsys):
     assert out["s"] == pytest.approx(0.6309297535714574, abs=1e-14)
     assert out["residual"] <= 1e-14
     assert out["config"]["maps"][0]["r"] == pytest.approx(1.0 / 3.0)
+    assert "threads" not in out
 
 
 def test_separation(mt_config, capsys):
@@ -195,16 +196,6 @@ def test_bad_config_exits_one(tmp_path, capsys):
 def test_missing_param_exits_one(mt_config, capsys):
     assert main(["criterion", "--config", mt_config]) == 1
     assert "params.word" in capsys.readouterr().err
-
-
-def test_threads_env_validation(mt_config, capsys, monkeypatch):
-    monkeypatch.setenv("FRACTALSIO_THREADS", "4")
-    assert main(["dim", "--config", mt_config]) == 0
-    assert _json_out(capsys)["threads"] == 4
-    monkeypatch.setenv("FRACTALSIO_THREADS", "zero")
-    assert main(["dim", "--config", mt_config]) == 1
-    monkeypatch.delenv("FRACTALSIO_THREADS")
-    assert main(["dim", "--config", mt_config, "--threads", "0"]) == 1
 
 
 def test_override_raw_string(mt_config, capsys):

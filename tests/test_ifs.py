@@ -72,11 +72,33 @@ def test_word_ratio_weight(middle_thirds):
     assert middle_thirds.word_weight(()) == 1.0
 
 
+def test_word_weight_probabilities():
+    # weights p and p^2 with p + p^2 = 1, so p is the golden ratio conjugate
+    ifs = IFS.from_config({"geometry": {"kind": "euclidean", "dim": 1},
+                           "maps": [{"r": 0.5, "q": [0.0]},
+                                    {"r": 0.25, "q": [0.75]}]})
+    p1 = ifs.word_weight((1,))
+    p2 = ifs.word_weight((2,))
+    assert p1 == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, abs=1e-12)
+    assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
+    assert ifs.word_weight((1, 1)) == pytest.approx(p1 * p1, abs=1e-12)
+    assert ifs.word_weight((2, 1, 2)) == pytest.approx(p1 * p2 * p2, abs=1e-12)
+
+
+def test_compose_batch_matches_compose(heis_twisted):
+    idx = np.random.default_rng(5).integers(0, 3, size=(20, 6))
+    ratio, shift = heis_twisted.compose_batch(idx)
+    for row, r, q in zip(idx, ratio, shift):
+        sim = heis_twisted.compose(row + 1)
+        assert r == sim.ratio
+        np.testing.assert_array_equal(q, sim.shift)
+
+
 def test_attractor_bound_contains_samples(four_corner):
     center, radius = four_corner.attractor_bound()
     rng = np.random.default_rng(3)
-    pts = four_corner.fixed_points_batch(
-        rng.integers(0, 4, size=(200, 9)))
+    pts = np.stack([four_corner.fixed_point(w + 1)
+                    for w in rng.integers(0, 4, size=(200, 9))])
     d = four_corner.geometry.dist(center, pts)
     assert np.all(d <= radius + 1e-12)
 

@@ -6,8 +6,7 @@ import pytest
 import _helpers as h
 from fractalsio import (ConstantOmega, Euclidean, Heisenberg1, HomogeneousKernel,
                         InputError, PerturbedOmega, PolynomialOverNorm,
-                        RieszComponent, SignOmega, bump_profile, eval_kernel,
-                        omega_from_config)
+                        RieszComponent, SignOmega, bump_profile, omega_from_config)
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
@@ -221,7 +220,9 @@ def test_config_round_trip():
     assert again.analytic is True
 
 
-def test_eval_kernel_helper(middle_thirds):
+def test_kernel_eval(middle_thirds):
+    # k(x, y) = sign(x - y) / |x - y|^s
     kern = h.sign_kernel(middle_thirds)
-    assert eval_kernel(kern, np.array([0.0]), np.array([1.0])) == pytest.approx(
-        kern.eval(np.array([0.0]), np.array([1.0])))
+    assert kern.eval(np.array([0.0]), np.array([1.0])) == pytest.approx(-1.0)
+    assert kern.eval(np.array([0.0]), np.array([-2.0])) == pytest.approx(
+        2.0 ** -middle_thirds.dim_s)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 import _helpers as h
 from fractalsio import (EvaluationError, ModulusSpec, ResourceLimitError,
-                        integrate, integrate_ball_complement, integrate_cells,
+                        cells_for_words, complement_base_words, integrate,
+                        integrate_ball_complement, integrate_cells,
                         integrate_complement, integrate_cylinder, mc_integrate,
-                        net, pairwise_sum, refine)
+                        net, pairwise_sum, region_cells)
 
 LIP1 = ModulusSpec.lipschitz(1.0)
 
@@ -37,13 +39,60 @@ def test_net_weights_sum_to_one(middle_thirds, four_corner):
         assert pairwise_sum(cells.weights) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_refine_is_next_depth(middle_thirds):
-    n2 = net(middle_thirds, 2)
-    n3 = refine(middle_thirds, n2)
-    assert n3.depth == 3
-    direct = net(middle_thirds, 3)
-    assert list(n3.words) == list(direct.words)
-    assert np.allclose(n3.points, direct.points)
+def _reference_cells(ifs, words):
+    """Weights, fixed points and diameter bounds of S_w, one word at a time.
+
+    Each S_w is built by appending one map at a time, S_v o S_a, with the
+    group law written out; the empty word is represented by the fixed point
+    of S_1.
+    """
+    twisted = ifs.geometry.kind == "heisenberg1"
+    degrees = np.array([1.0, 1.0, 2.0]) if twisted else 1.0
+    weights, points, diams = [], [], []
+    for w in words:
+        ratio, shift, weight = 1.0, np.zeros(ifs.geometry.dim), 1.0
+        for a in w:
+            r, q = ifs.maps[a - 1].ratio, ifs.maps[a - 1].shift
+            if twisted:
+                x, y, t = shift
+                qx, qy, qt = ratio * q[0], ratio * q[1], ratio ** 2 * q[2]
+                shift = np.array([x + qx, y + qy, t + qt + 0.5 * (x * qy - y * qx)])
+            else:
+                shift = shift + ratio * q
+            ratio *= r
+            weight *= r ** ifs.dim_s
+        if w:
+            points.append(shift / (1.0 - ratio ** degrees))
+        else:
+            r1, q1 = ifs.maps[0].ratio, ifs.maps[0].shift
+            points.append(q1 / (1.0 - r1 ** degrees))
+        weights.append(weight)
+        diams.append(ratio * ifs.diam_bracket()[1])
+    return np.array(weights), np.array(points), np.array(diams)
+
+
+REFERENCE_DEPTH = {"middle_thirds": 7, "four_corner": 4, "heis_twisted": 5}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DEPTH))
+def test_cells_match_reference(request, name):
+    ifs = request.getfixturevalue(name)
+    depth = REFERENCE_DEPTH[name]
+    letters = range(1, ifs.n_letters + 1)
+    bases = complement_base_words((1, 2, 1), ifs.n_letters)
+    cases = [(net(ifs, d), [()], d) for d in (0, depth, depth + 1)]
+    cases.append((region_cells(ifs, bases, depth), bases, depth))
+    mixed = [(2, 1), (), (1,), (2, 2, 1), (1, 2)]  # lengths out of order
+    cases.append((cells_for_words(ifs, mixed), mixed, 0))
+    for cells, heads, d in cases:
+        words = [b + u for b in heads for u in itertools.product(letters, repeat=d)]
+        weights, points, diams = _reference_cells(ifs, words)
+        assert cells.count == len(words)
+        assert cells.depth == max(len(w) for w in words)
+        assert [cells.word(i) for i in range(cells.count)] == words
+        np.testing.assert_allclose(cells.points, points, rtol=0.0, atol=4e-16)
+        np.testing.assert_allclose(cells.weights, weights, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(cells.diams, diams, rtol=1e-15, atol=0.0)
 
 
 def test_moment_oracles(middle_thirds):
@@ -148,8 +197,12 @@ def test_eval_error_on_nonfinite(middle_thirds):
     def bad(pts):
         return 1.0 / _coord(pts)  # infinite on the leftmost cylinder
 
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match=r"on cell 1\.1\.1\.1$"):
         integrate(middle_thirds, bad, LIP1, depth=4)
+    # the ball complement keeps C_11 and C_22 from level 2 on, refined twice
+    with pytest.raises(EvaluationError, match=r"on cell 1\.1\.1\.1$"):
+        integrate_ball_complement(middle_thirds, bad, LIP1, np.array([0.5]),
+                                  0.2, depth=4)
 
 
 def test_resource_limit(four_corner):

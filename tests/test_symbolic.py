@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalsio import (ConfigError, EPWord, InputError, concat, cylinder_prob,
-                        is_prefix, power, validate_word)
+from fractalsio import EPWord, InputError, concat, is_prefix, power, validate_word
 
 letters = st.lists(st.integers(1, 3), min_size=1, max_size=8).map(tuple)
 
@@ -67,18 +66,6 @@ def test_is_prefix():
     assert not is_prefix((2,), w)
     assert is_prefix((1,), (1, 2))
     assert not is_prefix((1, 2, 2), (1, 2))
-
-
-def test_cylinder_prob():
-    ratios = [1.0 / 3.0, 1.0 / 3.0]
-    s = 0.6309297535714574
-    p1 = cylinder_prob(ratios, s, (1,))
-    p2 = cylinder_prob(ratios, s, (2,))
-    assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
-    p11 = cylinder_prob(ratios, s, (1, 1))
-    assert p11 == pytest.approx(p1 * p1, abs=1e-12)
-    with pytest.raises(ConfigError):
-        cylinder_prob(ratios, 0.5, (1,))  # weights do not sum to one
 
 
 def test_epword_config_round_trip():
