@@ -23,7 +23,7 @@ from .kernels import (ConstantOmega, HomogeneousKernel, PerturbedOmega,
 from .sio import (CriterionReport, DivergenceReport, MaximalEstimate, PVRow,
                   PVTrace, WitnessIntegrand, ball_cylinder_gap, criterion,
                   divergence_certificate, maximal_symbolic, pv_trace,
-                  truncated, witness_g)
+                  truncated)
 from .ergodic import OrbitSample, birkhoff_frequency, hitting_times, sample_orbit
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "CriterionReport", "DivergenceReport", "MaximalEstimate", "PVRow",
     "PVTrace", "WitnessIntegrand", "ball_cylinder_gap", "criterion",
     "divergence_certificate", "maximal_symbolic", "pv_trace", "truncated",
-    "witness_g",
     "OrbitSample", "birkhoff_frequency", "hitting_times", "sample_orbit",
     "__version__",
 ]

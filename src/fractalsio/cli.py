@@ -24,8 +24,8 @@ from .ergodic import birkhoff_frequency, hitting_times
 from .ifs import IFS
 from .kernels import HomogeneousKernel
 from .measure import ModulusSpec, integrate, integrate_complement, mc_integrate
-from .sio import (PV_CSV_HEADER, ball_cylinder_gap, criterion, maximal_symbolic,
-                  pv_trace, truncated, witness_g)
+from .sio import (PV_CSV_HEADER, WitnessIntegrand, ball_cylinder_gap, criterion,
+                  maximal_symbolic, pv_trace, truncated)
 from .symbolic import EPWord
 
 
@@ -194,8 +194,8 @@ def _integrand(ifs: IFS, desc) -> tuple:
         u = desc.get("u")
         if u is None:
             raise ConfigError("witness integrand needs a period word 'u'")
-        g = witness_g(ifs, tuple(int(a) for a in u),
-                      max_blocks=int(desc.get("max_blocks", 64)))
+        g = WitnessIntegrand(ifs, tuple(int(a) for a in u),
+                             max_blocks=int(desc.get("max_blocks", 64)))
         # values in {0, 1}: any two differ by at most 1 = 2 * 0.5
         return g, ModulusSpec.sup_only(0.5)
     raise ConfigError(f"unknown integrand kind {kind!r}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,8 @@ def _fixed_points(geom, ratios, shifts):
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Certified separation verdict with the brackets that justify it."""
+    """Certified separation verdict with the brackets that justify it, and
+    the gap search's node count and whether it stopped at ``max_nodes``."""
 
     status: str
     gap_lo: float
@@ -109,6 +111,8 @@ class SeparationReport:
     maxdiam_lo: float
     maxdiam_hi: float
     depth: int
+    nodes: int
+    budget_exhausted: bool
 
     def certified_positive_gap(self) -> bool:
         return self.status in ("Separated", "StronglySeparated",
@@ -122,17 +126,13 @@ class SeparationReport:
             "maxdiam_lo": self.maxdiam_lo,
             "maxdiam_hi": self.maxdiam_hi,
             "depth": self.depth,
+            "nodes": self.nodes,
+            "budget_exhausted": self.budget_exhausted,
         }
 
 
-class _Bracket:
-    __slots__ = ("lo", "hi", "nodes", "overlap")
-
-    def __init__(self, lo, hi, nodes, overlap=False):
-        self.lo = lo
-        self.hi = hi
-        self.nodes = nodes
-        self.overlap = overlap
+_Bracket = namedtuple("_Bracket", "lo hi nodes overlap exhausted",
+                      defaults=(False, False))
 
 
 class IFS:
@@ -323,23 +323,22 @@ class IFS:
         dlo, dhi = self.diam_bracket(rel_tol=rel_tol)
         rmax = float(np.max(self.ratios))
         md_lo, md_hi = rmax * dlo, rmax * dhi
+        lo, hi = gap.lo, gap.hi
         if gap.overlap:
-            rep = SeparationReport("Overlapping", 0.0, 0.0, md_lo, md_hi, depth)
+            status, lo, hi = "Overlapping", 0.0, 0.0
         elif gap.lo <= 0.0:
-            rep = SeparationReport("Inconclusive", 0.0, gap.hi, md_lo, md_hi, depth)
-        elif gap.lo >= md_hi:
-            rep = SeparationReport("StronglySeparated", gap.lo, gap.hi,
-                                   md_lo, md_hi, depth)
-        elif (md_hi - gap.lo) <= (gap.hi - gap.lo) + (md_hi - md_lo):
+            status, lo = "Inconclusive", 0.0
+        elif (gap.lo >= md_hi
+              or (md_hi - gap.lo) <= (gap.hi - gap.lo) + (md_hi - md_lo)):
             # Not refuted, and the deficit fits inside the bracket widths:
             # exact ties (gap equal to the largest child diameter) land here.
-            rep = SeparationReport("StronglySeparated", gap.lo, gap.hi,
-                                   md_lo, md_hi, depth)
+            status = "StronglySeparated"
         elif gap.hi < md_lo:
-            rep = SeparationReport("Separated", gap.lo, gap.hi, md_lo, md_hi, depth)
+            status = "Separated"
         else:
-            rep = SeparationReport("SeparatedUnknownStrength", gap.lo, gap.hi,
-                                   md_lo, md_hi, depth)
+            status = "SeparatedUnknownStrength"
+        rep = SeparationReport(status, lo, hi, md_lo, md_hi, depth, gap.nodes,
+                               gap.exhausted)
         self._sep_cache[key] = rep
         return rep
 
@@ -495,6 +494,7 @@ def _gap_bracket(ifs, max_depth, rel_tol, max_nodes) -> _Bracket:
 
     frozen_lo = math.inf
     exit_lo = None
+    exhausted = False
     while heap:
         lb_top = heap[0][0]
         ub = state["ub"]
@@ -503,7 +503,7 @@ def _gap_bracket(ifs, max_depth, rel_tol, max_nodes) -> _Bracket:
             continue
         tol = max(rel_tol * ub, 1e-15 * scale)
         if ub - lb_top <= tol or state["nodes"] >= max_nodes:
-            exit_lo = lb_top
+            exit_lo, exhausted = lb_top, ub - lb_top > tol
             break
         lb_node, _, u, v = heapq.heappop(heap)
         _, ru, _ = _word_data(ifs, u, cache)
@@ -531,4 +531,4 @@ def _gap_bracket(ifs, max_depth, rel_tol, max_nodes) -> _Bracket:
     slack = _FLOAT_SLACK * (r0 + (ub if math.isfinite(ub) else 0.0))
     lo = max(0.0, lo - slack)
     hi = ub + slack if math.isfinite(ub) else math.inf
-    return _Bracket(lo, hi, state["nodes"])
+    return _Bracket(lo, hi, state["nodes"], exhausted=exhausted)

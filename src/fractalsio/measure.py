@@ -251,16 +251,16 @@ def region_cells(ifs: IFS, base_words, depth: int, cap: int = None) -> CellBlock
 
 
 def _eval_f(f, points, cells=None):
-    """Evaluate an integrand on stacked points; accepts vectorized or scalar f."""
-    vals = None
-    try:
-        out = np.asarray(f(points), dtype=float)
-        if out.shape == (len(points),):
-            vals = out
-    except Exception:
-        vals = None
-    if vals is None:
-        vals = np.array([float(f(p)) for p in points])
+    """Evaluate a vectorized integrand once on stacked points.
+
+    ``f`` maps an (m, dim) array of points to m values.  Its own exceptions
+    propagate; an output of another shape, or a non-finite value (labelled
+    with its cell), raises ``EvaluationError``.
+    """
+    vals = np.asarray(f(points), dtype=float)
+    if vals.shape != (len(points),):
+        raise EvaluationError(f"integrand returned shape {vals.shape} for "
+                              f"{len(points)} points, expected ({len(points)},)")
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))
         where = _word_label(cells.word(i)) if cells is not None else f"index {i}"

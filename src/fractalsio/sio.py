@@ -1,18 +1,25 @@
-"""Singular-integral drivers.
+"""Singular-integral drivers, assembled from cylinder annuli.
 
-Everything here integrates y -> k(x, y) against the natural measure over
-regions built from cylinders: truncations outside a ball, complements of
-shrinking cylinders (the PV trace F_k and its annulus increments A_k), the
-periodic-point test integral, symbolic maximal scans, the cylinder-versus-
-ball comparison, and a finite-horizon divergence certificate stitching those
-together.  Error brackets use the per-cell certified pole distance
+Every region the drivers integrate over is a union of annuli around a coded
+pole pi(w): A_k = C_{w|k} minus C_{w|k+1}, the n - 1 siblings of C_{w|k+1}.
+The truncation F_k over C minus C_{w|k} is the sum of A_j for j < k, the
+periodic-point integral over C minus C_w is the sum of the first |w| annuli
+of w repeated, a divergence block is the sum of one period's annuli, and the
+cylinder term of the ball comparison and the maximal sums T(m, n) are sums of
+consecutive annuli.  ``_annuli`` is the one place these are computed: it
+builds the annuli's cells in one block, refining each sibling by ``depth``
+letters, and brackets each annulus separately, so every driver adds up the
+same (value, err) parts with ``QuadratureResult`` addition.  Only the ball
+truncation ``truncated`` integrates a region of another shape.
+
+Error brackets use the per-cell certified pole distance
 delta_v = d(x, x_v) - d_v, which is valid because the quadrature bound only
-compares points within one cell.
-
-When a cell's pole distance cannot be certified positive, the result is
-flagged and its err becomes infinite rather than silently wrong; the same
-happens when the system's separation cannot be certified, since cylinder
-weights presume essentially disjoint branches.
+compares points within one cell.  When some cell of an annulus cannot be
+certified away from the pole, that annulus gets value 0 and an infinite err,
+and every sum containing it is flagged ``unresolved-pole-distance`` rather
+than silently wrong; results are likewise flagged when the system's
+separation cannot be certified, since cylinder weights presume essentially
+disjoint branches.
 """
 
 from __future__ import annotations
@@ -25,35 +32,55 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .ifs import IFS
 from .kernels import HomogeneousKernel
-from .measure import (QuadratureResult, complement_base_words,
-                      integrate_ball_complement, pairwise_sum, region_cells)
-from .symbolic import EPWord, power, validate_word
+from .measure import (QuadratureResult, integrate_ball_complement, pairwise_sum,
+                      region_cells)
+from .symbolic import EPWord, validate_word
 
 SEP_FLAG = "separation:"
 POLE_FLAG = "unresolved-pole-distance"
 PV_CSV_HEADER = "k,F_value,F_err,A_value,A_err,flag"
 
 
-def _kernel_cells_quadrature(ifs: IFS, kern: HomogeneousKernel, pole,
-                             base_words, depth: int):
-    """Bracketed integral of k(pole, .) over a union of base cylinders.
+def _annuli(ifs: IFS, kern: HomogeneousKernel, pole, w: EPWord, stop: int,
+            depth: int, start: int = 0) -> list:
+    """Bracketed integrals of k(pole, .) over A_k for start <= k < stop.
 
-    Returns (QuadratureResult, flag); a nonempty flag means the bracket is
-    infinite because some cell could not be certified away from the pole.
+    The siblings of C_{w|k+1} are refined by ``depth`` letters and built in
+    one cell block in annulus order, so A_k is a contiguous slice of
+    (n - 1) n^depth cells.  An annulus with a cell not certified away from
+    the pole is ``(0.0, inf)``, and the kernel is not evaluated on it.
     """
-    if not base_words:
-        return QuadratureResult(0.0, 0.0, depth, 0), ""
-    cells = region_cells(ifs, base_words, depth)
+    n = ifs.n_letters
+    bases = [w.prefix(k) + (e,) for k in range(start, stop)
+             for e in range(1, n + 1) if e != w.letter(k)]
+    cells = region_cells(ifs, bases, depth)
     geom = ifs.geometry
     z = kern.displacement(pole, cells.points)
     dist = geom.norm(z)
     delta = dist - cells.diams
-    if float(np.min(dist)) <= 0.0 or float(np.min(delta)) <= 0.0:
-        return (QuadratureResult(0.0, math.inf, depth, cells.count), POLE_FLAG)
-    kvals = kern.omega.eval(geom, z) / dist ** kern.s
-    value = pairwise_sum(cells.weights * kvals)
-    err = pairwise_sum(cells.weights * kern.cell_err_bound(delta, cells.diams))
-    return QuadratureResult(value, err, depth, cells.count), ""
+    size = (n - 1) * n ** depth
+    out = []
+    for lo in range(0, cells.count, size):
+        part = slice(lo, lo + size)
+        if float(np.min(delta[part])) <= 0.0:
+            out.append(QuadratureResult(0.0, math.inf, depth, size))
+            continue
+        kvals = kern.omega.eval(geom, z[part]) / dist[part] ** kern.s
+        weights = cells.weights[part]
+        value = pairwise_sum(weights * kvals)
+        err = pairwise_sum(weights * kern.cell_err_bound(delta[part],
+                                                         cells.diams[part]))
+        out.append(QuadratureResult(value, err, depth, size))
+    return out
+
+
+def _total(parts, depth: int) -> QuadratureResult:
+    """The sum of consecutive annuli; the empty sum is an exact zero."""
+    return sum(parts, QuadratureResult(0.0, 0.0, depth, 0))
+
+
+def _pole_flag(quad: QuadratureResult) -> str:
+    return "" if math.isfinite(quad.err) else POLE_FLAG
 
 
 def _separation_flag(ifs: IFS) -> str:
@@ -127,8 +154,9 @@ def pv_trace(ifs: IFS, kern: HomogeneousKernel, w: EPWord, K: int,
     F_k integrates k(pi(w), .) over C minus C_{w|k} and A_k over the annulus
     C_{w|k} minus C_{w|k+1}; every base cylinder is refined by ``depth``
     extra letters.  Rows run k = 0..K-1 (F_0 = 0 exactly); the K-th
-    complement integral is kept as ``f_final``.  When the word is purely
-    periodic, ``eta_estimate`` sums the first period's worth of increments.
+    complement integral is kept as ``f_final``.  F_k is the sum of the
+    annuli A_j, j < k.  When the word is purely periodic, ``eta_estimate``
+    sums the first period's worth of increments.
     """
     if not isinstance(w, EPWord):
         raise InputError("pv_trace expects an EPWord")
@@ -136,40 +164,18 @@ def pv_trace(ifs: IFS, kern: HomogeneousKernel, w: EPWord, K: int,
         raise InputError("K must be a positive integer")
     pole = ifs.code_point(w)
     sep_flag = _separation_flag(ifs)
-
-    def complement_at(k):
-        return _kernel_cells_quadrature(
-            ifs, kern, pole, complement_base_words(w.prefix(k), ifs.n_letters),
-            depth)
-
-    def annulus_at(k):
-        head = w.prefix(k)
-        bases = [head + (e,) for e in range(1, ifs.n_letters + 1)
-                 if e != w.letter(k)]
-        return _kernel_cells_quadrature(ifs, kern, pole, bases, depth)
-
-    f_results = [(QuadratureResult(0.0, 0.0, depth, 0), "")]
-    for k in range(1, K + 1):
-        f_results.append(complement_at(k))
-    a_results = [annulus_at(k) for k in range(K)]
+    p = len(w.period) if w.is_periodic() else 0
+    annuli = _annuli(ifs, kern, pole, w, max(K, p), depth)
 
     rows = []
     for k in range(K):
-        fq, ff = f_results[k]
-        aq, af = a_results[k]
-        rows.append(PVRow(k, fq, aq, _join_flags(sep_flag, ff, af)))
-
-    eta = None
-    if w.is_periodic():
-        p = len(w.period)
-        extras = [annulus_at(k) for k in range(K, p)]
-        parts = a_results[:p] + extras
-        eta = QuadratureResult(0.0, 0.0, depth, 0)
-        for quad, _ in parts:
-            eta = eta + quad
-
-    return PVTrace(word=w, point=pole, rows=rows, f_final=f_results[K][0],
-                   eta_estimate=eta, separation=sep_flag, depth=depth)
+        F, A = _total(annuli[:k], depth), annuli[k]
+        rows.append(PVRow(k, F, A, _join_flags(sep_flag, _pole_flag(F),
+                                               _pole_flag(A))))
+    eta = _total(annuli[:p], depth) if p else None
+    return PVTrace(word=w, point=pole, rows=rows,
+                   f_final=_total(annuli[:K], depth), eta_estimate=eta,
+                   separation=sep_flag, depth=depth)
 
 
 # ---- periodic-point criterion ----------------------------------------------
@@ -212,8 +218,8 @@ def criterion(ifs: IFS, kern: HomogeneousKernel, w, depth: int) -> CriterionRepo
         raise InputError("criterion word must be nonempty")
     xi = ifs.fixed_point(word)
     sep_flag = _separation_flag(ifs)
-    quad, flag = _kernel_cells_quadrature(
-        ifs, kern, xi, complement_base_words(word, ifs.n_letters), depth)
+    quad = _total(_annuli(ifs, kern, xi, EPWord((), word), len(word), depth),
+                  depth)
     if sep_flag:
         quad = QuadratureResult(quad.value, math.inf, quad.depth, quad.cells)
     if abs(quad.value) > quad.err:
@@ -223,7 +229,7 @@ def criterion(ifs: IFS, kern: HomogeneousKernel, w, depth: int) -> CriterionRepo
     else:
         verdict = "ZeroWithinBracket"
     return CriterionReport(word=word, xi=xi, result=quad, verdict=verdict,
-                           separation=sep_flag or _join_flags(flag), depth=depth)
+                           separation=sep_flag or _pole_flag(quad), depth=depth)
 
 
 # ---- truncated integral ------------------------------------------------------
@@ -284,23 +290,10 @@ def maximal_symbolic(ifs: IFS, kern: HomogeneousKernel, w: EPWord, max_n: int,
     pole = ifs.code_point(w)
     sep_flag = _separation_flag(ifs)
 
-    annuli = []
-    for k in range(max_n):
-        head = w.prefix(k)
-        bases = [head + (e,) for e in range(1, ifs.n_letters + 1)
-                 if e != w.letter(k)]
-        annuli.append(_kernel_cells_quadrature(ifs, kern, pole, bases, depth)[0])
-
-    table = []
-    best = None
-    for m in range(max_n):
-        acc = QuadratureResult(0.0, 0.0, depth, 0)
-        for n in range(m + 1, max_n + 1):
-            acc = acc + annuli[n - 1]
-            entry = (m, n, acc)
-            table.append(entry)
-            if best is None or abs(acc.value) > abs(best[2].value):
-                best = entry
+    annuli = _annuli(ifs, kern, pole, w, max_n, depth)
+    table = [(m, n, _total(annuli[m:n], depth))
+             for m in range(max_n) for n in range(m + 1, max_n + 1)]
+    best = max(table, key=lambda entry: abs(entry[2].value))  # first on ties
     return MaximalEstimate(word=w, best=best, table=table,
                            separation=sep_flag, depth=depth)
 
@@ -335,10 +328,7 @@ def ball_cylinder_gap(ifs: IFS, kern: HomogeneousKernel, w: EPWord, n: int,
     inner = n + m1 * p
     pole = ifs.code_point(w)
 
-    bases = [w.prefix(j) + (e,) for j in range(n, inner)
-             for e in range(1, ifs.n_letters + 1) if e != w.letter(j)]
-    cyl, _ = _kernel_cells_quadrature(ifs, kern, pole, bases, depth)
-
+    cyl = _total(_annuli(ifs, kern, pole, w, inner, depth, start=n), depth)
     eps_outer = radius_factor * ifs.cylinder_diam_hi(w.prefix(n))
     eps_inner = radius_factor * ifs.cylinder_diam_hi(w.prefix(inner))
     trunc_depth = inner + depth
@@ -399,14 +389,9 @@ def divergence_certificate(ifs: IFS, kern: HomogeneousKernel, w, K: int,
             f_final=None, checks={},
             reason=f"criterion verdict is {crit.verdict}, not NonzeroCertified")
 
-    pole = crit.xi
     p = len(word)
-    blocks = []
-    for k in range(K):
-        head = power(word, k)
-        bases = [head + word[:j] + (e,) for j in range(p)
-                 for e in range(1, ifs.n_letters + 1) if e != word[j]]
-        blocks.append(_kernel_cells_quadrature(ifs, kern, pole, bases, depth)[0])
+    annuli = _annuli(ifs, kern, crit.xi, EPWord((), word), K * p, depth)
+    blocks = [_total(annuli[k * p:(k + 1) * p], depth) for k in range(K)]
 
     pairwise_ok = True
     worst = 0.0
@@ -418,9 +403,7 @@ def divergence_certificate(ifs: IFS, kern: HomogeneousKernel, w, K: int,
             if gap > allowance:
                 pairwise_ok = False
 
-    f_final, _ = _kernel_cells_quadrature(
-        ifs, kern, pole, complement_base_words(power(word, K), ifs.n_letters),
-        depth)
+    f_final = _total(annuli, depth)
     eta = crit.result
     need = K * abs(eta.value) - (K * eta.err + f_final.err)
     growth_ok = abs(f_final.value) >= need
@@ -512,8 +495,3 @@ class WitnessIntegrand:
         if pts.ndim == 1:
             return self.value_at(pts)
         return np.array([self.value_at(pt) for pt in pts])
-
-
-def witness_g(ifs: IFS, u, max_blocks: int = 64) -> WitnessIntegrand:
-    """Preset integrand for demonstrating symbolic maximal growth; see WitnessIntegrand."""
-    return WitnessIntegrand(ifs, u, max_blocks=max_blocks)

@@ -19,7 +19,6 @@ PUBLIC = [
     "CriterionReport", "DivergenceReport", "MaximalEstimate", "PVRow",
     "PVTrace", "WitnessIntegrand", "ball_cylinder_gap", "criterion",
     "divergence_certificate", "maximal_symbolic", "pv_trace", "truncated",
-    "witness_g",
     "OrbitSample", "birkhoff_frequency", "hitting_times", "sample_orbit",
     "__version__",
 ]
@@ -31,6 +30,8 @@ REMOVED = [
     ("fractalsio.measure", "CylinderNet"), ("fractalsio.measure", "refine"),
     ("fractalsio.symbolic", "cylinder_prob"), ("fractalsio.kernels", "eval_kernel"),
     ("fractalsio.kernels", "kernel_modulus_on"), ("fractalsio.kernels", "perturb"),
+    ("fractalsio", "witness_g"), ("fractalsio.sio", "witness_g"),
+    ("fractalsio.cli", "witness_g"),
 ]
 
 

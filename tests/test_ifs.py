@@ -146,6 +146,17 @@ def test_separation_verdicts(middle_thirds, four_corner):
     assert rep.gap_lo > 0
 
 
+def test_separation_budget_reported(middle_thirds, four_corner):
+    rep = middle_thirds.check_separation()
+    assert rep.budget_exhausted is False
+    assert rep.nodes > 0
+    capped = four_corner.check_separation(max_nodes=50)
+    assert capped.budget_exhausted is True
+    assert capped.nodes >= 50
+    d = capped.as_dict()
+    assert d["budget_exhausted"] is True and d["nodes"] == capped.nodes
+
+
 def test_separation_gap_value(middle_thirds):
     rep = middle_thirds.check_separation()
     assert rep.gap_lo <= 1.0 / 3.0 <= rep.gap_hi

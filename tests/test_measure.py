@@ -205,6 +205,27 @@ def test_eval_error_on_nonfinite(middle_thirds):
                                   0.2, depth=4)
 
 
+def test_integrand_exception_propagates(middle_thirds):
+    calls = []
+
+    def broken(pts):
+        calls.append(len(pts))
+        raise ValueError("integrand bug")
+
+    with pytest.raises(ValueError, match="integrand bug"):
+        integrate(middle_thirds, broken, LIP1, depth=3)
+    assert calls == [8]  # called once on all cells, never point by point
+
+
+@pytest.mark.parametrize("f", [lambda pts: 1.0,
+                               lambda pts: np.ones((len(pts), 2)),
+                               lambda pts: np.ones(len(pts) - 1)],
+                         ids=["scalar", "two_columns", "one_short"])
+def test_integrand_output_shape_checked(middle_thirds, f):
+    with pytest.raises(EvaluationError, match=r"expected \(8,\)"):
+        integrate(middle_thirds, f, LIP1, depth=3)
+
+
 def test_resource_limit(four_corner):
     with pytest.raises(ResourceLimitError):
         net(four_corner, 5, cap=100)

@@ -4,12 +4,37 @@ import numpy as np
 import pytest
 
 import _helpers as h
-from fractalsio import (ConfigError, EPWord, HomogeneousKernel, InputError,
-                        RieszComponent, ball_cylinder_gap, criterion,
+import fractalsio.sio as sio
+from fractalsio import (IFS, ConfigError, EPWord, HomogeneousKernel, InputError,
+                        RieszComponent, WitnessIntegrand, ball_cylinder_gap,
+                        complement_base_words, criterion,
                         divergence_certificate, integrate_complement,
-                        maximal_symbolic, pv_trace, truncated, witness_g)
+                        maximal_symbolic, pv_trace, region_cells, truncated)
 
 ETA_LO, ETA_HI = -0.6458, -0.5  # frozen analytic bracket for the sign kernel
+
+
+def _sign_complement(ifs, pole, excluded, depth):
+    """Midpoint sum of k(pole, y) = sign(pole - y) / |pole - y|^s over C minus
+    C_excluded, from one cell block covering the whole region."""
+    cells = region_cells(ifs, complement_base_words(excluded, ifs.n_letters),
+                         depth)
+    z = pole[0] - cells.points[:, 0]
+    return float(np.sum(cells.weights * np.sign(z) / np.abs(z) ** ifs.dim_s))
+
+
+def _count_cells(monkeypatch):
+    """Record the size of every cell block the drivers build."""
+    built = []
+    real = sio.region_cells
+
+    def counting(*args, **kwargs):
+        cells = real(*args, **kwargs)
+        built.append(cells.count)
+        return cells
+
+    monkeypatch.setattr(sio, "region_cells", counting)
+    return built
 
 
 def test_pv_trace_constant_increments(middle_thirds):
@@ -39,23 +64,49 @@ def test_pv_trace_eta_bracket(middle_thirds):
 def test_pv_trace_telescoping(middle_thirds):
     kern = h.sign_kernel(middle_thirds)
     K = 5
-    tr = pv_trace(middle_thirds, kern, h.word1(), K, 6)
-    # F_n - F_m must equal the annulus sum between them
-    for m in range(K):
-        for n in range(m + 1, K):
-            fm, fn = tr.rows[m].F, tr.rows[n].F
-            total = sum((tr.rows[k].A.value for k in range(m, n)))
-            total_err = sum((tr.rows[k].A.err for k in range(m, n)))
-            assert abs((fn.value - fm.value) - total) <= \
-                fn.err + fm.err + total_err + 1e-12
+    w = h.word1()
+    tr = pv_trace(middle_thirds, kern, w, K, 6)
+    # F_k and A_k = F_{k+1} - F_k against whole-region complement quadratures
+    ref = [_sign_complement(middle_thirds, tr.point, w.prefix(k), 6)
+           for k in range(K + 1)]
+    for k, row in enumerate(tr.rows):
+        assert row.F.value == pytest.approx(ref[k], rel=1e-12, abs=0.0)
+        assert abs(row.A.value - (ref[k + 1] - ref[k])) <= \
+            1e-12 * (abs(ref[k + 1]) + abs(ref[k]))
+        assert row.F.cells == k * 2 ** 6
 
 
 def test_pv_trace_final_row(middle_thirds):
     kern = h.sign_kernel(middle_thirds)
-    tr = pv_trace(middle_thirds, kern, h.word1(), 3, 6)
-    last = tr.rows[-1]
-    assert abs(tr.f_final.value - (last.F.value + last.A.value)) <= \
-        tr.f_final.err + last.F.err + last.A.err
+    w = h.word1()
+    tr = pv_trace(middle_thirds, kern, w, 3, 6)
+    ref = _sign_complement(middle_thirds, tr.point, w.prefix(3), 6)
+    assert tr.f_final.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert tr.f_final.cells == 3 * 2 ** 6
+    assert math.isfinite(tr.f_final.err)
+
+
+def test_pv_trace_flagged_annulus_keeps_the_rest():
+    # touching intervals: the pole 1/2 = pi(2 1 1 ...) lies in A_0 = C_1
+    ifs = IFS.from_config({
+        "geometry": {"kind": "euclidean", "dim": 1},
+        "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.5, "q": [0.5]}]})
+    kern = h.sign_kernel(ifs)
+    tr = pv_trace(ifs, kern, EPWord((2,), (1,)), 3, 4)
+    a0, a1 = tr.rows[0].A, tr.rows[1].A
+    assert a0.value == 0.0 and a0.err == math.inf
+    assert math.isfinite(a1.err)
+    f2 = tr.rows[2].F
+    assert f2.value == a1.value
+    assert f2.err == math.inf
+    for row in tr.rows:
+        assert sio.POLE_FLAG in row.flag.split(";")
+
+
+def test_pv_trace_builds_each_annulus_once(middle_thirds, monkeypatch):
+    built = _count_cells(monkeypatch)
+    pv_trace(middle_thirds, h.sign_kernel(middle_thirds), h.word1(), 5, 6)
+    assert sum(built) == 5 * 2 ** 6
 
 
 def test_pv_trace_preperiodic_has_no_eta(middle_thirds):
@@ -189,13 +240,16 @@ def test_maximal_monotone_in_horizon(middle_thirds):
 
 def test_maximal_agrees_with_pv(middle_thirds):
     kern = h.sign_kernel(middle_thirds)
-    est = maximal_symbolic(middle_thirds, kern, h.word1(), 3, 6)
-    tr = pv_trace(middle_thirds, kern, h.word1(), 3, 6)
-    # T(0, n) must match F_n computed independently over the complement
+    w = h.word1()
+    est = maximal_symbolic(middle_thirds, kern, w, 3, 6)
+    ref = [_sign_complement(middle_thirds, middle_thirds.code_point(w),
+                            w.prefix(k), 6) for k in range(4)]
+    # T(m, n) integrates C_{w|m} minus C_{w|n}, the difference of the
+    # complements of C_{w|n} and C_{w|m}; T(0, n) is the pv_trace F_n
+    assert len(est.table) == 6
     for m, n, q in est.table:
-        if m == 0 and n < 3:
-            fr = tr.rows[n].F
-            assert abs(q.value - fr.value) <= q.err + fr.err + 1e-12
+        assert abs(q.value - (ref[n] - ref[m])) <= \
+            1e-12 * (abs(ref[n]) + abs(ref[m]))
 
 
 def test_maximal_flags_uncertified_separation():
@@ -238,6 +292,17 @@ def test_divergence_pass(middle_thirds):
     assert rep.reason == ""
 
 
+def test_divergence_builds_each_annulus_once(middle_thirds, monkeypatch):
+    built = _count_cells(monkeypatch)
+    rep = divergence_certificate(middle_thirds, h.sign_kernel(middle_thirds),
+                                 (1,), 4, 5)
+    assert rep.status == "PASS"
+    # one annulus for the criterion, then K p = 4 for the blocks and F_K
+    assert sum(built) == 5 * 2 ** 5
+    assert rep.f_final.cells == 4 * 2 ** 5
+    assert [b.cells for b in rep.blocks] == [2 ** 5] * 4
+
+
 def test_divergence_constant_kernel(middle_thirds):
     kern = h.const_kernel(middle_thirds)
     rep = divergence_certificate(middle_thirds, kern, (1,), 4, 7)
@@ -255,7 +320,7 @@ def test_divergence_refused_on_zero(line_ifs):
 
 
 def test_witness_symbolic_values(middle_thirds):
-    g = witness_g(middle_thirds, (1, 2))
+    g = WitnessIntegrand(middle_thirds, (1, 2))
     assert g.on_word((2, 2)) == 1.0          # deviates at a block start
     assert g.on_word((1, 1)) == 0.0          # deviates inside the block
     assert g.on_word((1, 2, 2, 1)) == 1.0    # second block starts wrong
@@ -265,20 +330,20 @@ def test_witness_symbolic_values(middle_thirds):
 
 
 def test_witness_decodes_points(middle_thirds):
-    g = witness_g(middle_thirds, (1, 2))
+    g = WitnessIntegrand(middle_thirds, (1, 2))
     # the fixed point of map 2 codes as 2 repeated: first deviation at start
     assert g.value_at(middle_thirds.fixed_point((2,))) == 1.0
     # coding 1,1,... deviates inside the first block
     assert g.value_at(middle_thirds.fixed_point((1,))) == 0.0
     # coding (1,2) repeated never deviates: the block cap kicks in first
     # (the cap must stay below the float drift horizon of the inverse maps)
-    g_capped = witness_g(middle_thirds, (1, 2), max_blocks=4)
+    g_capped = WitnessIntegrand(middle_thirds, (1, 2), max_blocks=4)
     assert g_capped.value_at(middle_thirds.fixed_point((1, 2))) == 0.0
 
 
 def test_witness_batch_and_integral(middle_thirds):
     from fractalsio import ModulusSpec
-    g = witness_g(middle_thirds, (1,))
+    g = WitnessIntegrand(middle_thirds, (1,))
     # g = 1 exactly on C_2 here, so its complement integral over C minus C_1
     # equals mu(C_2) = 1/2
     quad = integrate_complement(middle_thirds, g, ModulusSpec.sup_only(0.5),
@@ -291,4 +356,4 @@ def test_witness_batch_and_integral(middle_thirds):
 
 def test_witness_requires_letter_one(middle_thirds):
     with pytest.raises(InputError):
-        witness_g(middle_thirds, (2, 1))
+        WitnessIntegrand(middle_thirds, (2, 1))
