@@ -4,10 +4,16 @@ A system is a list of maps S_i(p) = q_i * dilate(r_i, p) on a common
 geometry.  This module computes the similarity dimension, composes words of
 maps, codes eventually periodic words to attractor points, and produces
 certified geometric brackets: an enclosing ball, a diameter bracket, and a
-separation report.  Brackets come from a branch-and-bound search over pairs
-of cylinders, each cylinder enclosed in the ball S_v(B(c, R)) and witnessed
-from inside by the fixed point of S_v; reported intervals are widened by a
-1e-12 relative slack to absorb float rounding.
+separation report.
+
+Both brackets come from one branch-and-bound search over pairs of cylinders,
+``_pair_bracket``.  A cylinder C_v is enclosed in the ball S_v(B(c, R)) and
+witnessed from inside by the fixed point of S_v, so a pair's ball distance,
+shrunk or widened by both radii, bounds its distance and the fixed-point
+distance witnesses it.  The separation gap minimises over pairs from
+distinct first-level branches, the diameter maximises over all pairs, and a
+split composes the fatter side with every map at once.  Reported intervals
+are widened by a 1e-12 relative slack to absorb float rounding.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from .geometry import geometry_from_config
 from .symbolic import EPWord, validate_word
 
 _FLOAT_SLACK = 1e-12
+_REL_TOL = 1e-6
+_DIAM_DEPTH = 60
+_MAX_NODES = 200000
 
 
 def similarity_dimension(ratios, tol: float = 1e-14, max_iter: int = 200) -> float:
@@ -131,8 +140,7 @@ class SeparationReport:
         }
 
 
-_Bracket = namedtuple("_Bracket", "lo hi nodes overlap exhausted",
-                      defaults=(False, False))
+_Bracket = namedtuple("_Bracket", "lo hi nodes overlap exhausted")
 
 
 class IFS:
@@ -184,7 +192,7 @@ class IFS:
         self.letter_fixed_points = _fixed_points(geometry, self.ratios, self.shifts)
 
         self._bound = None
-        self._diam_cache = {}
+        self._diam = None
         self._sep_cache = {}
 
         self.osc_ball = None
@@ -287,40 +295,39 @@ class IFS:
             self._bound = (center, radius)
         return self._bound
 
-    def diam_bracket(self, rel_tol: float = 1e-6, max_nodes: int = 200000,
-                     max_depth: int = 60):
+    def diam_bracket(self):
         """Certified interval [lo, hi] containing the attractor diameter."""
-        key = (float(rel_tol), int(max_nodes), int(max_depth))
-        got = self._diam_cache.get(key)
-        if got is None:
-            br = _diameter_bracket(self, rel_tol, max_nodes, max_depth)
-            got = (br.lo, br.hi)
-            self._diam_cache[key] = got
-        return got
+        if self._diam is None:
+            pairs = itertools.combinations_with_replacement(range(self.n_letters), 2)
+            br = _pair_bracket(self, pairs, -1, _DIAM_DEPTH, _MAX_NODES)
+            self._diam = (br.lo, br.hi)
+        return self._diam
 
     def cylinder_diam_hi(self, word) -> float:
         """Certified upper bound on the diameter of the cylinder of ``word``."""
         return self.word_ratio(word) * self.diam_bracket()[1]
 
-    def check_separation(self, depth: int = 12, rel_tol: float = 1e-6,
-                         max_nodes: int = 200000) -> SeparationReport:
+    def check_separation(self, depth: int = 12,
+                         max_nodes: int = _MAX_NODES) -> SeparationReport:
         """Classify the overlap structure of the first-level cylinders.
 
         Verdicts: ``Overlapping`` on an exact fixed-point coincidence across
         branches; ``Inconclusive`` when the cross-branch gap cannot be
         certified positive by word length ``depth``; otherwise the certified
         gap bracket is compared with the bracket for the largest first-level
-        cylinder diameter, giving ``StronglySeparated`` (gap at least that
-        diameter, with a bracket-width tie rule so exact ties resolve),
-        ``Separated`` (gap certified smaller), or
-        ``SeparatedUnknownStrength``.
+        cylinder diameter.  ``StronglySeparated`` when the gap is certified
+        at least that diameter, or when the search converged and the gap
+        bracket reaches the diameter bracket (so exact ties resolve);
+        ``Separated`` when the gap is certified smaller; otherwise, as after
+        a search stopped by ``max_nodes``, ``SeparatedUnknownStrength``.
         """
-        key = (int(depth), float(rel_tol), int(max_nodes))
+        key = (int(depth), int(max_nodes))
         got = self._sep_cache.get(key)
         if got is not None:
             return got
-        gap = _gap_bracket(self, depth, rel_tol, max_nodes)
-        dlo, dhi = self.diam_bracket(rel_tol=rel_tol)
+        pairs = itertools.combinations(range(self.n_letters), 2)
+        gap = _pair_bracket(self, pairs, +1, depth, max_nodes)
+        dlo, dhi = self.diam_bracket()
         rmax = float(np.max(self.ratios))
         md_lo, md_hi = rmax * dlo, rmax * dhi
         lo, hi = gap.lo, gap.hi
@@ -328,10 +335,7 @@ class IFS:
             status, lo, hi = "Overlapping", 0.0, 0.0
         elif gap.lo <= 0.0:
             status, lo = "Inconclusive", 0.0
-        elif (gap.lo >= md_hi
-              or (md_hi - gap.lo) <= (gap.hi - gap.lo) + (md_hi - md_lo)):
-            # Not refuted, and the deficit fits inside the bracket widths:
-            # exact ties (gap equal to the largest child diameter) land here.
+        elif gap.lo >= md_hi or (not gap.exhausted and gap.hi >= md_lo):
             status = "StronglySeparated"
         elif gap.hi < md_lo:
             status = "Separated"
@@ -385,150 +389,73 @@ class IFS:
 # ---- branch and bound over cylinder pairs ----------------------------------
 
 
-def _word_data(ifs, word, cache):
-    """(ball center, ball radius, interior witness) for the cylinder of ``word``."""
-    d = cache.get(word)
-    if d is None:
-        c0, r0 = ifs.attractor_bound()
-        sim = ifs.compose(word)
-        center = sim.apply(ifs.geometry, c0)
-        fp = _fixed_points(ifs.geometry, np.asarray(sim.ratio), sim.shift)
-        cache[word] = d = (center, sim.ratio * r0, fp)
-    return d
+def _pair_bracket(ifs, first_pairs, sign, max_depth, max_nodes) -> _Bracket:
+    """Bracket the least (sign = +1) or greatest (sign = -1) distance between
+    the two cylinders of a pair, over all pairs of words extending the
+    0-based letter pairs ``first_pairs``.
 
-
-def _split_side(u, v, ru, rv, max_depth):
-    """Which word to refine: the fatter cylinder, then whichever still can.
-
-    Returns "u", "v", or None when both words sit at the depth cap.
+    Cylinders are rows (length, ratio, shift, ball center, fixed point) of
+    one array per split, and a heap entry names its two sides by array and
+    row (a view per side would double the search's memory).  Keys and the best witness are kept as sign * distance, so both
+    searches pop the smallest key; entries that cannot beat the witness are
+    dropped.  The search stops when the bracket is within ``_REL_TOL``, when
+    the top pair has both sides at ``max_depth`` (its bound is then final),
+    or after ``max_nodes`` nodes, which sets ``exhausted``.  ``overlap``
+    marks a zero witness distance in a gap search.
     """
-    side = "u" if ru >= rv else "v"
-    if side == "u" and len(u) >= max_depth:
-        side = "v"
-    if side == "v" and len(v) >= max_depth:
-        side = "u" if len(u) < max_depth else None
-    return side
-
-
-def _diameter_bracket(ifs, rel_tol, max_nodes, max_depth) -> _Bracket:
     geom = ifs.geometry
-    _, r0 = ifs.attractor_bound()
-    if r0 == 0.0:
-        return _Bracket(0.0, 0.0, 0)
-    cache = {}
-    heap = []
-    counter = itertools.count()
-    letters = range(1, ifs.n_letters + 1)
-    state = {"lo": 0.0, "nodes": 0}
+    c0, r0 = ifs.attractor_bound()
+    d, n = geom.dim, ifs.n_letters
+    shift, center = slice(2, 2 + d), slice(2 + d, 2 + 2 * d)
+    fixed = slice(2 + 2 * d, None)
+    heap, count = [], itertools.count()
+    best, nodes, exhausted = math.inf, 0, False
 
-    def push_pair(u, v):
-        cu, ru, fu = _word_data(ifs, u, cache)
-        cv, rv, fv = _word_data(ifs, v, cache)
-        state["lo"] = max(state["lo"], float(geom.dist(fu, fv)))
-        state["nodes"] += 1
-        ub = float(geom.dist(cu, cv)) + ru + rv
-        if ub > state["lo"]:
-            heapq.heappush(heap, (-ub, next(counter), u, v))
+    def cylinders(length, ratio, shifts):
+        centers = geom.op(shifts, geom.dilate(ratio, c0))
+        return np.column_stack([np.full(len(ratio), length), ratio, shifts, centers,
+                                _fixed_points(geom, ratio, shifts)])
 
-    for i in letters:
-        for j in letters:
-            if j >= i:
-                push_pair((i,), (j,))
+    def push(us, uks, vs, vks):
+        nonlocal best, nodes
+        u, v = us[uks], vs[vks]
+        nodes += len(u)
+        reach = (geom.dist(u[:, center], v[:, center])
+                 - sign * r0 * u[:, 1] - sign * r0 * v[:, 1])
+        keys = sign * np.maximum(reach, 0.0)
+        best = min(best, float(np.min(sign * geom.dist(u[:, fixed], v[:, fixed]))))
+        for key, uk, vk in zip(keys.tolist(), uks, vks):
+            if key < best:
+                heapq.heappush(heap, (key, next(count), us, uk, vs, vk))
 
-    frozen_hi = 0.0
-    top_ub = 0.0
+    firsts = cylinders(1, ifs.ratios, ifs.shifts)
+    uks, vks = map(list, zip(*first_pairs))
+    push(firsts, uks, firsts, vks)
+
     while heap:
-        top_ub = -heap[0][0]
-        tol = max(rel_tol * state["lo"], 1e-15 * r0)
-        if (top_ub <= state["lo"] + tol or top_ub <= frozen_hi
-                or state["nodes"] >= max_nodes):
-            break
-        neg_ub, _, u, v = heapq.heappop(heap)
-        top_ub = 0.0
-        _, ru, _ = _word_data(ifs, u, cache)
-        _, rv, _ = _word_data(ifs, v, cache)
-        side = _split_side(u, v, ru, rv, max_depth)
-        if side is None:
-            frozen_hi = max(frozen_hi, -neg_ub)
-            continue
-        for e in letters:
-            if side == "u":
-                push_pair(u + (e,), v)
-            else:
-                push_pair(u, v + (e,))
-    lo = state["lo"]
-    hi = max(lo, frozen_hi, top_ub if heap else 0.0)
-    slack = _FLOAT_SLACK * (r0 + hi)
-    return _Bracket(max(0.0, lo - slack), hi + slack, state["nodes"])
-
-
-def _gap_bracket(ifs, max_depth, rel_tol, max_nodes) -> _Bracket:
-    """Bracket the smallest distance between distinct first-level cylinders."""
-    geom = ifs.geometry
-    _, r0 = ifs.attractor_bound()
-    scale = max(r0, 1e-300)
-    cache = {}
-    heap = []
-    counter = itertools.count()
-    letters = range(1, ifs.n_letters + 1)
-    state = {"ub": math.inf, "overlap": False, "nodes": 0}
-
-    def push_pair(u, v):
-        cu, ru, fu = _word_data(ifs, u, cache)
-        cv, rv, fv = _word_data(ifs, v, cache)
-        w = float(geom.dist(fu, fv))
-        state["nodes"] += 1
-        if w == 0.0:
-            state["overlap"] = True
-            return
-        state["ub"] = min(state["ub"], w)
-        lb = max(0.0, float(geom.dist(cu, cv)) - ru - rv)
-        heapq.heappush(heap, (lb, next(counter), u, v))
-
-    for i in letters:
-        for j in letters:
-            if j > i:
-                push_pair((i,), (j,))
-                if state["overlap"]:
-                    return _Bracket(0.0, 0.0, state["nodes"], overlap=True)
-
-    frozen_lo = math.inf
-    exit_lo = None
-    exhausted = False
-    while heap:
-        lb_top = heap[0][0]
-        ub = state["ub"]
-        if lb_top >= ub:
+        key, _, us, uk, vs, vk = heap[0]
+        if key >= best:
             heapq.heappop(heap)
             continue
-        tol = max(rel_tol * ub, 1e-15 * scale)
-        if ub - lb_top <= tol or state["nodes"] >= max_nodes:
-            exit_lo, exhausted = lb_top, ub - lb_top > tol
+        u, v = us[uk], vs[vk]
+        if (best - key <= max(_REL_TOL * abs(best), 1e-15 * r0)
+                or min(u[0], v[0]) >= max_depth):
             break
-        lb_node, _, u, v = heapq.heappop(heap)
-        _, ru, _ = _word_data(ifs, u, cache)
-        _, rv, _ = _word_data(ifs, v, cache)
-        side = _split_side(u, v, ru, rv, max_depth)
-        if side is None:
-            frozen_lo = min(frozen_lo, lb_node)
-            continue
-        for e in letters:
-            if side == "u":
-                push_pair(u + (e,), v)
-            else:
-                push_pair(u, v + (e,))
-            if state["overlap"]:
-                return _Bracket(0.0, 0.0, state["nodes"], overlap=True)
-    ub = state["ub"]
-    cands = [frozen_lo]
-    if exit_lo is not None:
-        cands.append(exit_lo)
-    elif heap:
-        cands.append(heap[0][0])
-    lo = min(cands)
-    if not math.isfinite(lo):
-        lo = ub if math.isfinite(ub) else 0.0
-    slack = _FLOAT_SLACK * (r0 + (ub if math.isfinite(ub) else 0.0))
-    lo = max(0.0, lo - slack)
-    hi = ub + slack if math.isfinite(ub) else math.inf
-    return _Bracket(lo, hi, state["nodes"], exhausted=exhausted)
+        if nodes >= max_nodes:
+            exhausted = True
+            break
+        heapq.heappop(heap)
+        refine_u = u[0] < max_depth and (v[0] >= max_depth or u[1] >= v[1])
+        side = u if refine_u else v
+        kids = cylinders(side[0] + 1, *_compose(geom, side[1], side[shift],
+                                                 ifs.ratios, ifs.shifts))
+        if refine_u:
+            push(kids, range(n), vs, [vk] * n)
+        else:
+            push(us, [uk] * n, kids, range(n))
+
+    bound = heap[0][0] if heap else best
+    lo, hi = (bound, best) if sign > 0 else (-best, -bound)
+    slack = _FLOAT_SLACK * (r0 + hi)
+    return _Bracket(max(0.0, lo - slack), hi + slack, nodes,
+                    overlap=sign > 0 and best == 0.0, exhausted=exhausted)

@@ -83,11 +83,12 @@ def _pole_flag(quad: QuadratureResult) -> str:
     return "" if math.isfinite(quad.err) else POLE_FLAG
 
 
-def _separation_flag(ifs: IFS) -> str:
+def _separation(ifs: IFS):
+    """The separation flag ("" when the gap is certified positive) and the
+    node count and budget state of the search behind it."""
     rep = ifs.check_separation()
-    if rep.certified_positive_gap():
-        return ""
-    return SEP_FLAG + rep.status
+    flag = "" if rep.certified_positive_gap() else SEP_FLAG + rep.status
+    return flag, {"nodes": rep.nodes, "budget_exhausted": rep.budget_exhausted}
 
 
 def _join_flags(*flags) -> str:
@@ -119,6 +120,7 @@ class PVTrace:
     f_final: QuadratureResult
     eta_estimate: QuadratureResult
     separation: str
+    separation_search: dict
     depth: int
 
     def as_dict(self) -> dict:
@@ -132,6 +134,7 @@ class PVTrace:
             "eta_estimate": (None if self.eta_estimate is None
                              else self.eta_estimate.as_dict()),
             "separation": self.separation,
+            "separation_search": self.separation_search,
             "depth": self.depth,
         }
 
@@ -163,7 +166,7 @@ def pv_trace(ifs: IFS, kern: HomogeneousKernel, w: EPWord, K: int,
     if not isinstance(K, (int, np.integer)) or K < 1:
         raise InputError("K must be a positive integer")
     pole = ifs.code_point(w)
-    sep_flag = _separation_flag(ifs)
+    sep_flag, sep_search = _separation(ifs)
     p = len(w.period) if w.is_periodic() else 0
     annuli = _annuli(ifs, kern, pole, w, max(K, p), depth)
 
@@ -175,7 +178,8 @@ def pv_trace(ifs: IFS, kern: HomogeneousKernel, w: EPWord, K: int,
     eta = _total(annuli[:p], depth) if p else None
     return PVTrace(word=w, point=pole, rows=rows,
                    f_final=_total(annuli[:K], depth), eta_estimate=eta,
-                   separation=sep_flag, depth=depth)
+                   separation=sep_flag, separation_search=sep_search,
+                   depth=depth)
 
 
 # ---- periodic-point criterion ----------------------------------------------
@@ -190,6 +194,7 @@ class CriterionReport:
     result: QuadratureResult
     verdict: str
     separation: str
+    separation_search: dict
     depth: int
 
     def as_dict(self) -> dict:
@@ -202,6 +207,7 @@ class CriterionReport:
             "cells": self.result.cells,
             "verdict": self.verdict,
             "separation": self.separation,
+            "separation_search": self.separation_search,
         }
 
 
@@ -217,7 +223,7 @@ def criterion(ifs: IFS, kern: HomogeneousKernel, w, depth: int) -> CriterionRepo
     if len(word) == 0:
         raise InputError("criterion word must be nonempty")
     xi = ifs.fixed_point(word)
-    sep_flag = _separation_flag(ifs)
+    sep_flag, sep_search = _separation(ifs)
     quad = _total(_annuli(ifs, kern, xi, EPWord((), word), len(word), depth),
                   depth)
     if sep_flag:
@@ -229,7 +235,8 @@ def criterion(ifs: IFS, kern: HomogeneousKernel, w, depth: int) -> CriterionRepo
     else:
         verdict = "ZeroWithinBracket"
     return CriterionReport(word=word, xi=xi, result=quad, verdict=verdict,
-                           separation=sep_flag or _pole_flag(quad), depth=depth)
+                           separation=sep_flag or _pole_flag(quad),
+                           separation_search=sep_search, depth=depth)
 
 
 # ---- truncated integral ------------------------------------------------------
@@ -262,6 +269,7 @@ class MaximalEstimate:
     best: tuple
     table: list
     separation: str
+    separation_search: dict
     depth: int
 
     def as_dict(self) -> dict:
@@ -272,6 +280,7 @@ class MaximalEstimate:
             "table": [{"m": tm, "n": tn, "value": q.value, "err": q.err}
                       for tm, tn, q in self.table],
             "separation": self.separation,
+            "separation_search": self.separation_search,
             "depth": self.depth,
         }
 
@@ -288,14 +297,15 @@ def maximal_symbolic(ifs: IFS, kern: HomogeneousKernel, w: EPWord, max_n: int,
     if not isinstance(max_n, (int, np.integer)) or max_n < 2:
         raise InputError("max_n must be an integer >= 2")
     pole = ifs.code_point(w)
-    sep_flag = _separation_flag(ifs)
+    sep_flag, sep_search = _separation(ifs)
 
     annuli = _annuli(ifs, kern, pole, w, max_n, depth)
     table = [(m, n, _total(annuli[m:n], depth))
              for m in range(max_n) for n in range(m + 1, max_n + 1)]
     best = max(table, key=lambda entry: abs(entry[2].value))  # first on ties
     return MaximalEstimate(word=w, best=best, table=table,
-                           separation=sep_flag, depth=depth)
+                           separation=sep_flag, separation_search=sep_search,
+                           depth=depth)
 
 
 # ---- cylinder versus ball comparison ----------------------------------------

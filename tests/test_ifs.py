@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _helpers as h
-from fractalsio import IFS, ConfigError, EPWord, InputError, similarity_dimension
+from fractalsio import IFS, ConfigError, EPWord, InputError, net, similarity_dimension
 
 
 def test_similarity_dimension_oracles():
@@ -155,6 +155,46 @@ def test_separation_budget_reported(middle_thirds, four_corner):
     assert capped.nodes >= 50
     d = capped.as_dict()
     assert d["budget_exhausted"] is True and d["nodes"] == capped.nodes
+
+
+def test_exhausted_search_is_not_strongly_separated(middle_thirds, four_corner):
+    # gap 0.2 against child diameter 0.4: after four nodes the gap bracket
+    # [0.093, 0.429] still straddles the diameter, so the strength is open
+    plain = IFS.from_config({
+        "geometry": {"kind": "euclidean", "dim": 1},
+        "maps": [{"r": 0.4, "q": [0.0]}, {"r": 0.4, "q": [0.6]}]})
+    rep = plain.check_separation(max_nodes=4)
+    assert rep.budget_exhausted
+    assert rep.gap_lo < rep.maxdiam_lo <= rep.gap_hi
+    assert rep.status == "SeparatedUnknownStrength"
+    assert rep.certified_positive_gap()
+    # an exhausted search whose gap bracket clears the diameter stays strong
+    capped = four_corner.check_separation(max_nodes=50)
+    assert capped.budget_exhausted and capped.gap_lo >= capped.maxdiam_hi
+    assert capped.status == "StronglySeparated"
+    # the middle-thirds gap equals its child diameter: a converged exact tie
+    tie = middle_thirds.check_separation()
+    assert not tie.budget_exhausted and tie.gap_lo < tie.maxdiam_hi
+    assert tie.status == "StronglySeparated"
+
+
+@pytest.mark.parametrize("name", ["middle_thirds", "four_corner", "heis_twisted"])
+def test_pair_brackets_contain_net_reference(name, request):
+    # every attractor point lies within d of a depth-5 cell point, and the
+    # cell points lie on the attractor
+    ifs = request.getfixturevalue(name)
+    cells = net(ifs, 5)
+    d = float(np.max(cells.diams))
+    dist = ifs.geometry.dist(cells.points[:, np.newaxis], cells.points[np.newaxis])
+    branch = np.array([cells.word(i)[0] for i in range(cells.count)])
+    min_pts = float(np.min(dist[branch[:, np.newaxis] != branch[np.newaxis]]))
+    max_pts = float(np.max(dist))
+    diam_lo, diam_hi = ifs.diam_bracket()
+    assert diam_hi >= max_pts
+    assert diam_lo <= max_pts + 2.0 * d
+    for rep in (ifs.check_separation(), ifs.check_separation(max_nodes=50)):
+        assert rep.gap_lo <= min_pts
+        assert rep.gap_hi >= min_pts - 2.0 * d
 
 
 def test_separation_gap_value(middle_thirds):

@@ -195,6 +195,24 @@ def test_criterion_inconclusive_when_overlapping():
     assert rep.separation.startswith("separation:")
 
 
+def test_driver_reports_show_separation_search(middle_thirds, four_corner):
+    # the four-corner gap search stops at its node cap; the report says so
+    sep = four_corner.check_separation()
+    assert sep.budget_exhausted
+    rep = criterion(four_corner, h.const_kernel(four_corner), (1,), 2).as_dict()
+    assert rep["separation_search"] == {"nodes": sep.nodes, "budget_exhausted": True}
+    assert rep["separation"] == ""
+    sep = middle_thirds.check_separation()
+    want = {"nodes": sep.nodes, "budget_exhausted": False}
+    kern = h.sign_kernel(middle_thirds)
+    div = divergence_certificate(middle_thirds, kern, (1,), 2, 3)
+    reports = [pv_trace(middle_thirds, kern, h.word1(), 2, 3).as_dict(),
+               maximal_symbolic(middle_thirds, kern, h.word1(), 2, 3).as_dict(),
+               div.as_dict()["criterion"]]
+    for report in reports:
+        assert report["separation_search"] == want
+
+
 def test_truncated_zero_far_away(middle_thirds):
     kern = h.sign_kernel(middle_thirds)
     # eps covers the whole attractor seen from the origin
