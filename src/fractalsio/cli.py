@@ -122,22 +122,12 @@ def _build_kernel(cfg: dict, ifs: IFS) -> HomogeneousKernel:
 
 
 def _emit(text: str, out_path):
+    text = text if text.endswith("\n") else text + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(payload: dict, out_path):
-    _emit(json.dumps(payload, indent=2), out_path)
-
-
-def _payload(command: str, cfg: dict, body: dict) -> dict:
-    out = {"command": command}
-    out.update(body)
-    out["config"] = cfg
-    return out
+        sys.stdout.write(text)
 
 
 # ---- integrand specs for `integrate` ------------------------------------------
@@ -202,33 +192,26 @@ def _integrand(ifs: IFS, desc) -> tuple:
 
 
 # ---- commands ------------------------------------------------------------------
+#
+# Each command takes the loaded config, its IFS, the params block and the
+# parsed arguments, and returns (body, exit code).  A dict body is emitted as
+# a JSON report; a string (the pv-trace CSV) is emitted as is.
 
 
-def cmd_dim(args) -> int:
-    cfg = load_config(args.config, args.override)
-    ifs = IFS.from_config(cfg)
+def cmd_dim(cfg, ifs, p, args):
     s = ifs.dim_s
     residual = abs(float(np.sum(ifs.ratios ** s)) - 1.0)
-    _emit_json(_payload("dim", cfg, {"s": s, "residual": residual}),
-               args.out)
-    return 0
+    return {"s": s, "residual": residual}, 0
 
 
-def cmd_separation(args) -> int:
-    cfg = load_config(args.config, args.override)
-    ifs = IFS.from_config(cfg)
-    p = _params(cfg)
+def cmd_separation(cfg, ifs, p, args):
     depth = _int_param(p, "depth", 12)
     rep = ifs.check_separation(depth=depth)
-    _emit_json(_payload("separation", cfg, {"report": rep.as_dict()}),
-               args.out)
-    return 0 if rep.status in ("Separated", "StronglySeparated", "Overlapping") else 2
+    return ({"report": rep.as_dict()},
+            0 if rep.status in ("Separated", "StronglySeparated", "Overlapping") else 2)
 
 
-def cmd_integrate(args) -> int:
-    cfg = load_config(args.config, args.override)
-    ifs = IFS.from_config(cfg)
-    p = _params(cfg)
+def cmd_integrate(cfg, ifs, p, args):
     f, mod = _integrand(ifs, _need(p, "integrand"))
     method = p.get("method", "net")
     if method == "mc":
@@ -251,79 +234,56 @@ def cmd_integrate(args) -> int:
         body = {"method": "net", **quad.as_dict()}
     else:
         raise ConfigError(f"unknown method {method!r} (use 'net' or 'mc')")
-    _emit_json(_payload("integrate", cfg, body), args.out)
-    return 0
+    return body, 0
 
 
-def cmd_pv_trace(args) -> int:
-    cfg = load_config(args.config, args.override)
-    ifs = IFS.from_config(cfg)
+def cmd_pv_trace(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    p = _params(cfg)
     K = _int_param(p, "K")
     if K == 0:
         if args.format == "json":
-            _emit_json(_payload("pv-trace", cfg, {"rows": []}), args.out)
-        else:
-            _emit(PV_CSV_HEADER + "\n", args.out)
-        return 0
+            return {"rows": []}, 0
+        return PV_CSV_HEADER + "\n", 0
     w = _epword(_need(p, "word"))
     depth = _int_param(p, "depth")
     trace = pv_trace(ifs, kern, w, K, depth)
     flagged = any(r.flag for r in trace.rows)
     if args.format == "json":
-        _emit_json(_payload("pv-trace", cfg, trace.as_dict()), args.out)
-    else:
-        _emit(trace.to_csv_text(), args.out)
-    return 2 if flagged else 0
+        return trace.as_dict(), 2 if flagged else 0
+    return trace.to_csv_text(), 2 if flagged else 0
 
 
-def cmd_truncated(args) -> int:
-    cfg = load_config(args.config, args.override)
-    ifs = IFS.from_config(cfg)
+def cmd_truncated(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    p = _params(cfg)
     x = [float(v) for v in _need(p, "x")]
     eps = float(_need(p, "eps"))
     depth = _int_param(p, "depth")
     quad = truncated(ifs, kern, x, eps, depth)
-    _emit_json(_payload("truncated", cfg,
-                        {"x": x, "eps": eps, **quad.as_dict()}), args.out)
-    return 0 if math.isfinite(quad.err) else 2
+    return ({"x": x, "eps": eps, **quad.as_dict()},
+            0 if math.isfinite(quad.err) else 2)
 
 
-def cmd_criterion(args) -> int:
-    cfg = load_config(args.config, args.override)
-    ifs = IFS.from_config(cfg)
+def cmd_criterion(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    p = _params(cfg)
     word = tuple(int(a) for a in _need(p, "word"))
     depth = _int_param(p, "depth")
     rep = criterion(ifs, kern, word, depth)
-    _emit_json(_payload("criterion", cfg, rep.as_dict()), args.out)
-    return 0 if rep.verdict == "NonzeroCertified" else 2
+    return rep.as_dict(), 0 if rep.verdict == "NonzeroCertified" else 2
 
 
-def cmd_maximal(args) -> int:
-    cfg = load_config(args.config, args.override)
-    ifs = IFS.from_config(cfg)
+def cmd_maximal(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    p = _params(cfg)
     w = _epword(_need(p, "word"))
     max_n = _int_param(p, "max_n")
     depth = _int_param(p, "depth")
     est = maximal_symbolic(ifs, kern, w, max_n, depth)
-    _emit_json(_payload("maximal", cfg, est.as_dict()), args.out)
     shaky = bool(est.separation) or any(
         not math.isfinite(q.err) for _, _, q in est.table)
-    return 2 if shaky else 0
+    return est.as_dict(), 2 if shaky else 0
 
 
-def cmd_gap(args) -> int:
-    cfg = load_config(args.config, args.override)
-    ifs = IFS.from_config(cfg)
+def cmd_gap(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    p = _params(cfg)
     w = _epword(_need(p, "word"))
     n = _int_param(p, "n")
     m1 = _int_param(p, "m1")
@@ -331,16 +291,11 @@ def cmd_gap(args) -> int:
     radius_factor = float(p.get("radius_factor", 2.0))
     quad = ball_cylinder_gap(ifs, kern, w, n, m1, depth,
                              radius_factor=radius_factor)
-    _emit_json(_payload("gap", cfg,
-                        {"n": n, "m1": m1, "radius_factor": radius_factor,
-                         **quad.as_dict()}), args.out)
-    return 0 if math.isfinite(quad.err) else 2
+    return ({"n": n, "m1": m1, "radius_factor": radius_factor,
+             **quad.as_dict()}, 0 if math.isfinite(quad.err) else 2)
 
 
-def cmd_birkhoff(args) -> int:
-    cfg = load_config(args.config, args.override)
-    ifs = IFS.from_config(cfg)
-    p = _params(cfg)
+def cmd_birkhoff(cfg, ifs, p, args):
     target = tuple(int(a) for a in _need(p, "target"))
     n_steps = _int_param(p, "n_steps")
     if args.seed is not None:
@@ -351,15 +306,11 @@ def cmd_birkhoff(args) -> int:
             "frequency": freq, "expected": expected, "stderr": stderr}
     if p.get("with_hitting_times"):
         body["hitting_times"] = hitting_times(ifs, target, n_steps, seed)
-    _emit_json(_payload("birkhoff", cfg, body), args.out)
-    return 0
+    return body, 0
 
 
-def cmd_perturb(args) -> int:
-    cfg = load_config(args.config, args.override)
-    ifs = IFS.from_config(cfg)
+def cmd_perturb(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    p = _params(cfg)
     direction = [float(v) for v in _need(p, "direction")]
     rho = float(_need(p, "rho"))
     eps = float(_need(p, "eps"))
@@ -368,11 +319,9 @@ def cmd_perturb(args) -> int:
     u = np.asarray(direction, dtype=float)
     u = u / geom.norm(u)
     delta_at_dir = float(new_kern.omega.eval(geom, u) - kern.omega.eval(geom, u))
-    _emit_json(_payload("perturb", cfg,
-                        {"kernel": new_kern.to_config(),
-                         "delta_at_direction": delta_at_dir,
-                         "sup_bound": eps}), args.out)
-    return 0
+    return ({"kernel": new_kern.to_config(),
+             "delta_at_direction": delta_at_dir,
+             "sup_bound": eps}, 0)
 
 
 # ---- parser --------------------------------------------------------------------
@@ -422,7 +371,14 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             sys.stderr.write("error: a subcommand is required\n")
             return 1
-        return args.func(args)
+        cfg = load_config(args.config, args.override)
+        ifs = IFS.from_config(cfg)
+        body, code = args.func(cfg, ifs, _params(cfg), args)
+        if not isinstance(body, str):
+            body = json.dumps({"command": args.command, **body, "config": cfg},
+                              indent=2)
+        _emit(body, args.out)
+        return code
     except FractalsioError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

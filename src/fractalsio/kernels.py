@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .geometry import Euclidean
-from .measure import ModulusSpec
 
 MODULUS_SCALE = 2.0
 PHI_DERIV_BOUND = 2.2  # max |phi'| for the bump profile is about 2.1704
@@ -320,14 +319,7 @@ class HomogeneousKernel:
 
     def eval(self, x, y):
         """k(x, y); raises at the pole x = y."""
-        geom = self.geometry
-        x = geom.check_point(x)
-        y = geom.check_point(y)
-        z = self.displacement(x, y)
-        d = geom.norm(z)
-        if np.any(d == 0.0):
-            raise InputError("kernel evaluated at its pole")
-        return self.omega.eval(geom, z) / d ** self.s
+        return self.pole_terms(x, y)[0]
 
     def pole_terms(self, pole, points):
         """(kernel values, gauge distances) for one pole against many points."""
@@ -351,12 +343,8 @@ class HomogeneousKernel:
             return float(out)
         return out
 
-    def modulus_on(self, delta: float) -> ModulusSpec:
-        """ModulusSpec for y -> k(x, y) on a region at distance >= delta from x."""
-        return ModulusSpec.lipschitz(self.lipschitz_on(float(delta)))
-
     def cell_err_bound(self, delta, diams):
-        """Per-cell oscillation bounds L(delta_v) * d_v (the callable-modulus protocol)."""
+        """Per-cell oscillation bounds L(delta_v) * d_v of y -> k(x, y)."""
         return self.lipschitz_on(delta) * np.asarray(diams, dtype=float)
 
     def pole_sup(self, eps: float) -> float:

@@ -17,10 +17,12 @@ shifts and weights, and each base similarity S_b is applied to it by
 broadcasting, one letter of b at a time, so no cell is ever spelled out as a
 word.  A ``CellBlock`` keeps only the (base words, depth) segments it was
 built from, and rebuilds a cell's word on demand as a label for CSV export
-and error messages.  Ball complements track their active cells as an array
-of letters, split by masks, and add each outside cell as a base.  The empty
-word has no contraction to take a fixed point of, so its cell is represented
-by the fixed point of S_1.
+and error messages.  The empty word has no contraction to take a fixed point
+of, so its cell is represented by the fixed point of S_1.
+
+Ball complements are split by ``_ball_cells`` (also used by ``sio``), which
+tracks the active cells as an array of letters, split by masks, and adds each
+outside cell as a base.  This module knows nothing of kernels.
 
 Sums are accumulated with a deterministic pairwise tree, so results are
 reproducible bit for bit across runs and platforms with the same wheel.
@@ -311,20 +313,13 @@ def integrate_complement(ifs: IFS, f, mod: ModulusSpec, excluded,
     return integrate_cells(region_cells(ifs, bases, depth), f, mod)
 
 
-def integrate_ball_complement(ifs: IFS, f, mod, center, eps: float, depth: int,
-                              region_sup: float = None,
-                              cap: int = None) -> QuadratureResult:
-    """Bracketed integral of f over the attractor minus the ball B(center, eps).
+def _ball_cells(ifs: IFS, center, eps: float, depth: int, cap: int = None):
+    """The cells of the attractor outside the ball B(center, eps).
 
-    Cells certified outside the ball are kept, cells certified inside are
-    dropped, and straddling cells are split until word length ``depth``.
-    Remaining straddlers are not evaluated: they contribute their full mass
-    times ``region_sup`` (a sup bound for |f| on the region) to ``err``.
-
-    ``mod`` is either a ``ModulusSpec``, or a callable ``mod(delta, diams)``
-    returning per-cell oscillation bounds given each kept cell's certified
-    distance ``delta`` from the center.  With a callable, ``region_sup`` is
-    required whenever straddling cells remain.
+    Cells certified outside the ball are kept, refined to word length
+    ``depth``; cells certified inside are dropped, and straddling cells are
+    split until word length ``depth``.  Returns the kept cells and the
+    straddlers that remain at that length.
     """
     geom = ifs.geometry
     center = geom.check_point(np.asarray(center, dtype=float))
@@ -358,34 +353,25 @@ def integrate_ball_complement(ifs: IFS, f, mod, center, eps: float, depth: int,
             break
         letters = np.column_stack((np.repeat(letters, n, axis=0),
                                    np.tile(np.arange(1, n + 1), len(letters))))
+    return _cell_block(ifs, segments), _cell_block(ifs, [(letters, 0)])
 
-    value = 0.0
-    err = 0.0
-    kept = _cell_block(ifs, segments)
-    if kept.count:
-        vals = _eval_f(f, kept.points, kept)
-        value = pairwise_sum(kept.weights * vals)
-        if callable(mod):
-            delta = np.maximum(geom.dist(kept.points, center) - kept.diams,
-                               eps * (1.0 - 1e-12))
-            omega_cells = np.asarray(mod(delta, kept.diams), dtype=float)
-        else:
-            omega_cells = mod.omega(kept.diams)
-        err = pairwise_sum(kept.weights * omega_cells)
 
-    sc = _cell_block(ifs, [(letters, 0)])
-    if sc.count:
-        if region_sup is not None:
-            err += pairwise_sum(sc.weights * float(region_sup))
-        elif not callable(mod):
-            svals = np.abs(_eval_f(f, sc.points, sc))
-            err += pairwise_sum(sc.weights * (svals + mod.omega(sc.diams)))
-        else:
-            raise InputError(
-                "a per-cell modulus needs region_sup to bound straddling cells"
-            )
+def integrate_ball_complement(ifs: IFS, f, mod: ModulusSpec, center, eps: float,
+                              depth: int, cap: int = None) -> QuadratureResult:
+    """Bracketed integral of f over the attractor minus the ball B(center, eps).
 
-    return QuadratureResult(value, err, depth, kept.count + sc.count)
+    The cells kept outside the ball are integrated as usual.  Straddling
+    cells left at word length ``depth`` are not split further: each adds
+    mu(C_v) (|f(x_v)| + omega(d_v)), a bound for |f| on it, to ``err``.
+    """
+    kept, straddlers = _ball_cells(ifs, center, eps, depth, cap)
+    quad = integrate_cells(kept, f, mod)
+    err = quad.err
+    if straddlers.count:
+        svals = np.abs(_eval_f(f, straddlers.points, straddlers))
+        err += pairwise_sum(straddlers.weights
+                            * (svals + mod.omega(straddlers.diams)))
+    return QuadratureResult(quad.value, err, depth, kept.count + straddlers.count)
 
 
 def mc_integrate(ifs: IFS, f, n_samples: int, seed: int,

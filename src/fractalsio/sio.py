@@ -1,23 +1,21 @@
-"""Singular-integral drivers, assembled from cylinder annuli.
+"""Singular-integral drivers, assembled from one kernel-cell bracket.
 
-Every region the drivers integrate over is a union of annuli around a coded
-pole pi(w): A_k = C_{w|k} minus C_{w|k+1}, the n - 1 siblings of C_{w|k+1}.
-The truncation F_k over C minus C_{w|k} is the sum of A_j for j < k, the
-periodic-point integral over C minus C_w is the sum of the first |w| annuli
-of w repeated, a divergence block is the sum of one period's annuli, and the
-cylinder term of the ball comparison and the maximal sums T(m, n) are sums of
-consecutive annuli.  ``_annuli`` is the one place these are computed: it
-builds the annuli's cells in one block, refining each sibling by ``depth``
-letters, and brackets each annulus separately, so every driver adds up the
-same (value, err) parts with ``QuadratureResult`` addition.  Only the ball
-truncation ``truncated`` integrates a region of another shape.
+``_bracket`` is the one place k(pole, .) is integrated: over a slice of
+cells, value = sum_v w_v k(pole, x_v) and err = sum_v w_v L(delta_v) d_v,
+with L the kernel's certified modulus and delta_v = d(pole, x_v) - d_v the
+certified pole distance (valid because the quadrature bound only compares
+points within one cell).  A slice with a cell not certified away from the
+pole gets value 0 and an infinite err, and every sum containing it is
+flagged ``unresolved-pole-distance`` rather than silently wrong.
 
-Error brackets use the per-cell certified pole distance
-delta_v = d(x, x_v) - d_v, which is valid because the quadrature bound only
-compares points within one cell.  When some cell of an annulus cannot be
-certified away from the pole, that annulus gets value 0 and an infinite err,
-and every sum containing it is flagged ``unresolved-pole-distance`` rather
-than silently wrong; results are likewise flagged when the system's
+Most regions are unions of annuli A_k = C_{w|k} minus C_{w|k+1} around a
+coded pole pi(w): F_k over C minus C_{w|k} sums A_j for j < k, the
+periodic-point integral over C minus C_w sums the first |w| annuli of w
+repeated, a divergence block sums one period's annuli, and the cylinder term
+of the ball comparison and the maximal sums T(m, n) sum consecutive annuli.
+``_annuli`` builds their cells in one block and brackets each annulus as a
+slice.  ``truncated`` brackets the cells ``measure._ball_cells`` keeps
+outside its ball as one slice.  Results are also flagged when the system's
 separation cannot be certified, since cylinder weights presume essentially
 disjoint branches.
 """
@@ -32,8 +30,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .ifs import IFS
 from .kernels import HomogeneousKernel
-from .measure import (QuadratureResult, integrate_ball_complement, pairwise_sum,
-                      region_cells)
+from .measure import QuadratureResult, _ball_cells, pairwise_sum, region_cells
 from .symbolic import EPWord, validate_word
 
 SEP_FLAG = "separation:"
@@ -41,24 +38,19 @@ POLE_FLAG = "unresolved-pole-distance"
 PV_CSV_HEADER = "k,F_value,F_err,A_value,A_err,flag"
 
 
-def _annuli(ifs: IFS, kern: HomogeneousKernel, pole, w: EPWord, stop: int,
-            depth: int, start: int = 0) -> list:
-    """Bracketed integrals of k(pole, .) over A_k for start <= k < stop.
+def _bracket(kern: HomogeneousKernel, pole, cells, size: int,
+             depth: int) -> list:
+    """Bracketed integrals of k(pole, .) over consecutive slices of ``size`` cells.
 
-    The siblings of C_{w|k+1} are refined by ``depth`` letters and built in
-    one cell block in annulus order, so A_k is a contiguous slice of
-    (n - 1) n^depth cells.  An annulus with a cell not certified away from
-    the pole is ``(0.0, inf)``, and the kernel is not evaluated on it.
+    A slice's value is sum_v w_v k(pole, x_v) and its err sum_v w_v L(delta_v)
+    d_v, with delta_v = d(pole, x_v) - d_v the certified distance of cell v
+    from the pole.  A slice with a cell where delta_v <= 0 is ``(0.0, inf)``,
+    and the kernel is not evaluated on it.
     """
-    n = ifs.n_letters
-    bases = [w.prefix(k) + (e,) for k in range(start, stop)
-             for e in range(1, n + 1) if e != w.letter(k)]
-    cells = region_cells(ifs, bases, depth)
-    geom = ifs.geometry
+    geom = kern.geometry
     z = kern.displacement(pole, cells.points)
     dist = geom.norm(z)
     delta = dist - cells.diams
-    size = (n - 1) * n ** depth
     out = []
     for lo in range(0, cells.count, size):
         part = slice(lo, lo + size)
@@ -72,6 +64,21 @@ def _annuli(ifs: IFS, kern: HomogeneousKernel, pole, w: EPWord, stop: int,
                                                          cells.diams[part]))
         out.append(QuadratureResult(value, err, depth, size))
     return out
+
+
+def _annuli(ifs: IFS, kern: HomogeneousKernel, pole, w: EPWord, stop: int,
+            depth: int, start: int = 0) -> list:
+    """Bracketed integrals of k(pole, .) over A_k for start <= k < stop.
+
+    The siblings of C_{w|k+1} are refined by ``depth`` letters and built in
+    one cell block in annulus order, so A_k is a contiguous slice of
+    (n - 1) n^depth cells.
+    """
+    n = ifs.n_letters
+    bases = [w.prefix(k) + (e,) for k in range(start, stop)
+             for e in range(1, n + 1) if e != w.letter(k)]
+    return _bracket(kern, pole, region_cells(ifs, bases, depth),
+                    (n - 1) * n ** depth, depth)
 
 
 def _total(parts, depth: int) -> QuadratureResult:
@@ -244,18 +251,21 @@ def criterion(ifs: IFS, kern: HomogeneousKernel, w, depth: int) -> CriterionRepo
 
 def truncated(ifs: IFS, kern: HomogeneousKernel, x, eps: float,
               depth: int) -> QuadratureResult:
-    """T_eps(1)(x): bracketed integral of k(x, .) outside the ball B(x, eps)."""
-    geom = ifs.geometry
-    x = geom.check_point(np.asarray(x, dtype=float))
+    """T_eps(1)(x): bracketed integral of k(x, .) outside the ball B(x, eps).
 
-    def f(pts):
-        return kern.pole_terms(x, pts)[0]
-
-    def mod(delta, diams):
-        return kern.cell_err_bound(delta, diams)
-
-    return integrate_ball_complement(ifs, f, mod, x, eps, depth,
-                                     region_sup=kern.pole_sup(eps))
+    The kept cells are bracketed as one slice.  Straddling cells are not
+    evaluated: each adds its mass times ``pole_sup(eps)``, a bound for
+    |k(x, .)| outside the ball, to ``err``.
+    """
+    kept, straddlers = _ball_cells(ifs, x, eps, depth)
+    quad = QuadratureResult(0.0, 0.0, depth, 0)
+    if kept.count:
+        quad, = _bracket(kern, x, kept, kept.count, depth)
+    if straddlers.count:
+        sup = pairwise_sum(straddlers.weights * kern.pole_sup(eps))
+        quad = QuadratureResult(quad.value, quad.err + sup, depth,
+                                quad.cells + straddlers.count)
+    return quad
 
 
 # ---- symbolic maximal scan ---------------------------------------------------
@@ -474,34 +484,31 @@ class WitnessIntegrand:
                 continue
             return 1.0 if block[0] != u[0] else 0.0
 
-    def _decode_letter(self, y):
-        ifs = self.ifs
-        geom = ifs.geometry
-        c0, _ = ifs.attractor_bound()
-        best, best_d = 1, math.inf
-        for i, m in enumerate(ifs.maps):
-            pre = geom.dilate(1.0 / m.ratio, geom.op(geom.inv(m.shift), y))
-            d = float(geom.dist(pre, c0))
-            if d < best_d:
-                best, best_d = i + 1, d
-        return best
-
-    def value_at(self, y) -> float:
-        ifs = self.ifs
-        geom = ifs.geometry
-        y = geom.check_point(np.asarray(y, dtype=float))
-        u, p = self.u, len(self.u)
-        for _ in range(self.max_blocks):
-            for j in range(p):
-                a = self._decode_letter(y)
-                if a != u[j]:
-                    return 1.0 if j == 0 else 0.0
-                m = ifs.maps[a - 1]
-                y = geom.dilate(1.0 / m.ratio, geom.op(geom.inv(m.shift), y))
-        return 0.0
-
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            return self.value_at(pts)
-        return np.array([self.value_at(pt) for pt in pts])
+        """The witness at one point (a float) or at stacked points (an array).
+
+        All points are decoded together, one letter (the first nearest
+        preimage) per step, until each leaves the u-track.
+        """
+        ifs = self.ifs
+        geom = ifs.geometry
+        pts = geom.check_point(np.asarray(pts, dtype=float))
+        y = pts.reshape(-1, geom.dim)
+        center, _ = ifs.attractor_bound()
+        inv_ratio = (1.0 / ifs.ratios)[:, np.newaxis]
+        inv_shift = geom.inv(ifs.shifts)[:, np.newaxis]
+        out = np.zeros(len(y))
+        live = np.arange(len(y))
+        p = len(self.u)
+        for step in range(self.max_blocks * p):
+            if not len(live):
+                break
+            j = step % p
+            pre = geom.dilate(inv_ratio, geom.op(inv_shift, y))
+            letter = np.argmin(geom.dist(pre, center), axis=0)
+            off = letter != self.u[j] - 1
+            out[live[off]] = 1.0 if j == 0 else 0.0
+            on = np.flatnonzero(~off)
+            y, live = pre[letter[on], on], live[on]
+        out = out.reshape(pts.shape[:-1])
+        return float(out) if out.ndim == 0 else out

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import fractalsio
 
@@ -48,3 +49,8 @@ def test_removed_names_are_gone():
     for module, name in REMOVED:
         assert not hasattr(importlib.import_module(module), name), (module, name)
     assert not hasattr(fractalsio.IFS, "fixed_points_batch")
+    assert not hasattr(fractalsio.HomogeneousKernel, "modulus_on")
+    assert not hasattr(fractalsio.WitnessIntegrand, "value_at")
+    assert not hasattr(fractalsio.kernels, "ModulusSpec")  # kernels knows no quadrature
+    assert "region_sup" not in inspect.signature(
+        fractalsio.integrate_ball_complement).parameters

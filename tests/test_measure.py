@@ -169,18 +169,17 @@ def test_ball_complement_tiny_eps_is_whole(middle_thirds):
     assert ball.value == pytest.approx(whole.value, abs=1e-12)
 
 
-def test_ball_complement_region_sup_bounds_straddle(middle_thirds):
-    # straddling cells are charged the region sup instead of being evaluated
+def test_ball_complement_straddlers_bracket(middle_thirds):
+    # f = 1 with a zero modulus: the only err is the |f| + omega charge on the
+    # cells still straddling the ball's edge at depth 6; mu outside B(0, 0.1)
+    # is 1 - Cantor(0.1) = 1 - 0.2
     def f(pts):
         return np.ones(np.asarray(pts).shape[:-1])
 
-    def mod(delta, diams):
-        return np.zeros_like(np.asarray(diams, dtype=float))
-
-    quad = integrate_ball_complement(middle_thirds, f, mod, np.array([0.0]),
-                                     0.1, depth=6, region_sup=1.0)
-    assert quad.value + quad.err >= 0.0
-    assert quad.err < 1.0
+    quad = integrate_ball_complement(middle_thirds, f, ModulusSpec.lipschitz(0.0),
+                                     np.array([0.0]), 0.1, depth=6)
+    assert quad.err > 0.0
+    assert quad.value - quad.err <= 0.8 <= quad.value + quad.err
 
 
 def test_mc_vs_quadrature(middle_thirds):

@@ -9,7 +9,8 @@ from fractalsio import (IFS, ConfigError, EPWord, HomogeneousKernel, InputError,
                         RieszComponent, WitnessIntegrand, ball_cylinder_gap,
                         complement_base_words, criterion,
                         divergence_certificate, integrate_complement,
-                        maximal_symbolic, pv_trace, region_cells, truncated)
+                        maximal_symbolic, net, pv_trace, region_cells,
+                        truncated)
 
 ETA_LO, ETA_HI = -0.6458, -0.5  # frozen analytic bracket for the sign kernel
 
@@ -238,6 +239,15 @@ def test_truncated_smaller_eps_adds_mass(middle_thirds):
     assert small.value - big.value > 0.0
 
 
+def test_truncated_charges_straddlers_sup(middle_thirds):
+    # at depth 3 the cell 1.1.1 = [0, 1/27] still straddles B(0, 0.01) and
+    # holds the pole, so it must be charged pole_sup instead of evaluated
+    kern = h.sign_kernel(middle_thirds)
+    quad = truncated(middle_thirds, kern, [0.0], 0.01, 3)
+    assert math.isfinite(quad.err)
+    assert quad.err >= kern.pole_sup(0.01) * 2.0 ** -3
+
+
 def test_maximal_scan_shape(middle_thirds):
     kern = h.const_kernel(middle_thirds)
     est = maximal_symbolic(middle_thirds, kern, h.word1(), 4, 6)
@@ -350,13 +360,28 @@ def test_witness_symbolic_values(middle_thirds):
 def test_witness_decodes_points(middle_thirds):
     g = WitnessIntegrand(middle_thirds, (1, 2))
     # the fixed point of map 2 codes as 2 repeated: first deviation at start
-    assert g.value_at(middle_thirds.fixed_point((2,))) == 1.0
+    assert g(middle_thirds.fixed_point((2,))) == 1.0
     # coding 1,1,... deviates inside the first block
-    assert g.value_at(middle_thirds.fixed_point((1,))) == 0.0
+    assert g(middle_thirds.fixed_point((1,))) == 0.0
     # coding (1,2) repeated never deviates: the block cap kicks in first
     # (the cap must stay below the float drift horizon of the inverse maps)
     g_capped = WitnessIntegrand(middle_thirds, (1, 2), max_blocks=4)
-    assert g_capped.value_at(middle_thirds.fixed_point((1, 2))) == 0.0
+    assert g_capped(middle_thirds.fixed_point((1, 2))) == 0.0
+
+
+@pytest.mark.parametrize("name", ["middle_thirds", "four_corner", "heis_twisted"])
+def test_witness_matches_symbolic_rule(request, name):
+    # the point of cell v is the fixed point of S_v, coded by v repeated; with
+    # max_blocks = 4 the decoder reads the first 4 |u| letters of that coding
+    ifs = request.getfixturevalue(name)
+    cells = net(ifs, 4)
+    for u in [(1,), (1, 2), (1, 2, 1)]:
+        g = WitnessIntegrand(ifs, u, max_blocks=4)
+        got = g(cells.points)
+        horizon = 4 * len(u)
+        for i in range(cells.count):
+            want = g.on_word((cells.word(i) * horizon)[:horizon])
+            assert got[i] == (0.0 if want is None else want), (u, cells.word(i))
 
 
 def test_witness_batch_and_integral(middle_thirds):
