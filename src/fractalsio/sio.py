@@ -15,7 +15,8 @@ repeated, a divergence block sums one period's annuli, and the cylinder term
 of the ball comparison and the maximal sums T(m, n) sum consecutive annuli.
 ``_annuli`` builds their cells in one block and brackets each annulus as a
 slice.  ``truncated`` brackets the cells ``measure._ball_cells`` keeps
-outside its ball as one slice.  Results are also flagged when the system's
+outside its ball as one slice, their certified pole distance floored by the
+ball radius.  Results are also flagged when the system's
 separation cannot be certified, since cylinder weights presume essentially
 disjoint branches.
 """
@@ -38,19 +39,20 @@ POLE_FLAG = "unresolved-pole-distance"
 PV_CSV_HEADER = "k,F_value,F_err,A_value,A_err,flag"
 
 
-def _bracket(kern: HomogeneousKernel, pole, cells, size: int,
-             depth: int) -> list:
+def _bracket(kern: HomogeneousKernel, pole, cells, size: int, depth: int,
+             floor: float = 0.0) -> list:
     """Bracketed integrals of k(pole, .) over consecutive slices of ``size`` cells.
 
     A slice's value is sum_v w_v k(pole, x_v) and its err sum_v w_v L(delta_v)
-    d_v, with delta_v = d(pole, x_v) - d_v the certified distance of cell v
-    from the pole.  A slice with a cell where delta_v <= 0 is ``(0.0, inf)``,
-    and the kernel is not evaluated on it.
+    d_v, with delta_v = max(d(pole, x_v) - d_v, floor) the certified distance
+    of cell v from the pole; ``floor`` is a distance the caller has already
+    certified for every cell.  A slice with a cell where delta_v <= 0 is
+    ``(0.0, inf)``, and the kernel is not evaluated on it.
     """
     geom = kern.geometry
     z = kern.displacement(pole, cells.points)
     dist = geom.norm(z)
-    delta = dist - cells.diams
+    delta = np.maximum(dist - cells.diams, floor)
     out = []
     for lo in range(0, cells.count, size):
         part = slice(lo, lo + size)
@@ -253,19 +255,18 @@ def truncated(ifs: IFS, kern: HomogeneousKernel, x, eps: float,
               depth: int) -> QuadratureResult:
     """T_eps(1)(x): bracketed integral of k(x, .) outside the ball B(x, eps).
 
-    The kept cells are bracketed as one slice.  Straddling cells are not
+    The kept cells are bracketed as one slice.  Each lies in a cell that the
+    ball split certified at distance >= eps from x, so eps (less a rounding
+    margin) floors its certified pole distance.  Straddling cells are not
     evaluated: each adds its mass times ``pole_sup(eps)``, a bound for
     |k(x, .)| outside the ball, to ``err``.
     """
     kept, straddlers = _ball_cells(ifs, x, eps, depth)
-    quad = QuadratureResult(0.0, 0.0, depth, 0)
-    if kept.count:
-        quad, = _bracket(kern, x, kept, kept.count, depth)
-    if straddlers.count:
-        sup = pairwise_sum(straddlers.weights * kern.pole_sup(eps))
-        quad = QuadratureResult(quad.value, quad.err + sup, depth,
-                                quad.cells + straddlers.count)
-    return quad
+    sup = pairwise_sum(straddlers.weights * kern.pole_sup(eps))
+    return _total(_bracket(kern, x, kept, max(kept.count, 1), depth,
+                           floor=eps * (1.0 - 1e-12))
+                  + [QuadratureResult(0.0, sup, depth, straddlers.count)],
+                  depth)
 
 
 # ---- symbolic maximal scan ---------------------------------------------------

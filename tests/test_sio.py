@@ -248,6 +248,22 @@ def test_truncated_charges_straddlers_sup(middle_thirds):
     assert quad.err >= kern.pole_sup(0.01) * 2.0 ** -3
 
 
+def test_truncated_kept_cells_keep_the_ball_floor(middle_thirds):
+    # cell 2 is certified outside B(x, eps) at level 1, but its refined
+    # subcell 2.1.1.1.1.1 has d(x, x_v) - d_v < 0; its certified pole
+    # distance is still eps, so the bracket stays finite and contains the
+    # deeper one
+    kern = h.sign_kernel(middle_thirds)
+    x, eps = [2.0 / 3.0 - 0.0004 - 1e-5], 0.0004
+    word = (2, 1, 1, 1, 1, 1)
+    assert abs(middle_thirds.fixed_point(word)[0] - x[0]) \
+        - middle_thirds.cylinder_diam_hi(word) < 0.0
+    coarse = truncated(middle_thirds, kern, x, eps, 6)
+    fine = truncated(middle_thirds, kern, x, eps, 10)
+    assert math.isfinite(coarse.err)
+    assert abs(coarse.value - fine.value) <= coarse.err + fine.err
+
+
 def test_maximal_scan_shape(middle_thirds):
     kern = h.const_kernel(middle_thirds)
     est = maximal_symbolic(middle_thirds, kern, h.word1(), 4, 6)
