@@ -10,7 +10,7 @@ same drivers over JSON configs.
 from .errors import (ConfigError, EvaluationError, FractalsioError, InputError,
                      ResourceLimitError)
 from .geometry import Euclidean, Heisenberg1, geometry_from_config
-from .symbolic import EPWord, concat, is_prefix, power, validate_word
+from .symbolic import EPWord, validate_word
 from .ifs import IFS, SeparationReport, Similarity, similarity_dimension
 from .measure import (CellBlock, ModulusSpec, QuadratureResult,
                       cells_for_words, complement_base_words, export_net_csv,
@@ -32,7 +32,7 @@ __all__ = [
     "ConfigError", "EvaluationError", "FractalsioError", "InputError",
     "ResourceLimitError",
     "Euclidean", "Heisenberg1", "geometry_from_config",
-    "EPWord", "concat", "is_prefix", "power", "validate_word",
+    "EPWord", "validate_word",
     "IFS", "SeparationReport", "Similarity", "similarity_dimension",
     "CellBlock", "ModulusSpec", "QuadratureResult", "cells_for_words",
     "complement_base_words", "export_net_csv", "integrate",

@@ -184,8 +184,7 @@ def _integrand(ifs: IFS, desc) -> tuple:
         u = desc.get("u")
         if u is None:
             raise ConfigError("witness integrand needs a period word 'u'")
-        g = WitnessIntegrand(ifs, tuple(int(a) for a in u),
-                             max_blocks=int(desc.get("max_blocks", 64)))
+        g = WitnessIntegrand(ifs, tuple(int(a) for a in u))
         # values in {0, 1}: any two differ by at most 1 = 2 * 0.5
         return g, ModulusSpec.sup_only(0.5)
     raise ConfigError(f"unknown integrand kind {kind!r}")

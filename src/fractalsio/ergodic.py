@@ -35,8 +35,9 @@ def sample_orbit(ifs: IFS, n: int, seed: int) -> OrbitSample:
     cum = np.cumsum(ifs.letter_weights)
     cum[-1] = 1.0
     draws = rng.random(int(n))
-    letters = np.searchsorted(cum, draws, side="right") + 1
-    letters = np.clip(letters, 1, ifs.n_letters).astype(np.int64)
+    letters = np.searchsorted(cum, draws, side="right").astype(np.int64, copy=False)
+    np.clip(letters, 0, ifs.n_letters - 1, out=letters)
+    letters += 1
     return OrbitSample(seed=int(seed), letters=letters)
 
 

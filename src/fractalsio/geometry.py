@@ -15,16 +15,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 
 
-class Euclidean:
-    """R^d with vector addition, scalar dilation, and the l2 metric."""
-
-    kind = "euclidean"
-
-    def __init__(self, dim: int):
-        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-            raise InputError("euclidean dimension must be a positive integer")
-        self.dim = int(dim)
-        self.coord_degrees = np.ones(self.dim)
+class _Geometry:
+    """What both geometries share: the identity, point checks and equality."""
 
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -38,6 +30,24 @@ class Euclidean:
         if not np.all(np.isfinite(p)):
             raise InputError("point coordinates must be finite")
         return p
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.dim == self.dim
+
+    def __hash__(self):
+        return hash((self.kind, self.dim))
+
+
+class Euclidean(_Geometry):
+    """R^d with vector addition, scalar dilation, and the l2 metric."""
+
+    kind = "euclidean"
+
+    def __init__(self, dim: int):
+        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+            raise InputError("euclidean dimension must be a positive integer")
+        self.dim = int(dim)
+        self.coord_degrees = np.ones(self.dim)
 
     def op(self, p, q):
         return np.asarray(p, dtype=float) + np.asarray(q, dtype=float)
@@ -65,14 +75,8 @@ class Euclidean:
     def __repr__(self) -> str:
         return f"Euclidean(dim={self.dim})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Euclidean) and other.dim == self.dim
 
-    def __hash__(self):
-        return hash((self.kind, self.dim))
-
-
-class Heisenberg1:
+class Heisenberg1(_Geometry):
     """First Heisenberg group on coordinates (x, y, t).
 
     Group law: (x,y,t) * (x',y',t') = (x+x', y+y', t+t' + (x y' - y x')/2).
@@ -85,17 +89,6 @@ class Heisenberg1:
 
     def __init__(self):
         self.coord_degrees = np.array([1.0, 1.0, 2.0])
-
-    def identity(self) -> np.ndarray:
-        return np.zeros(3)
-
-    def check_point(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if p.shape[-1:] != (3,):
-            raise InputError(f"expected point(s) with last axis 3, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise InputError("point coordinates must be finite")
-        return p
 
     def op(self, p, q):
         p = np.asarray(p, dtype=float)
@@ -132,12 +125,6 @@ class Heisenberg1:
 
     def __repr__(self) -> str:
         return "Heisenberg1()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Heisenberg1)
-
-    def __hash__(self):
-        return hash(self.kind)
 
 
 def geometry_from_config(cfg: dict):

@@ -22,7 +22,7 @@ import heapq
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,10 +34,12 @@ _FLOAT_SLACK = 1e-12
 _REL_TOL = 1e-6
 _DIAM_DEPTH = 60
 _MAX_NODES = 200000
+_DIM_TOL = 1e-14
+_DIM_MAX_ITER = 200
 
 
-def similarity_dimension(ratios, tol: float = 1e-14, max_iter: int = 200) -> float:
-    """Solve sum_i r_i^s = 1 for s > 0 to residual <= tol.
+def similarity_dimension(ratios) -> float:
+    """Solve sum_i r_i^s = 1 for s > 0 to residual <= 1e-14.
 
     Safeguarded Newton iteration on the strictly decreasing map
     s -> sum r_i^s - 1, with a bisection fallback keeping a sign bracket.
@@ -60,9 +62,9 @@ def similarity_dimension(ratios, tol: float = 1e-14, max_iter: int = 200) -> flo
         if hi > 1e6:
             raise InputError("contraction ratios too close to 1")
     s = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_DIM_MAX_ITER):
         fs = f(s)
-        if abs(fs) <= tol:
+        if abs(fs) <= _DIM_TOL:
             return s
         if fs > 0.0:
             lo = s
@@ -72,7 +74,7 @@ def similarity_dimension(ratios, tol: float = 1e-14, max_iter: int = 200) -> flo
         if not (lo < cand < hi):
             cand = 0.5 * (lo + hi)
         s = cand
-    if abs(f(s)) <= 10 * tol:
+    if abs(f(s)) <= 10 * _DIM_TOL:
         return s
     raise InputError("similarity dimension iteration failed to converge")
 
@@ -128,16 +130,7 @@ class SeparationReport:
                                "SeparatedUnknownStrength")
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "gap_lo": self.gap_lo,
-            "gap_hi": self.gap_hi,
-            "maxdiam_lo": self.maxdiam_lo,
-            "maxdiam_hi": self.maxdiam_hi,
-            "depth": self.depth,
-            "nodes": self.nodes,
-            "budget_exhausted": self.budget_exhausted,
-        }
+        return asdict(self)
 
 
 _Bracket = namedtuple("_Bracket", "lo hi nodes overlap exhausted")

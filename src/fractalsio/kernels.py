@@ -298,7 +298,7 @@ def omega_from_config(cfg: dict):
 class HomogeneousKernel:
     """A kernel Omega(z)/d^s bound to a geometry, with certified moduli."""
 
-    def __init__(self, geometry, s: float, omega, analytic: bool = False):
+    def __init__(self, geometry, s: float, omega):
         s = float(s)
         if not (s > 0.0 and math.isfinite(s)):
             raise InputError("kernel exponent s must be positive and finite")
@@ -307,7 +307,6 @@ class HomogeneousKernel:
         self.omega = omega
         self.omega_sup = float(omega.sup_for(geometry))
         self.omega_lip = float(omega.lip_for(geometry))
-        self.analytic = bool(analytic)
 
     def displacement(self, x, y):
         """z with k(x, y) = Omega(z)/||z||^s: x - y, or x^{-1} * y in a group."""
@@ -359,18 +358,16 @@ class HomogeneousKernel:
         omega = PerturbedOmega(self.omega, tuple(np.asarray(z_direction, float)),
                                rho, eps)
         omega._require_euclidean(self.geometry)
-        return HomogeneousKernel(self.geometry, self.s, omega, analytic=False)
+        return HomogeneousKernel(self.geometry, self.s, omega)
 
     def to_config(self) -> dict:
-        return {"s": self.s, "omega": self.omega.to_config(),
-                "analytic": self.analytic}
+        return {"s": self.s, "omega": self.omega.to_config()}
 
     @classmethod
     def from_config(cls, cfg: dict, geometry) -> "HomogeneousKernel":
         if not isinstance(cfg, dict) or "s" not in cfg or "omega" not in cfg:
             raise ConfigError("kernel config needs 's' and 'omega'")
-        return cls(geometry, cfg["s"], omega_from_config(cfg["omega"]),
-                   analytic=bool(cfg.get("analytic", False)))
+        return cls(geometry, cfg["s"], omega_from_config(cfg["omega"]))
 
     def __repr__(self) -> str:
         return (f"HomogeneousKernel(s={self.s:.12g}, "

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ergodic import sample_orbit
 from .errors import EvaluationError, InputError, ResourceLimitError
 from .ifs import IFS, _compose, _fixed_points
 from .symbolic import validate_word
@@ -374,29 +375,22 @@ def integrate_ball_complement(ifs: IFS, f, mod: ModulusSpec, center, eps: float,
     return QuadratureResult(quad.value, err, depth, kept.count + straddlers.count)
 
 
-def mc_integrate(ifs: IFS, f, n_samples: int, seed: int,
-                 depth: int = None):
+def mc_integrate(ifs: IFS, f, n_samples: int, seed: int):
     """Plain Monte Carlo mean of f under the natural measure.
 
-    Samples are coded points of random words drawn letter-by-letter with the
-    natural weights from a Philox counter-based generator, truncated at a
-    word length where the remaining displacement is below float resolution.
-    Returns ``(mean, stderr)`` with the usual ddof=1 standard error; the
-    bracket is statistical, not certified.
+    Samples are coded points of random words, read row by row from one
+    ``sample_orbit`` letter stream and truncated at a word length where the
+    remaining displacement is below float resolution.  Returns
+    ``(mean, stderr)`` with the usual ddof=1 standard error; the bracket is
+    statistical, not certified.
     """
     n_samples = int(n_samples)
     if n_samples < 2:
         raise InputError("need at least two samples")
-    if depth is None:
-        r_max = float(np.max(ifs.ratios))
-        depth = min(max(int(math.ceil(math.log(1e-12) / math.log(r_max))), 4), 256)
-    rng = np.random.Generator(np.random.Philox(seed))
-    cum = np.cumsum(ifs.letter_weights)
-    cum[-1] = 1.0
-    u = rng.random((n_samples, depth))
-    idx = np.searchsorted(cum, u, side="right")
-    np.clip(idx, 0, ifs.n_letters - 1, out=idx)
-    ratio, shift = ifs.compose_batch(idx)
+    r_max = float(np.max(ifs.ratios))
+    depth = min(max(int(math.ceil(math.log(1e-12) / math.log(r_max))), 4), 256)
+    letters = sample_orbit(ifs, n_samples * depth, seed).letters
+    ratio, shift = ifs.compose_batch(letters.reshape(n_samples, depth) - 1)
     x0 = ifs.fixed_point((1,))
     pts = ifs.geometry.op(shift, ifs.geometry.dilate(ratio, x0))
     vals = _eval_f(f, pts)

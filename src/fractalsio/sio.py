@@ -31,7 +31,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .ifs import IFS
 from .kernels import HomogeneousKernel
-from .measure import QuadratureResult, _ball_cells, pairwise_sum, region_cells
+from .measure import (QuadratureResult, _ball_cells, complement_base_words,
+                      pairwise_sum, region_cells)
 from .symbolic import EPWord, validate_word
 
 SEP_FLAG = "separation:"
@@ -77,8 +78,7 @@ def _annuli(ifs: IFS, kern: HomogeneousKernel, pole, w: EPWord, stop: int,
     (n - 1) n^depth cells.
     """
     n = ifs.n_letters
-    bases = [w.prefix(k) + (e,) for k in range(start, stop)
-             for e in range(1, n + 1) if e != w.letter(k)]
+    bases = complement_base_words(w.prefix(stop), n)[start * (n - 1):]
     return _bracket(kern, pole, region_cells(ifs, bases, depth),
                     (n - 1) * n ** depth, depth)
 
@@ -455,19 +455,26 @@ class WitnessIntegrand:
     u-track (undecided).  Calling the object on points decodes codings
     geometrically by nearest preimage, which identifies the coding uniquely
     off the boundary set for separated systems; points still undecided after
-    ``max_blocks`` blocks evaluate to 0 (they form a null set).
+    the decodable depth evaluate to 0 (they form a null set).
+
+    Each inverse step multiplies rounding error by 1/r, or by 1/r^2 in a
+    coordinate of degree 2, which enters the gauge through a square root.
+    So at most ln(eps) / (2 D ln r_min) letters are decoded (eps the machine
+    epsilon, D the largest coordinate degree): past that the decoding error
+    would exceed eps^(1/(2D)).
     """
 
-    def __init__(self, ifs: IFS, u, max_blocks: int = 64):
+    def __init__(self, ifs: IFS, u):
         self.ifs = ifs
         self.u = validate_word(u, n_letters=ifs.n_letters)
         if len(self.u) == 0:
             raise InputError("witness period word must be nonempty")
         if self.u[0] != 1:
             raise InputError("witness period word must start with letter 1")
-        if max_blocks < 1:
-            raise InputError("max_blocks must be >= 1")
-        self.max_blocks = int(max_blocks)
+        degree = float(np.max(ifs.geometry.coord_degrees))
+        r_min = float(np.min(ifs.ratios))
+        letters = math.log(np.finfo(float).eps) / (2.0 * degree * math.log(r_min))
+        self._letters = max(1, int(letters))
 
     def on_word(self, word):
         """Exact value on a finite word: 1.0, 0.0, or None when undecided."""
@@ -501,7 +508,7 @@ class WitnessIntegrand:
         out = np.zeros(len(y))
         live = np.arange(len(y))
         p = len(self.u)
-        for step in range(self.max_blocks * p):
+        for step in range(self._letters):
             if not len(live):
                 break
             j = step % p

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, InputError
 
 
@@ -30,13 +28,6 @@ def validate_word(word, n_letters=None) -> tuple:
                 f"letter {a} at position {i} exceeds alphabet size {n_letters}"
             )
     return w
-
-
-def power(word, k: int) -> tuple:
-    """k-fold repetition of a finite word."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise InputError("exponent must be a nonnegative integer")
-    return validate_word(word) * int(k)
 
 
 @dataclass(frozen=True)
@@ -64,14 +55,6 @@ class EPWord:
             raise InputError("prefix length must be nonnegative")
         return tuple(self.letter(i) for i in range(n))
 
-    def shift(self, n: int = 1) -> "EPWord":
-        if n < 0:
-            raise InputError("shift count must be nonnegative")
-        if n <= len(self.pre):
-            return EPWord(self.pre[n:], self.period)
-        k = (n - len(self.pre)) % len(self.period)
-        return EPWord((), self.period[k:] + self.period[:k])
-
     def is_periodic(self) -> bool:
         return len(self.pre) == 0
 
@@ -83,19 +66,3 @@ class EPWord:
         if not isinstance(cfg, dict) or "period" not in cfg:
             raise ConfigError("EPWord config must be a dict with a 'period' key")
         return cls(tuple(cfg.get("pre", ())), tuple(cfg["period"]))
-
-
-def concat(u, w: EPWord) -> EPWord:
-    """Prepend the finite word u to the stream w."""
-    u = validate_word(u)
-    return EPWord(u + w.pre, w.period)
-
-
-def is_prefix(u, w) -> bool:
-    """True when the finite word u is a prefix of w (finite word or EPWord)."""
-    u = validate_word(u)
-    if isinstance(w, EPWord):
-        return u == w.prefix(len(u))
-    w = validate_word(w)
-    return len(u) <= len(w) and w[: len(u)] == u
-

@@ -7,7 +7,7 @@ PUBLIC = [
     "ConfigError", "EvaluationError", "FractalsioError", "InputError",
     "ResourceLimitError",
     "Euclidean", "Heisenberg1", "geometry_from_config",
-    "EPWord", "concat", "is_prefix", "power", "validate_word",
+    "EPWord", "validate_word",
     "IFS", "SeparationReport", "Similarity", "similarity_dimension",
     "CellBlock", "ModulusSpec", "QuadratureResult", "cells_for_words",
     "complement_base_words", "export_net_csv", "integrate",
@@ -33,6 +33,9 @@ REMOVED = [
     ("fractalsio.kernels", "kernel_modulus_on"), ("fractalsio.kernels", "perturb"),
     ("fractalsio", "witness_g"), ("fractalsio.sio", "witness_g"),
     ("fractalsio.cli", "witness_g"),
+    ("fractalsio", "power"), ("fractalsio", "concat"), ("fractalsio", "is_prefix"),
+    ("fractalsio.symbolic", "power"), ("fractalsio.symbolic", "concat"),
+    ("fractalsio.symbolic", "is_prefix"),
 ]
 
 
@@ -54,3 +57,13 @@ def test_removed_names_are_gone():
     assert not hasattr(fractalsio.kernels, "ModulusSpec")  # kernels knows no quadrature
     assert "region_sup" not in inspect.signature(
         fractalsio.integrate_ball_complement).parameters
+    assert not hasattr(fractalsio.EPWord, "shift")
+    kern = fractalsio.HomogeneousKernel(fractalsio.Euclidean(1), 1.0,
+                                        fractalsio.SignOmega())
+    assert not hasattr(kern, "analytic")
+    for func, names in [(fractalsio.similarity_dimension, ("tol", "max_iter")),
+                        (fractalsio.mc_integrate, ("depth",)),
+                        (fractalsio.WitnessIntegrand, ("max_blocks",)),
+                        (fractalsio.HomogeneousKernel, ("analytic",))]:
+        params = inspect.signature(func).parameters
+        assert not any(name in params for name in names), (func, names)

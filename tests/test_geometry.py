@@ -109,3 +109,11 @@ def test_config_round_trip():
         assert g.to_config() == cfg
     with pytest.raises(Exception):
         geometry_from_config({"kind": "nope"})
+
+
+def test_geometry_equality():
+    assert Euclidean(3) != Heisenberg1()  # same dim, different group
+    assert Heisenberg1() == Heisenberg1()
+    assert Euclidean(2) == Euclidean(2)
+    assert hash(Euclidean(2)) == hash(Euclidean(2))
+    assert Euclidean(2) != Euclidean(3)

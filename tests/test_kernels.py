@@ -182,11 +182,9 @@ def test_perturbed_requires_euclidean():
 
 
 def test_perturb_method_and_flag():
-    kern = HomogeneousKernel(E2, 1.0, RieszComponent(2), analytic=True)
+    kern = HomogeneousKernel(E2, 1.0, RieszComponent(2))
     new = kern.perturb((1.0, 0.0), 0.5, 0.1)
     assert isinstance(new.omega, PerturbedOmega)
-    assert new.analytic is False  # perturbation voids the analytic marker
-    assert kern.analytic is True
 
 
 def test_bump_profile_shape():
@@ -213,11 +211,10 @@ def test_config_round_trip():
         cfg = om.to_config()
         again = omega_from_config(cfg)
         assert again.to_config() == cfg
-    kern = HomogeneousKernel(E2, 1.0, RieszComponent(1), analytic=True)
+    kern = HomogeneousKernel(E2, 1.0, RieszComponent(1))
     cfg = kern.to_config()
     again = HomogeneousKernel.from_config(cfg, E2)
     assert again.to_config() == cfg
-    assert again.analytic is True
 
 
 def test_kernel_eval(middle_thirds):

@@ -191,6 +191,18 @@ def test_mc_vs_quadrature(middle_thirds):
     assert again == mean
 
 
+def test_mc_integrate_pinned(middle_thirds, heis_twisted):
+    # exact floats: the letter stream, word length and composition order are
+    # all part of the seeded result
+    assert mc_integrate(middle_thirds, _coord_sq, 2000, seed=123) == (
+        0.38619188241277363, 0.008147422880176133)
+    def coord_sum(pts):
+        return np.sum(pts, axis=-1)
+
+    assert mc_integrate(heis_twisted, coord_sum, 2000, seed=123) == (
+        0.6666554374680104, 0.007549599499412548)
+
+
 @pytest.mark.filterwarnings("ignore:divide by zero")
 def test_eval_error_on_nonfinite(middle_thirds):
     def bad(pts):

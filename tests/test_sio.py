@@ -379,22 +379,22 @@ def test_witness_decodes_points(middle_thirds):
     assert g(middle_thirds.fixed_point((2,))) == 1.0
     # coding 1,1,... deviates inside the first block
     assert g(middle_thirds.fixed_point((1,))) == 0.0
-    # coding (1,2) repeated never deviates: the block cap kicks in first
-    # (the cap must stay below the float drift horizon of the inverse maps)
-    g_capped = WitnessIntegrand(middle_thirds, (1, 2), max_blocks=4)
-    assert g_capped(middle_thirds.fixed_point((1, 2))) == 0.0
+    # coding (1,2) repeated never deviates: decoding stops at the depth
+    # float resolution allows, before rounding drift could fake a deviation
+    assert g(middle_thirds.fixed_point((1, 2))) == 0.0
 
 
 @pytest.mark.parametrize("name", ["middle_thirds", "four_corner", "heis_twisted"])
 def test_witness_matches_symbolic_rule(request, name):
-    # the point of cell v is the fixed point of S_v, coded by v repeated; with
-    # max_blocks = 4 the decoder reads the first 4 |u| letters of that coding
+    # the point of cell v is the fixed point of S_v, coded by v repeated; the
+    # decoder reads the first ln(eps) / (2 D ln r_min) letters of that coding
+    horizon = {"middle_thirds": 16, "four_corner": 13, "heis_twisted": 8}[name]
     ifs = request.getfixturevalue(name)
     cells = net(ifs, 4)
     for u in [(1,), (1, 2), (1, 2, 1)]:
-        g = WitnessIntegrand(ifs, u, max_blocks=4)
+        g = WitnessIntegrand(ifs, u)
+        assert g._letters == horizon
         got = g(cells.points)
-        horizon = 4 * len(u)
         for i in range(cells.count):
             want = g.on_word((cells.word(i) * horizon)[:horizon])
             assert got[i] == (0.0 if want is None else want), (u, cells.word(i))
