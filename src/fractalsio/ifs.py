@@ -3,17 +3,23 @@
 A system is a list of maps S_i(p) = q_i * dilate(r_i, p) on a common
 geometry.  This module computes the similarity dimension, composes words of
 maps, codes eventually periodic words to attractor points, and produces
-certified geometric brackets: an enclosing ball, a diameter bracket, and a
-separation report.
+certified geometric brackets: an enclosing ball (and, for Euclidean systems,
+an enclosing box), a diameter bracket, and a separation report.
 
 Both brackets come from one branch-and-bound search over pairs of cylinders,
-``_pair_bracket``.  A cylinder C_v is enclosed in the ball S_v(B(c, R)) and
-witnessed from inside by the fixed point of S_v, so a pair's ball distance,
-shrunk or widened by both radii, bounds its distance and the fixed-point
-distance witnesses it.  The separation gap minimises over pairs from
+``_pair_bracket``.  A cylinder C_v is enclosed in S_v(E) and witnessed from
+inside by the fixed point of S_v.  For a Euclidean system E is the box
+spanned by the letters' fixed points and S_v(E) is again a box, so a pair's
+box-to-box distance bounds its gap from below and its farthest-corner
+distance bounds its diameter from above.  For a Heisenberg system E is the
+ball B(c, R), since left translation twists the third coordinate and a box
+is not mapped to a box; the ball-center distance, shrunk or widened by both
+radii, gives the bounds.  The separation gap minimises over pairs from
 distinct first-level branches, the diameter maximises over all pairs, and a
-split composes the fatter side with every map at once.  Reported intervals
-are widened by a 1e-12 relative slack to absorb float rounding.
+split composes the fatter side with every map at once.  Keys equal up to
+rounding tie and the deeper pair goes first, so the search follows one
+extremal pair to depth instead of every tied pair breadth-first.  Reported
+intervals are widened by a 1e-12 relative slack to absorb float rounding.
 """
 
 from __future__ import annotations
@@ -288,6 +294,20 @@ class IFS:
             self._bound = (center, radius)
         return self._bound
 
+    def attractor_box(self):
+        """A coordinate box (lo, hi) that every map sends into itself; Euclidean only.
+
+        Each map is the homothety r_i p + q_i = r_i p + (1 - r_i) f_i about its
+        fixed point f_i, so it sends the box spanned by the letters' fixed
+        points into itself.  The box is widened by a float slack relative to
+        the largest coordinate.
+        """
+        if self.geometry.kind != "euclidean":
+            raise InputError("a coordinate box holds only Euclidean attractors")
+        fp = self.letter_fixed_points
+        pad = _FLOAT_SLACK * float(np.max(np.abs(fp)))
+        return fp.min(axis=0) - pad, fp.max(axis=0) + pad
+
     def diam_bracket(self):
         """Certified interval [lo, hi] containing the attractor diameter."""
         if self._diam is None:
@@ -387,20 +407,46 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth, max_nodes) -> _Bracket:
     the two cylinders of a pair, over all pairs of words extending the
     0-based letter pairs ``first_pairs``.
 
-    Cylinders are rows (length, ratio, shift, ball center, fixed point) of
-    one array per split, and a heap entry names its two sides by array and
-    row (a view per side would double the search's memory).  Keys and the best witness are kept as sign * distance, so both
+    Cylinder C_v is enclosed in S_v(E), where E holds the attractor: the box
+    of ``IFS.attractor_box`` for Euclidean systems, the ball of
+    ``IFS.attractor_bound`` for Heisenberg ones (left translation twists the
+    third coordinate, so a coordinate box is not mapped to a box).  A pair's
+    key is the distance between its two enclosures, nearest for a gap and
+    farthest for a diameter, and the distance between its two fixed points
+    witnesses it.  Cylinders are rows (length, ratio, shift, enclosure
+    center, fixed point) of one array per split, and a heap entry names its
+    two sides by array and row (a view per side would double the search's
+    memory).  Keys and the best witness are kept as sign * distance, so both
     searches pop the smallest key; entries that cannot beat the witness are
-    dropped.  The search stops when the bracket is within ``_REL_TOL``, when
-    the top pair has both sides at ``max_depth`` (its bound is then final),
-    or after ``max_nodes`` nodes, which sets ``exhausted``.  ``overlap``
-    marks a zero witness distance in a gap search.
+    dropped.  Keys in one bucket of width ``_FLOAT_SLACK * r0`` tie, and a
+    tie pops the deeper pair first, then the older one: many pairs of a
+    self-similar set share the extreme distance up to rounding, and refining
+    one of them to depth moves the witness where breadth-first order would
+    not.  The reported bound is the least key left on the heap, not its
+    bucket.  The search stops when the top key is within ``_REL_TOL`` of the
+    witness, when the top pair has both sides at ``max_depth``, or after
+    ``max_nodes`` nodes, which sets ``exhausted``.  ``overlap`` marks a zero
+    witness distance in a gap search.
     """
     geom = ifs.geometry
     c0, r0 = ifs.attractor_bound()
     d, n = geom.dim, ifs.n_letters
     shift, center = slice(2, 2 + d), slice(2 + d, 2 + 2 * d)
     fixed = slice(2 + 2 * d, None)
+    if geom.kind == "euclidean":
+        lo, hi = ifs.attractor_box()
+        c0, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+        def reach(u, v):
+            side = (np.abs(u[:, center] - v[:, center])
+                    - sign * np.multiply.outer(u[:, 1] + v[:, 1], half))
+            return geom.norm(np.maximum(side, 0.0))
+    else:
+        def reach(u, v):
+            return (geom.dist(u[:, center], v[:, center])
+                    - sign * r0 * u[:, 1] - sign * r0 * v[:, 1])
+    # r0 is 0 only on a one-point attractor, where every key is 0
+    width = _FLOAT_SLACK * r0 or 1.0
     heap, count = [], itertools.count()
     best, nodes, exhausted = math.inf, 0, False
 
@@ -413,20 +459,20 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth, max_nodes) -> _Bracket:
         nonlocal best, nodes
         u, v = us[uks], vs[vks]
         nodes += len(u)
-        reach = (geom.dist(u[:, center], v[:, center])
-                 - sign * r0 * u[:, 1] - sign * r0 * v[:, 1])
-        keys = sign * np.maximum(reach, 0.0)
+        keys = sign * np.maximum(reach(u, v), 0.0)
+        depths = u[:, 0] + v[:, 0]
         best = min(best, float(np.min(sign * geom.dist(u[:, fixed], v[:, fixed]))))
-        for key, uk, vk in zip(keys.tolist(), uks, vks):
+        for key, depth, uk, vk in zip(keys.tolist(), depths.tolist(), uks, vks):
             if key < best:
-                heapq.heappush(heap, (key, next(count), us, uk, vs, vk))
+                heapq.heappush(heap, (key // width, -depth, next(count), key,
+                                      us, uk, vs, vk))
 
     firsts = cylinders(1, ifs.ratios, ifs.shifts)
     uks, vks = map(list, zip(*first_pairs))
     push(firsts, uks, firsts, vks)
 
     while heap:
-        key, _, us, uk, vs, vk = heap[0]
+        *_, key, us, uk, vs, vk = heap[0]
         if key >= best:
             heapq.heappop(heap)
             continue
@@ -447,7 +493,7 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth, max_nodes) -> _Bracket:
         else:
             push(us, [uk] * n, kids, range(n))
 
-    bound = heap[0][0] if heap else best
+    bound = min([best] + [entry[3] for entry in heap])
     lo, hi = (bound, best) if sign > 0 else (-best, -bound)
     slack = _FLOAT_SLACK * (r0 + hi)
     return _Bracket(max(0.0, lo - slack), hi + slack, nodes,

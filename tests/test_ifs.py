@@ -103,6 +103,17 @@ def test_attractor_bound_contains_samples(four_corner):
     assert np.all(d <= radius + 1e-12)
 
 
+def test_euclidean_box_contains_attractor(four_corner, middle_thirds, heis_cantor):
+    rng = np.random.default_rng(3)
+    for ifs in (four_corner, middle_thirds):
+        lo, hi = ifs.attractor_box()
+        words = rng.integers(0, ifs.n_letters, size=(200, 9))
+        pts = np.stack([ifs.fixed_point(w + 1) for w in words])
+        assert np.all((lo <= pts) & (pts <= hi))
+    with pytest.raises(InputError):
+        heis_cantor.attractor_box()
+
+
 def test_diam_bracket_middle_thirds(middle_thirds):
     lo, hi = middle_thirds.diam_bracket()
     assert lo <= 1.0 <= hi
@@ -113,7 +124,7 @@ def test_diam_bracket_middle_thirds(middle_thirds):
 def test_diam_bracket_four_corner(four_corner):
     lo, hi = four_corner.diam_bracket()
     assert lo <= math.sqrt(2.0) <= hi
-    assert hi == pytest.approx(math.sqrt(2.0), rel=1e-5)
+    assert hi - lo <= 1e-6
 
 
 def test_cylinder_diam(middle_thirds):
@@ -144,6 +155,16 @@ def test_separation_verdicts(middle_thirds, four_corner):
     assert rep.status == "Separated"
     assert rep.certified_positive_gap()
     assert rep.gap_lo > 0
+
+
+def test_four_corner_separation_converges(four_corner):
+    # the gap 1/2 is attained along whole edges of the first-level squares,
+    # so only enclosures that touch the edges can close the bracket
+    rep = four_corner.check_separation()
+    assert rep.budget_exhausted is False
+    assert rep.nodes <= 200
+    assert rep.gap_lo <= 0.5 <= rep.gap_hi
+    assert rep.gap_hi - rep.gap_lo <= 1e-6
 
 
 def test_separation_budget_reported(middle_thirds, four_corner):

@@ -197,11 +197,9 @@ def test_criterion_inconclusive_when_overlapping():
 
 
 def test_driver_reports_show_separation_search(middle_thirds, four_corner):
-    # the four-corner gap search stops at its node cap; the report says so
     sep = four_corner.check_separation()
-    assert sep.budget_exhausted
     rep = criterion(four_corner, h.const_kernel(four_corner), (1,), 2).as_dict()
-    assert rep["separation_search"] == {"nodes": sep.nodes, "budget_exhausted": True}
+    assert rep["separation_search"] == {"nodes": sep.nodes, "budget_exhausted": False}
     assert rep["separation"] == ""
     sep = middle_thirds.check_separation()
     want = {"nodes": sep.nodes, "budget_exhausted": False}
