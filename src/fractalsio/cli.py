@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, FractalsioError
-from .ergodic import birkhoff_frequency, hitting_times
+from .ergodic import _block_statistics, birkhoff_frequency, hitting_times
 from .ifs import IFS
 from .kernels import HomogeneousKernel
 from .measure import ModulusSpec, integrate, integrate_complement, mc_integrate
@@ -300,11 +300,17 @@ def cmd_birkhoff(cfg, ifs, p, args):
     if args.seed is not None:
         p["seed"] = int(args.seed)
     seed = _int_param(p, "seed", 0)
-    freq, expected, stderr = birkhoff_frequency(ifs, target, n_steps, seed)
+    times = None
+    if p.get("with_hitting_times"):
+        # one orbit scan: the frequency is the count of the hits
+        times = hitting_times(ifs, target, n_steps, seed)
+        freq, expected, stderr = _block_statistics(ifs, target, len(times), n_steps)
+    else:
+        freq, expected, stderr = birkhoff_frequency(ifs, target, n_steps, seed)
     body = {"target": list(target), "n_steps": n_steps, "seed": seed,
             "frequency": freq, "expected": expected, "stderr": stderr}
-    if p.get("with_hitting_times"):
-        body["hitting_times"] = hitting_times(ifs, target, n_steps, seed)
+    if times is not None:
+        body["hitting_times"] = times
     return body, 0
 
 

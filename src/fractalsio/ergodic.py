@@ -1,8 +1,12 @@
 """Ergodic sampling on the coding space.
 
-Letters are drawn i.i.d. with the natural weights r_i^s using a counter-based
-generator (numpy Philox), so runs are reproducible bit for bit from the seed
-alone, independent of call order.
+Letters are drawn i.i.d. with the natural weights r_i^s from one letter
+stream per seed: a counter-based generator (numpy Philox) read in fixed
+blocks of ``_BLOCK`` uniforms, each uniform u giving the letter
+1 + #{j < N : u >= p_1 + ... + p_j}.  Chunked Philox draws continue the
+single-call stream, so a run is reproducible bit for bit from the seed alone,
+independent of call order and of how the stream is split, and the stream
+holds only one block of uniforms at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import numpy as np
 from .errors import InputError
 from .ifs import IFS
 from .symbolic import validate_word
+
+_BLOCK = 1 << 16  # uniforms per Philox draw
 
 
 @dataclass(frozen=True)
@@ -27,16 +33,39 @@ class OrbitSample:
         return int(self.letters.shape[0])
 
 
+def _letter_stream(ifs: IFS, seed: int):
+    """The seed's letter stream, as ``draw(out)``: fill the int64 array ``out``
+    with the stream's next len(out) letters, 0-based, and return it.
+
+    A letter counts the cut points p_1 + ... + p_j (j < N) at or below its
+    uniform, the index ``searchsorted(cumsum(p), u, side="right")`` gives.
+    """
+    rng = np.random.Generator(np.random.Philox(int(seed)))
+    cuts = np.cumsum(ifs.letter_weights)[:-1]
+    buf = np.empty(_BLOCK)
+
+    def draw(out):
+        for start in range(0, len(out), _BLOCK):
+            part = out[start:start + _BLOCK]
+            u = rng.random(out=buf[:len(part)])
+            np.greater_equal(u, cuts[0], out=part)
+            for c in cuts[1:]:
+                part += u >= c
+        return out
+
+    return draw
+
+
 def sample_orbit(ifs: IFS, n: int, seed: int) -> OrbitSample:
-    """Draw ``n`` i.i.d. letters with probabilities r_i^s."""
+    """Draw ``n`` i.i.d. letters with probabilities r_i^s.
+
+    The letters are the first ``n`` of the seed's letter stream, filled in
+    blocks of ``_BLOCK``; they equal ``searchsorted`` over the cumulative
+    weights applied to one ``Philox(seed).random(n)`` call.
+    """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InputError("orbit length must be a nonnegative integer")
-    rng = np.random.Generator(np.random.Philox(int(seed)))
-    cum = np.cumsum(ifs.letter_weights)
-    cum[-1] = 1.0
-    draws = rng.random(int(n))
-    letters = np.searchsorted(cum, draws, side="right").astype(np.int64, copy=False)
-    np.clip(letters, 0, ifs.n_letters - 1, out=letters)
+    letters = _letter_stream(ifs, seed)(np.empty(int(n), dtype=np.int64))
     letters += 1
     return OrbitSample(seed=int(seed), letters=letters)
 
@@ -53,6 +82,21 @@ def _window_hits(letters: np.ndarray, target) -> np.ndarray:
     return hits
 
 
+def _check_steps(n_steps):
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise InputError("n_steps must be a positive integer")
+
+
+def _block_statistics(ifs: IFS, target, count: int, n_steps: int):
+    """(frequency, expected, stderr) of ``count`` hits of ``target`` in
+    ``n_steps`` start positions; see ``birkhoff_frequency``."""
+    expected = ifs.word_weight(target)
+    freq = float(count) / float(n_steps)
+    factor = 2.0 if len(target) > 1 else 1.0
+    stderr = factor * float(np.sqrt(expected * (1.0 - expected) / n_steps))
+    return freq, expected, stderr
+
+
 def birkhoff_frequency(ifs: IFS, target, n_steps: int, seed: int):
     """Empirical frequency of the block ``target`` along a sampled orbit.
 
@@ -62,27 +106,25 @@ def birkhoff_frequency(ifs: IFS, target, n_steps: int, seed: int):
     i.i.d. value, doubled for blocks longer than one letter because adjacent
     windows overlap.  An empty target has frequency 1 by convention.
     """
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise InputError("n_steps must be a positive integer")
+    _check_steps(n_steps)
     target = validate_word(target, n_letters=ifs.n_letters)
     if len(target) == 0:
         return 1.0, 1.0, 0.0
-    expected = ifs.word_weight(target)
     sample = sample_orbit(ifs, int(n_steps) + len(target) - 1, seed)
     hits = _window_hits(sample.letters, target)
-    freq = float(np.count_nonzero(hits)) / float(n_steps)
-    factor = 2.0 if len(target) > 1 else 1.0
-    stderr = factor * float(np.sqrt(expected * (1.0 - expected) / n_steps))
-    return freq, expected, stderr
+    return _block_statistics(ifs, target, np.count_nonzero(hits), n_steps)
 
 
 def hitting_times(ifs: IFS, target, n_steps: int, seed: int):
-    """Start positions (0-based, strictly increasing) where ``target`` occurs."""
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise InputError("n_steps must be a positive integer")
+    """Start positions (0-based, strictly increasing) where ``target`` occurs.
+
+    The orbit is the one ``birkhoff_frequency`` scans for the same seed, so
+    len(times) / n_steps is its frequency.
+    """
+    _check_steps(n_steps)
     target = validate_word(target, n_letters=ifs.n_letters)
     if len(target) == 0:
         return list(range(int(n_steps)))
     sample = sample_orbit(ifs, int(n_steps) + len(target) - 1, seed)
     hits = _window_hits(sample.letters, target)
-    return [int(i) for i in np.flatnonzero(hits)]
+    return np.flatnonzero(hits).tolist()

@@ -93,11 +93,9 @@ class Heisenberg1(_Geometry):
     def op(self, p, q):
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        x, y, t = p[..., 0], p[..., 1], p[..., 2]
-        xq, yq, tq = q[..., 0], q[..., 1], q[..., 2]
-        return np.stack(
-            [x + xq, y + yq, t + tq + 0.5 * (x * yq - y * xq)], axis=-1
-        )
+        out = p + q
+        out[..., 2] += 0.5 * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
+        return out
 
     def inv(self, p):
         # The twist term vanishes on (p, -p), so negation is the inverse.

@@ -2,7 +2,8 @@
 
 A system is a list of maps S_i(p) = q_i * dilate(r_i, p) on a common
 geometry.  This module computes the similarity dimension, composes words of
-maps, codes eventually periodic words to attractor points, and produces
+maps (one word, a batch of words, or the cached net of every word of one
+length), codes eventually periodic words to attractor points, and produces
 certified geometric brackets: an enclosing ball (and, for Euclidean systems,
 an enclosing box), a diameter bracket, and a separation report.
 
@@ -193,6 +194,7 @@ class IFS:
         self._bound = None
         self._diam = None
         self._sep_cache = {}
+        self._nets = {}
 
         self.osc_ball = None
         if osc_ball is not None:
@@ -238,13 +240,53 @@ class IFS:
                                     self.shifts[a - 1], ratio, shift)
         return Similarity(float(ratio), shift)
 
+    def relative_net(self, depth: int):
+        """Ratios, shifts and weights of S_u for every word u of length ``depth``.
+
+        Lexicographic order, expanded one level at a time by prepending a
+        letter, S_{e u} = S_e o S_u, so each entry is the right fold of its
+        word from the identity.  Cached per depth; the arrays are read-only.
+        """
+        got = self._nets.get(depth)
+        if got is None:
+            geom = self.geometry
+            ratio, shift, weight = np.ones(1), geom.identity()[np.newaxis], np.ones(1)
+            for _ in range(depth):
+                ratio, shift = _compose(geom, self.ratios[:, np.newaxis],
+                                        self.shifts[:, np.newaxis], ratio, shift)
+                ratio, shift = ratio.ravel(), shift.reshape(-1, geom.dim)
+                weight = np.outer(self.letter_weights, weight).ravel()
+            for a in (ratio, shift, weight):
+                a.flags.writeable = False
+            got = self._nets[depth] = (ratio, shift, weight)
+        return got
+
     def compose_batch(self, idx: np.ndarray):
-        """Ratios and shifts for the words in ``idx`` (0-based, shape (M, L))."""
+        """Ratios and shifts for the words in ``idx`` (0-based, shape (M, L)).
+
+        Row w gives S_{w_1} o (S_{w_2} o ... (S_{w_L} o id)).  The state after
+        its last k letters is read from the depth-k ``relative_net``, for the
+        largest k <= L with N^k <= M, and only the first L - k letters are
+        composed; the net is the same fold, so the floats are those of the
+        full fold.
+        """
         idx = np.asarray(idx, dtype=np.int64)
         if idx.ndim != 2:
             raise InputError("word index array must be 2-d")
-        ratio, shift = np.ones(len(idx)), np.tile(self.geometry.identity(), (len(idx), 1))
-        for a in idx.T[::-1]:
+        n = self.n_letters
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise InputError(f"word indices must lie in 0..{n - 1}")
+        rows, length = idx.shape
+        k = 0
+        while k < length and n ** (k + 1) <= rows:
+            k += 1
+        code = np.zeros(rows, dtype=np.int64)
+        for a in idx[:, length - k:].T:
+            code *= n
+            code += a
+        ratio, shift, _ = self.relative_net(k)
+        ratio, shift = ratio[code], shift[code]
+        for a in idx[:, :length - k].T[::-1]:
             ratio, shift = _compose(self.geometry, self.ratios[a], self.shifts[a],
                                     ratio, shift)
         return ratio, shift

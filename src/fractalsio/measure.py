@@ -12,13 +12,14 @@ whenever the cells v partition the region R.  Everything here returns a
 
 Cells are built from self-similarity: the cells of a cylinder C_b refined by
 m letters are S_b applied to the depth-m net of the whole set, weighted by
-mu(C_b).  The relative net is expanded level by level as arrays of ratios,
-shifts and weights, and each base similarity S_b is applied to it by
-broadcasting, one letter of b at a time, so no cell is ever spelled out as a
-word.  A ``CellBlock`` keeps only the (base words, depth) segments it was
-built from, and rebuilds a cell's word on demand as a label for CSV export
-and error messages.  The empty word has no contraction to take a fixed point
-of, so its cell is represented by the fixed point of S_1.
+mu(C_b).  The relative net (``IFS.relative_net``, cached per depth) holds
+the ratios, shifts and weights of the depth-m words as arrays, and each base
+similarity S_b is applied to it by broadcasting, one letter of b at a time,
+so no cell is ever spelled out as a word.  A ``CellBlock`` keeps only the
+(base words, depth) segments it was built from, and rebuilds a cell's word on
+demand as a label for CSV export and error messages.  The empty word has no
+contraction to take a fixed point of, so its cell is represented by the fixed
+point of S_1.
 
 Ball complements are split by ``_ball_cells`` (also used by ``sio``), which
 tracks the active cells as an array of letters, split by masks, and adds each
@@ -36,10 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ergodic import sample_orbit
+from .ergodic import _letter_stream
 from .errors import EvaluationError, InputError, ResourceLimitError
 from .ifs import IFS, _compose, _fixed_points
 from .symbolic import validate_word
+
+_MC_BLOCK = 1 << 12  # Monte Carlo samples composed per block
 
 
 def pairwise_sum(values) -> float:
@@ -179,22 +182,6 @@ def _check_budget(count: int, cap: int):
         )
 
 
-def _relative_net(ifs: IFS, depth: int):
-    """Ratios, shifts and weights of S_u for every word u of length ``depth``.
-
-    Lexicographic order, expanded one level at a time by prepending a
-    letter: S_{e u} = S_e o S_u.
-    """
-    geom = ifs.geometry
-    ratio, shift, weight = np.ones(1), geom.identity()[np.newaxis], np.ones(1)
-    for _ in range(depth):
-        ratio, shift = _compose(geom, ifs.ratios[:, np.newaxis],
-                                ifs.shifts[:, np.newaxis], ratio, shift)
-        ratio, shift = ratio.ravel(), shift.reshape(-1, geom.dim)
-        weight = np.outer(ifs.letter_weights, weight).ravel()
-    return ratio, shift, weight
-
-
 def _cell_block(ifs: IFS, segments) -> CellBlock:
     """The cells of each ``(bases, depth)`` segment, in order.
 
@@ -205,7 +192,7 @@ def _cell_block(ifs: IFS, segments) -> CellBlock:
     geom = ifs.geometry
     parts = [(np.empty(0), np.empty((0, geom.dim)), np.empty(0))]
     for bases, depth in segments:
-        ratio, shift, weight = _relative_net(ifs, depth)
+        ratio, shift, weight = ifs.relative_net(depth)
         ratio = np.broadcast_to(ratio, (len(bases),) + ratio.shape)
         shift = np.broadcast_to(shift, (len(bases),) + shift.shape)
         for a in bases.T[::-1] - 1:
@@ -253,12 +240,13 @@ def region_cells(ifs: IFS, base_words, depth: int, cap: int = None) -> CellBlock
     return _cell_block(ifs, segments)
 
 
-def _eval_f(f, points, cells=None):
+def _eval_f(f, points, cells=None, first=0):
     """Evaluate a vectorized integrand once on stacked points.
 
     ``f`` maps an (m, dim) array of points to m values.  Its own exceptions
     propagate; an output of another shape, or a non-finite value (labelled
-    with its cell), raises ``EvaluationError``.
+    with its cell, or with its index counted from ``first``), raises
+    ``EvaluationError``.
     """
     vals = np.asarray(f(points), dtype=float)
     if vals.shape != (len(points),):
@@ -266,7 +254,7 @@ def _eval_f(f, points, cells=None):
                               f"{len(points)} points, expected ({len(points)},)")
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))
-        where = _word_label(cells.word(i)) if cells is not None else f"index {i}"
+        where = _word_label(cells.word(i)) if cells is not None else f"index {first + i}"
         raise EvaluationError(f"integrand returned a non-finite value on cell {where}")
     return vals
 
@@ -378,22 +366,31 @@ def integrate_ball_complement(ifs: IFS, f, mod: ModulusSpec, center, eps: float,
 def mc_integrate(ifs: IFS, f, n_samples: int, seed: int):
     """Plain Monte Carlo mean of f under the natural measure.
 
-    Samples are coded points of random words, read row by row from one
-    ``sample_orbit`` letter stream and truncated at a word length where the
-    remaining displacement is below float resolution.  Returns
-    ``(mean, stderr)`` with the usual ddof=1 standard error; the bracket is
-    statistical, not certified.
+    Samples are coded points of random words, read row by row from the
+    seed's letter stream (the letters of ``sample_orbit``) and truncated at a
+    word length where the remaining displacement is below float resolution.
+    The stream is read ``_MC_BLOCK`` samples at a time, and each block is
+    composed by ``IFS.compose_batch`` and evaluated into one array of values,
+    so the working memory is one block plus 8 bytes per sample, and the
+    floats do not depend on the block size.  Returns ``(mean, stderr)`` with
+    the usual ddof=1 standard error; the bracket is statistical, not
+    certified.
     """
     n_samples = int(n_samples)
     if n_samples < 2:
         raise InputError("need at least two samples")
     r_max = float(np.max(ifs.ratios))
     depth = min(max(int(math.ceil(math.log(1e-12) / math.log(r_max))), 4), 256)
-    letters = sample_orbit(ifs, n_samples * depth, seed).letters
-    ratio, shift = ifs.compose_batch(letters.reshape(n_samples, depth) - 1)
+    geom = ifs.geometry
     x0 = ifs.fixed_point((1,))
-    pts = ifs.geometry.op(shift, ifs.geometry.dilate(ratio, x0))
-    vals = _eval_f(f, pts)
+    draw = _letter_stream(ifs, seed)
+    letters = np.empty(min(n_samples, _MC_BLOCK) * depth, dtype=np.int64)
+    vals = np.empty(n_samples)
+    for start in range(0, n_samples, _MC_BLOCK):
+        m = min(_MC_BLOCK, n_samples - start)
+        ratio, shift = ifs.compose_batch(draw(letters[:m * depth]).reshape(m, depth))
+        pts = geom.op(shift, geom.dilate(ratio, x0))
+        vals[start:start + m] = _eval_f(f, pts, first=start)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
     return mean, stderr

@@ -165,6 +165,18 @@ def test_birkhoff_seed_reproducible(mt_config, capsys):
     assert abs(first["frequency"] - 0.5) <= 3 * first["stderr"]
 
 
+def test_birkhoff_hitting_times_pinned(tmp_path, capsys):
+    # exact report: one orbit gives both the frequency and the hitting times
+    cfg = h.heis_twisted_config()
+    cfg["params"] = {"target": [2, 3], "n_steps": 120, "with_hitting_times": True}
+    path = h.write_config(tmp_path / "b.json", cfg)
+    assert main(["birkhoff", "--config", path, "--seed", "42"]) == 0
+    out = _json_out(capsys)
+    assert (out["frequency"], out["expected"], out["stderr"]) == (
+        0.1, 0.11111111111111113, 0.0573775310549247)
+    assert out["hitting_times"] == [8, 11, 50, 57, 67, 76, 78, 95, 100, 106, 111, 119]
+
+
 def test_perturb_emits_kernel(tmp_path, capsys):
     cfg = h.line_config()
     cfg["kernel"] = {"s": 1.0, "omega": {"kind": "riesz", "axis": 2}}

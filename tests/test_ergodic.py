@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fractalsio import (InputError, birkhoff_frequency, hitting_times,
+import _helpers as h
+from fractalsio import (InputError, birkhoff_frequency, ergodic, hitting_times,
                         sample_orbit)
 
 
@@ -13,6 +14,22 @@ def test_sample_orbit_deterministic(middle_thirds):
     assert not np.array_equal(a.letters, c.letters)
     assert len(a) == 1000
     assert a.letters.min() >= 1 and a.letters.max() <= 2
+
+
+def test_sample_orbit_blocks_match_searchsorted(four_corner):
+    # one Philox call and a searchsorted over the cumulative weights, the
+    # single-call form of the blocked stream
+    ifs = h.make_ifs({"geometry": {"kind": "euclidean", "dim": 1},
+                      "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.25, "q": [0.6]},
+                               {"r": 0.125, "q": [0.85]}]})
+    n = 2 * ergodic._BLOCK + 777
+    for system in (ifs, four_corner):
+        cum = np.cumsum(system.letter_weights)
+        cum[-1] = 1.0
+        draws = np.random.Generator(np.random.Philox(17)).random(n)
+        ref = np.searchsorted(cum, draws, side="right") + 1
+        np.testing.assert_array_equal(sample_orbit(system, n, seed=17).letters, ref)
+        assert sample_orbit(system, n, seed=17).letters.dtype == np.int64
 
 
 def test_sample_orbit_respects_weights(four_corner):

@@ -85,13 +85,29 @@ def test_word_weight_probabilities():
     assert ifs.word_weight((2, 1, 2)) == pytest.approx(p1 * p2 * p2, abs=1e-12)
 
 
-def test_compose_batch_matches_compose(heis_twisted):
-    idx = np.random.default_rng(5).integers(0, 3, size=(20, 6))
-    ratio, shift = heis_twisted.compose_batch(idx)
-    for row, r, q in zip(idx, ratio, shift):
-        sim = heis_twisted.compose(row + 1)
-        assert r == sim.ratio
-        np.testing.assert_array_equal(q, sim.shift)
+def test_compose_batch_matches_compose(heis_twisted, four_corner):
+    # M rows take their last k letters from the depth-k net, N^k <= M: 20
+    # rows of 3 letters k = 2, 200 rows k = 4, 1000 rows k = 6; 100 rows of
+    # 2 letters take the whole word from the net
+    rng = np.random.default_rng(5)
+    for ifs, rows, length in ((heis_twisted, 20, 6), (heis_twisted, 200, 7),
+                              (heis_twisted, 1000, 9), (heis_twisted, 100, 2),
+                              (four_corner, 300, 6)):
+        idx = rng.integers(0, ifs.n_letters, size=(rows, length))
+        ratio, shift = ifs.compose_batch(idx)
+        for row, r, q in zip(idx, ratio, shift):
+            sim = ifs.compose(row + 1)
+            assert r == sim.ratio
+            np.testing.assert_array_equal(q, sim.shift)
+
+
+def test_compose_batch_rejects_bad_letters(heis_twisted):
+    with pytest.raises(InputError):
+        heis_twisted.compose_batch(np.array([[0, 3]]))
+    with pytest.raises(InputError):
+        heis_twisted.compose_batch(np.array([[-1, 0]]))
+    ratio, shift = heis_twisted.compose_batch(np.zeros((0, 4), dtype=int))
+    assert ratio.shape == (0,) and shift.shape == (0, 3)
 
 
 def test_attractor_bound_contains_samples(four_corner):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from fractalsio import (EvaluationError, ModulusSpec, ResourceLimitError,
                         cells_for_words, complement_base_words, integrate,
                         integrate_ball_complement, integrate_cells,
                         integrate_complement, integrate_cylinder, mc_integrate,
-                        net, pairwise_sum, region_cells)
+                        measure, net, pairwise_sum, region_cells, sample_orbit)
+from fractalsio.ifs import _compose
 
 LIP1 = ModulusSpec.lipschitz(1.0)
 
@@ -201,6 +203,59 @@ def test_mc_integrate_pinned(middle_thirds, heis_twisted):
 
     assert mc_integrate(heis_twisted, coord_sum, 2000, seed=123) == (
         0.6666554374680104, 0.007549599499412548)
+
+
+def _mc_points(ifs, n, seed):
+    # the unblocked sampler: one orbit of n * depth letters and one right
+    # fold of every row from the identity
+    depth = min(max(math.ceil(math.log(1e-12) / math.log(max(ifs.ratios))), 4), 256)
+    letters = sample_orbit(ifs, n * depth, seed).letters.reshape(n, depth) - 1
+    geom = ifs.geometry
+    ratio, shift = np.ones(n), np.tile(geom.identity(), (n, 1))
+    for a in letters.T[::-1]:
+        ratio, shift = _compose(geom, ifs.ratios[a], ifs.shifts[a], ratio, shift)
+    return geom.op(shift, geom.dilate(ratio, ifs.fixed_point((1,))))
+
+
+def test_mc_integrate_blocks_match_one_fold(heis_twisted, four_corner):
+    # two full blocks and a partial one give the unblocked floats exactly
+    n = 2 * measure._MC_BLOCK + 1234
+
+    def f(pts):
+        return pts[:, 0] * pts[:, 1] + pts[:, -1] ** 2
+
+    for ifs in (heis_twisted, four_corner):
+        vals = f(_mc_points(ifs, n, 99))
+        assert mc_integrate(ifs, f, n, seed=99) == (
+            float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)))
+
+
+def test_mc_integrate_memory_is_one_block(heis_twisted):
+    # 200k samples of 26 letters: the unblocked sampler held ~100 MB of
+    # letters and fold temporaries at once
+    tracemalloc.start()
+    try:
+        mc_integrate(heis_twisted, _coord, 200000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_mc_nonfinite_index_counts_across_blocks(middle_thirds):
+    # the integrand is NaN right of every point of the first block, so the
+    # first bad sample lies in a later block and is named by its own index
+    n = 2 * measure._MC_BLOCK
+    pts = _mc_points(middle_thirds, n, 1)
+    cut = pts[:measure._MC_BLOCK, 0].max()
+    first = int(np.argmax(pts[:, 0] > cut))
+    assert first >= measure._MC_BLOCK
+
+    def bad(pts):
+        return np.where(_coord(pts) > cut, np.nan, 0.0)
+
+    with pytest.raises(EvaluationError, match=rf"index {first}$"):
+        mc_integrate(middle_thirds, bad, n, seed=1)
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero")
