@@ -19,14 +19,14 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, FractalsioError
+from .errors import ConfigError, FractalsioError, InputError
 from .ergodic import _block_statistics, birkhoff_frequency, hitting_times
 from .ifs import IFS
 from .kernels import HomogeneousKernel
 from .measure import ModulusSpec, integrate, integrate_complement, mc_integrate
 from .sio import (PV_CSV_HEADER, WitnessIntegrand, ball_cylinder_gap, criterion,
                   maximal_symbolic, pv_trace, truncated)
-from .symbolic import EPWord
+from .symbolic import EPWord, validate_word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,12 +107,30 @@ def _int_param(p: dict, key: str, default=None) -> int:
     return int(raw)
 
 
-def _epword(raw) -> EPWord:
-    if isinstance(raw, dict):
-        return EPWord.from_config(raw)
-    if isinstance(raw, (list, tuple)):
-        return EPWord(pre=(), period=tuple(int(a) for a in raw))
-    raise ConfigError("word must be a letter list or {'pre': [...], 'period': [...]}")
+def _param(p: dict, key: str, read, what: str, default=None):
+    """``read(params[key])``; a value it rejects is a ConfigError naming the key."""
+    raw = _need(p, key) if default is None else p.get(key, default)
+    try:
+        return read(raw)
+    except (TypeError, ValueError, InputError):
+        raise ConfigError(f"params.{key} must be {what}") from None
+
+
+def _float_param(p: dict, key: str, default=None) -> float:
+    return _param(p, key, float, "a number", default)
+
+
+def _point_param(p: dict, key: str) -> list:
+    return _param(p, key, lambda raw: [float(v) for v in raw], "a list of numbers")
+
+
+def _word_param(p: dict, key: str) -> tuple:
+    return _param(p, key, validate_word, "a list of letters 1, 2, ...")
+
+
+def _epword_param(p: dict, key: str) -> EPWord:
+    return _param(p, key, lambda raw: EPWord.from_config(raw) if isinstance(raw, dict)
+                  else EPWord(period=raw), "a letter list or {'pre': [...], 'period': [...]}")
 
 
 def _build_kernel(cfg: dict, ifs: IFS) -> HomogeneousKernel:
@@ -226,8 +244,7 @@ def cmd_integrate(cfg, ifs, p, args):
     elif method == "net":
         depth = _int_param(p, "depth")
         if "excluded" in p:
-            excluded = tuple(int(a) for a in p["excluded"])
-            quad = integrate_complement(ifs, f, mod, excluded, depth)
+            quad = integrate_complement(ifs, f, mod, _word_param(p, "excluded"), depth)
         else:
             quad = integrate(ifs, f, mod, depth)
         body = {"method": "net", **quad.as_dict()}
@@ -243,19 +260,17 @@ def cmd_pv_trace(cfg, ifs, p, args):
         if args.format == "json":
             return {"rows": []}, 0
         return PV_CSV_HEADER + "\n", 0
-    w = _epword(_need(p, "word"))
+    w = _epword_param(p, "word")
     depth = _int_param(p, "depth")
     trace = pv_trace(ifs, kern, w, K, depth)
-    flagged = any(r.flag for r in trace.rows)
-    if args.format == "json":
-        return trace.as_dict(), 2 if flagged else 0
-    return trace.to_csv_text(), 2 if flagged else 0
+    body = trace.as_dict() if args.format == "json" else trace.to_csv_text()
+    return body, 2 if any(r.flag for r in trace.rows) else 0
 
 
 def cmd_truncated(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    x = [float(v) for v in _need(p, "x")]
-    eps = float(_need(p, "eps"))
+    x = _point_param(p, "x")
+    eps = _float_param(p, "eps")
     depth = _int_param(p, "depth")
     quad = truncated(ifs, kern, x, eps, depth)
     return ({"x": x, "eps": eps, **quad.as_dict()},
@@ -264,7 +279,7 @@ def cmd_truncated(cfg, ifs, p, args):
 
 def cmd_criterion(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    word = tuple(int(a) for a in _need(p, "word"))
+    word = _word_param(p, "word")
     depth = _int_param(p, "depth")
     rep = criterion(ifs, kern, word, depth)
     return rep.as_dict(), 0 if rep.verdict == "NonzeroCertified" else 2
@@ -272,7 +287,7 @@ def cmd_criterion(cfg, ifs, p, args):
 
 def cmd_maximal(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    w = _epword(_need(p, "word"))
+    w = _epword_param(p, "word")
     max_n = _int_param(p, "max_n")
     depth = _int_param(p, "depth")
     est = maximal_symbolic(ifs, kern, w, max_n, depth)
@@ -283,11 +298,11 @@ def cmd_maximal(cfg, ifs, p, args):
 
 def cmd_gap(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    w = _epword(_need(p, "word"))
+    w = _epword_param(p, "word")
     n = _int_param(p, "n")
     m1 = _int_param(p, "m1")
     depth = _int_param(p, "depth")
-    radius_factor = float(p.get("radius_factor", 2.0))
+    radius_factor = _float_param(p, "radius_factor", 2.0)
     quad = ball_cylinder_gap(ifs, kern, w, n, m1, depth,
                              radius_factor=radius_factor)
     return ({"n": n, "m1": m1, "radius_factor": radius_factor,
@@ -295,7 +310,7 @@ def cmd_gap(cfg, ifs, p, args):
 
 
 def cmd_birkhoff(cfg, ifs, p, args):
-    target = tuple(int(a) for a in _need(p, "target"))
+    target = _word_param(p, "target")
     n_steps = _int_param(p, "n_steps")
     if args.seed is not None:
         p["seed"] = int(args.seed)
@@ -316,9 +331,9 @@ def cmd_birkhoff(cfg, ifs, p, args):
 
 def cmd_perturb(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
-    direction = [float(v) for v in _need(p, "direction")]
-    rho = float(_need(p, "rho"))
-    eps = float(_need(p, "eps"))
+    direction = _point_param(p, "direction")
+    rho = _float_param(p, "rho")
+    eps = _float_param(p, "eps")
     new_kern = kern.perturb(direction, rho, eps)
     geom = ifs.geometry
     u = np.asarray(direction, dtype=float)
@@ -332,39 +347,38 @@ def cmd_perturb(cfg, ifs, p, args):
 # ---- parser --------------------------------------------------------------------
 
 
-_COMMANDS = [
-    ("dim", cmd_dim, "similarity dimension of the configured IFS"),
-    ("separation", cmd_separation, "certified separation check"),
-    ("integrate", cmd_integrate, "integrate a configured function against mu"),
-    ("pv-trace", cmd_pv_trace, "truncation trace F_k / A_k along a word"),
-    ("truncated", cmd_truncated, "truncated singular integral outside a ball"),
-    ("criterion", cmd_criterion, "periodic-point nonvanishing test"),
-    ("maximal", cmd_maximal, "symbolic maximal scan over annulus sums"),
-    ("gap", cmd_gap, "cylinder versus ball annulus comparison"),
-    ("birkhoff", cmd_birkhoff, "empirical block frequencies along an orbit"),
-    ("perturb", cmd_perturb, "emit a perturbed kernel config"),
-]
+_COMMANDS = {
+    "dim": (cmd_dim, "similarity dimension of the configured IFS"),
+    "separation": (cmd_separation, "certified separation check"),
+    "integrate": (cmd_integrate, "integrate a configured function against mu"),
+    "pv-trace": (cmd_pv_trace, "truncation trace F_k / A_k along a word"),
+    "truncated": (cmd_truncated, "truncated singular integral outside a ball"),
+    "criterion": (cmd_criterion, "periodic-point nonvanishing test"),
+    "maximal": (cmd_maximal, "symbolic maximal scan over annulus sums"),
+    "gap": (cmd_gap, "cylinder versus ball annulus comparison"),
+    "birkhoff": (cmd_birkhoff, "empirical block frequencies along an orbit"),
+    "perturb": (cmd_perturb, "emit a perturbed kernel config"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, metavar="PATH",
+    """One flat parser: the command, then options shared by every command."""
+    parser = _Parser(prog="fractalsio",
+                     description="singular integrals on self-similar sets",
+                     epilog="commands:\n" + "\n".join(
+                         f"  {name:<12}{help_}" for name, (_, help_) in _COMMANDS.items()),
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=list(_COMMANDS),
+                        metavar="COMMAND", help="one of the commands listed below")
+    parser.add_argument("--config", required=True, metavar="PATH",
                         help="JSON config file")
-    common.add_argument("--override", action="append", default=[],
+    parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="patch a dotted config path (JSON value or raw string)")
-    common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument("--seed", type=int, help="override params.seed")
-
-    parser = _Parser(prog="fractalsio",
-                     description="singular integrals on self-similar sets")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
-                                parser_class=_Parser)
-    for name, func, help_ in _COMMANDS:
-        p = sub.add_parser(name, parents=[common], help=help_)
-        if name == "pv-trace":
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.set_defaults(func=func)
+    parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    parser.add_argument("--seed", type=int, help="override params.seed")
+    parser.add_argument("--format", choices=("csv", "json"),
+                        help="pv-trace output format (default csv)")
     return parser
 
 
@@ -372,22 +386,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            parser.print_usage(sys.stderr)
-            sys.stderr.write("error: a subcommand is required\n")
-            return 1
+        if args.format is not None and args.command != "pv-trace":
+            parser.error("--format applies only to pv-trace")
         cfg = load_config(args.config, args.override)
         ifs = IFS.from_config(cfg)
-        body, code = args.func(cfg, ifs, _params(cfg), args)
+        body, code = _COMMANDS[args.command][0](cfg, ifs, _params(cfg), args)
         if not isinstance(body, str):
             body = json.dumps({"command": args.command, **body, "config": cfg},
                               indent=2)
         _emit(body, args.out)
         return code
-    except FractalsioError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (FractalsioError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

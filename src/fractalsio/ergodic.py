@@ -6,7 +6,8 @@ blocks of ``_BLOCK`` uniforms, each uniform u giving the letter
 1 + #{j < N : u >= p_1 + ... + p_j}.  Chunked Philox draws continue the
 single-call stream, so a run is reproducible bit for bit from the seed alone,
 independent of call order and of how the stream is split, and the stream
-holds only one block of uniforms at a time.
+holds only one block of uniforms at a time.  Block frequencies and hitting
+times come from one scan over the stream, one block of letters at a time.
 """
 
 from __future__ import annotations
@@ -70,23 +71,6 @@ def sample_orbit(ifs: IFS, n: int, seed: int) -> OrbitSample:
     return OrbitSample(seed=int(seed), letters=letters)
 
 
-def _window_hits(letters: np.ndarray, target) -> np.ndarray:
-    """Boolean mask over start positions where ``target`` occurs."""
-    m = len(target)
-    n_starts = letters.shape[0] - m + 1
-    if n_starts <= 0:
-        return np.zeros(0, dtype=bool)
-    hits = np.ones(n_starts, dtype=bool)
-    for j, a in enumerate(target):
-        hits &= letters[j:j + n_starts] == a
-    return hits
-
-
-def _check_steps(n_steps):
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise InputError("n_steps must be a positive integer")
-
-
 def _block_statistics(ifs: IFS, target, count: int, n_steps: int):
     """(frequency, expected, stderr) of ``count`` hits of ``target`` in
     ``n_steps`` start positions; see ``birkhoff_frequency``."""
@@ -97,22 +81,43 @@ def _block_statistics(ifs: IFS, target, count: int, n_steps: int):
     return freq, expected, stderr
 
 
+def _scan(ifs: IFS, target, n_steps: int, seed: int):
+    """Start positions (0-based) of ``target`` among the first ``n_steps``
+    starts of the seed's letter stream, yielded one array per block.
+
+    The stream is read ``_BLOCK`` letters at a time and the last
+    len(target) - 1 letters of a block are carried into the next, so hits
+    that straddle a block edge are found while only one block is held.
+    """
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise InputError("n_steps must be a positive integer")
+    target = validate_word(target, n_letters=ifs.n_letters)
+    carry = max(len(target) - 1, 0)
+    draw = _letter_stream(ifs, seed)
+    window = draw(np.empty(carry + min(_BLOCK, n_steps), dtype=np.int64))
+    for start in range(0, n_steps, _BLOCK):
+        m = min(_BLOCK, n_steps - start)
+        if start:
+            window[:carry] = window[_BLOCK:_BLOCK + carry]
+            draw(window[carry:carry + m])
+        hits = np.ones(m, dtype=bool)
+        for j, a in enumerate(target):
+            hits &= window[j:j + m] == a - 1
+        yield start + np.flatnonzero(hits)
+
+
 def birkhoff_frequency(ifs: IFS, target, n_steps: int, seed: int):
     """Empirical frequency of the block ``target`` along a sampled orbit.
 
-    Scans the n_steps start positions of a sequence of length
-    n_steps + len(target) - 1.  Returns (frequency, expected, stderr) where
-    expected is the product of the letter weights and stderr the binomial
-    i.i.d. value, doubled for blocks longer than one letter because adjacent
-    windows overlap.  An empty target has frequency 1 by convention.
+    Scans the n_steps start positions of the first n_steps + len(target) - 1
+    letters of the seed's stream, the letters of ``sample_orbit``.  Returns
+    (frequency, expected, stderr) where expected is the product of the
+    letter weights and stderr the binomial i.i.d. value, doubled for blocks
+    longer than one letter because adjacent windows overlap.  An empty
+    target occurs at every position, so its frequency is 1.
     """
-    _check_steps(n_steps)
-    target = validate_word(target, n_letters=ifs.n_letters)
-    if len(target) == 0:
-        return 1.0, 1.0, 0.0
-    sample = sample_orbit(ifs, int(n_steps) + len(target) - 1, seed)
-    hits = _window_hits(sample.letters, target)
-    return _block_statistics(ifs, target, np.count_nonzero(hits), n_steps)
+    count = sum(len(hits) for hits in _scan(ifs, target, n_steps, seed))
+    return _block_statistics(ifs, target, count, n_steps)
 
 
 def hitting_times(ifs: IFS, target, n_steps: int, seed: int):
@@ -121,10 +126,4 @@ def hitting_times(ifs: IFS, target, n_steps: int, seed: int):
     The orbit is the one ``birkhoff_frequency`` scans for the same seed, so
     len(times) / n_steps is its frequency.
     """
-    _check_steps(n_steps)
-    target = validate_word(target, n_letters=ifs.n_letters)
-    if len(target) == 0:
-        return list(range(int(n_steps)))
-    sample = sample_orbit(ifs, int(n_steps) + len(target) - 1, seed)
-    hits = _window_hits(sample.letters, target)
-    return np.flatnonzero(hits).tolist()
+    return np.concatenate(list(_scan(ifs, target, n_steps, seed))).tolist()

@@ -56,11 +56,7 @@ class Euclidean(_Geometry):
         return -np.asarray(p, dtype=float)
 
     def dilate(self, r, p):
-        r = np.asarray(r, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if r.ndim == 0:
-            return r * p
-        return r[..., np.newaxis] * p
+        return np.asarray(r, dtype=float)[..., np.newaxis] * np.asarray(p, dtype=float)
 
     def norm(self, z):
         z = np.asarray(z, dtype=float)
@@ -103,12 +99,7 @@ class Heisenberg1(_Geometry):
 
     def dilate(self, r, p):
         r = np.asarray(r, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if r.ndim == 0:
-            scale = r ** self.coord_degrees
-        else:
-            scale = r[..., np.newaxis] ** self.coord_degrees
-        return scale * p
+        return r[..., np.newaxis] ** self.coord_degrees * np.asarray(p, dtype=float)
 
     def norm(self, z):
         z = np.asarray(z, dtype=float)

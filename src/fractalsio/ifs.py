@@ -1,9 +1,10 @@
 """Iterated function systems of rotation-free similarities.
 
 A system is a list of maps S_i(p) = q_i * dilate(r_i, p) on a common
-geometry.  This module computes the similarity dimension, composes words of
-maps (one word, a batch of words, or the cached net of every word of one
-length), codes eventually periodic words to attractor points, and produces
+geometry.  This module computes the similarity dimension, composes every
+word's map (one word, a batch, or a batch of cylinders refined by every
+suffix of one length) by one right fold over the cached net of all words of
+a length, codes eventually periodic words to attractor points, and produces
 certified geometric brackets: an enclosing ball (and, for Euclidean systems,
 an enclosing box), a diameter bracket, and a separation report.
 
@@ -234,11 +235,8 @@ class IFS:
         w = validate_word(word, n_letters=self.n_letters)
         if not w:
             raise InputError("cannot compose the empty word")
-        ratio, shift = self.ratios[w[-1] - 1], self.shifts[w[-1] - 1]
-        for a in reversed(w[:-1]):
-            ratio, shift = _compose(self.geometry, self.ratios[a - 1],
-                                    self.shifts[a - 1], ratio, shift)
-        return Similarity(float(ratio), shift)
+        ratio, shift = self._fold(np.array([w], dtype=np.int64) - 1, 0)
+        return Similarity(float(ratio[0, 0]), shift[0, 0])
 
     def relative_net(self, depth: int):
         """Ratios, shifts and weights of S_u for every word u of length ``depth``.
@@ -261,39 +259,47 @@ class IFS:
             got = self._nets[depth] = (ratio, shift, weight)
         return got
 
-    def compose_batch(self, idx: np.ndarray):
-        """Ratios and shifts for the words in ``idx`` (0-based, shape (M, L)).
+    def _fold(self, idx: np.ndarray, depth: int):
+        """Ratios (M, N^depth) and shifts (M, N^depth, dim) of S_w o S_u for each
+        row w of ``idx`` (0-based, shape (M, L)) and word u of length ``depth``,
+        u in lexicographic order.
 
-        Row w gives S_{w_1} o (S_{w_2} o ... (S_{w_L} o id)).  The state after
-        its last k letters is read from the depth-k ``relative_net``, for the
-        largest k <= L with N^k <= M, and only the first L - k letters are
-        composed; the net is the same fold, so the floats are those of the
-        full fold.
+        The state after w's last k letters and u is read from the depth
+        k + depth ``relative_net`` (k the largest value <= L with N^k <= M; at
+        k = 0 one block, broadcast by the first composition) and the first
+        L - k letters are composed onto it: the floats of the right fold.
         """
+        n, (rows, length) = self.n_letters, idx.shape
+        k = 0
+        while k < length and n ** (k + 1) <= rows:
+            k += 1
+        ratio, shift, _ = self.relative_net(k + depth)
+        ratio, shift = ratio.reshape(-1, n ** depth), shift.reshape(-1, n ** depth,
+                                                                     self.geometry.dim)
+        if k:
+            code = np.ravel_multi_index(tuple(idx[:, length - k:].T), (n,) * k)
+            ratio, shift = ratio[code], shift[code]
+        for a in idx[:, :length - k].T[::-1]:
+            ratio, shift = _compose(self.geometry, self.ratios[a][:, np.newaxis],
+                                    self.shifts[a][:, np.newaxis], ratio, shift)
+        if len(ratio) != rows:  # k = L = 0: no letter spread the one net block
+            ratio, shift = (np.broadcast_to(a, (rows,) + a.shape[1:]) for a in (ratio, shift))
+        return ratio, shift
+
+    def compose_batch(self, idx: np.ndarray):
+        """Ratios and shifts of S_{w_1} o ... o S_{w_L} for the rows w of ``idx``
+        (0-based, shape (M, L)), from ``_fold``."""
         idx = np.asarray(idx, dtype=np.int64)
         if idx.ndim != 2:
             raise InputError("word index array must be 2-d")
         n = self.n_letters
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise InputError(f"word indices must lie in 0..{n - 1}")
-        rows, length = idx.shape
-        k = 0
-        while k < length and n ** (k + 1) <= rows:
-            k += 1
-        code = np.zeros(rows, dtype=np.int64)
-        for a in idx[:, length - k:].T:
-            code *= n
-            code += a
-        ratio, shift, _ = self.relative_net(k)
-        ratio, shift = ratio[code], shift[code]
-        for a in idx[:, :length - k].T[::-1]:
-            ratio, shift = _compose(self.geometry, self.ratios[a], self.shifts[a],
-                                    ratio, shift)
-        return ratio, shift
+        ratio, shift = self._fold(idx, 0)
+        return ratio[:, 0], shift[:, 0]
 
     def apply_word(self, word, pts):
-        sim = self.compose(word)
-        return sim.apply(self.geometry, pts)
+        return self.compose(word).apply(self.geometry, pts)
 
     def word_ratio(self, word) -> float:
         idx = np.asarray(validate_word(word, n_letters=self.n_letters), dtype=np.intp)
@@ -317,8 +323,6 @@ class IFS:
         """
         if not isinstance(w, EPWord):
             raise InputError("code_point expects an EPWord")
-        validate_word(w.pre, n_letters=self.n_letters)
-        validate_word(w.period, n_letters=self.n_letters)
         core = self.fixed_point(w.period)
         if len(w.pre) == 0:
             return core

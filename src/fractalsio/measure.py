@@ -12,14 +12,14 @@ whenever the cells v partition the region R.  Everything here returns a
 
 Cells are built from self-similarity: the cells of a cylinder C_b refined by
 m letters are S_b applied to the depth-m net of the whole set, weighted by
-mu(C_b).  The relative net (``IFS.relative_net``, cached per depth) holds
-the ratios, shifts and weights of the depth-m words as arrays, and each base
-similarity S_b is applied to it by broadcasting, one letter of b at a time,
-so no cell is ever spelled out as a word.  A ``CellBlock`` keeps only the
-(base words, depth) segments it was built from, and rebuilds a cell's word on
-demand as a label for CSV export and error messages.  The empty word has no
-contraction to take a fixed point of, so its cell is represented by the fixed
-point of S_1.
+mu(C_b).  ``IFS._fold`` gives the maps of a whole segment of bases at once:
+it reads the state after each base's last letters and the m-letter suffix
+from the relative net (``IFS.relative_net``, cached per depth) and composes
+the remaining letters by broadcasting, so no cell is ever spelled out as a
+word.  A ``CellBlock`` keeps only the (base words, depth) segments it was
+built from, and rebuilds a cell's word on demand as a label for CSV export
+and error messages.  The empty word has no contraction to take a fixed point
+of, so its cell is represented by the fixed point of S_1.
 
 Ball complements are split by ``_ball_cells`` (also used by ``sio``), which
 tracks the active cells as an array of letters, split by masks, and adds each
@@ -39,7 +39,7 @@ import numpy as np
 
 from .ergodic import _letter_stream
 from .errors import EvaluationError, InputError, ResourceLimitError
-from .ifs import IFS, _compose, _fixed_points
+from .ifs import IFS, _fixed_points
 from .symbolic import validate_word
 
 _MC_BLOCK = 1 << 12  # Monte Carlo samples composed per block
@@ -185,20 +185,16 @@ def _check_budget(count: int, cap: int):
 def _cell_block(ifs: IFS, segments) -> CellBlock:
     """The cells of each ``(bases, depth)`` segment, in order.
 
-    The cells below a base v are S_v applied to the relative net by
-    broadcasting, one letter of v at a time from the last, so each cell's
-    map is composed S_{w_1} o (S_{w_2} o ...) along its whole word.
+    The maps of the cells below the bases are ``IFS._fold`` of the bases
+    onto the depth-``depth`` words, so each cell's map is the right fold
+    S_{w_1} o (S_{w_2} o ...) along its whole word.
     """
     geom = ifs.geometry
     parts = [(np.empty(0), np.empty((0, geom.dim)), np.empty(0))]
     for bases, depth in segments:
-        ratio, shift, weight = ifs.relative_net(depth)
-        ratio = np.broadcast_to(ratio, (len(bases),) + ratio.shape)
-        shift = np.broadcast_to(shift, (len(bases),) + shift.shape)
-        for a in bases.T[::-1] - 1:
-            ratio, shift = _compose(geom, ifs.ratios[a, np.newaxis],
-                                    ifs.shifts[a, np.newaxis], ratio, shift)
-        weight = np.outer(np.prod(ifs.letter_weights[bases - 1], axis=1), weight)
+        ratio, shift = ifs._fold(bases - 1, depth)
+        weight = np.outer(np.prod(ifs.letter_weights[bases - 1], axis=1),
+                          ifs.relative_net(depth)[2])
         parts.append((ratio.ravel(), shift.reshape(-1, geom.dim), weight.ravel()))
     ratio, shift, weight = map(np.concatenate, zip(*parts))
     root = ratio == 1.0  # the empty word, whose fixed-point formula divides by 0

@@ -216,3 +216,33 @@ def test_override_raw_string(mt_config, capsys):
                  "--override", "note=plain text"]) == 0
     out = _json_out(capsys)
     assert out["config"]["note"] == "plain text"
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  ") and line.split()}
+    assert {"dim", "separation", "integrate", "pv-trace", "truncated", "criterion",
+            "maximal", "gap", "birkhoff", "perturb"} <= listed
+
+
+def test_format_only_on_pv_trace(mt_config, capsys):
+    assert main(["dim", "--config", mt_config, "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--format" in err
+
+
+@pytest.mark.parametrize("command, override, key", [
+    ("criterion", 'params.word=["x"]', "params.word"),
+    ("truncated", "params.x=0.5", "params.x"),
+    ("truncated", "params.eps=abc", "params.eps"),
+])
+def test_malformed_param_exits_one(mt_config, capsys, command, override, key):
+    args = [command, "--config", mt_config, "--override", "params.word=[1]",
+            "--override", "params.x=[0.0]", "--override", "params.eps=0.5",
+            "--override", "params.depth=3", "--override", override]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {key} must be")

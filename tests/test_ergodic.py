@@ -1,3 +1,7 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,6 +100,40 @@ def test_hitting_times_block(four_corner):
     s = sample_orbit(four_corner, n + 1, seed=21)
     for t in times[:50]:
         assert s.letters[t] == 2 and s.letters[t + 1] == 3
+
+
+def test_scan_matches_whole_orbit():
+    # the blocked scan against one whole orbit: the target is read off the
+    # orbit across the first block edge, so at least one hit straddles it
+    ifs = h.make_ifs({"geometry": {"kind": "euclidean", "dim": 1},
+                      "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.25, "q": [0.6]},
+                               {"r": 0.125, "q": [0.85]}]})
+    block = ergodic._BLOCK
+    n = 2 * block + 777
+    letters = sample_orbit(ifs, n + 2, seed=3).letters
+    for target in (tuple(letters[block - 1:block + 2]),
+                   tuple(letters[2 * block - 2:2 * block + 1]), (2, 1, 3)):
+        hits = np.ones(n, dtype=bool)
+        for j, a in enumerate(target):
+            hits &= letters[j:j + n] == a
+        ref = np.flatnonzero(hits).tolist()
+        assert hitting_times(ifs, target, n, seed=3) == ref
+        assert birkhoff_frequency(ifs, target, n, seed=3) == \
+            ergodic._block_statistics(ifs, target, len(ref), n)
+    assert block - 1 in hitting_times(ifs, tuple(letters[block - 1:block + 2]), n, 3)
+
+
+def test_birkhoff_memory_is_one_block():
+    # 4e6 steps: the whole orbit and its hit mask held ~39 MB at once
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "heisenberg.json"
+    ifs = h.make_ifs(json.loads(path.read_text()))
+    tracemalloc.start()
+    try:
+        birkhoff_frequency(ifs, (2, 3), 4_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_stationarity_windows(middle_thirds):

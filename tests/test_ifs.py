@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -85,20 +86,45 @@ def test_word_weight_probabilities():
     assert ifs.word_weight((2, 1, 2)) == pytest.approx(p1 * p2 * p2, abs=1e-12)
 
 
-def test_compose_batch_matches_compose(heis_twisted, four_corner):
-    # M rows take their last k letters from the depth-k net, N^k <= M: 20
-    # rows of 3 letters k = 2, 200 rows k = 4, 1000 rows k = 6; 100 rows of
-    # 2 letters take the whole word from the net
+def _right_fold(ifs, word):
+    # S_{w_1} o (S_{w_2} o ... (S_{w_n} o id)), one 1-based letter at a time
+    geom = ifs.geometry
+    ratio, shift = 1.0, geom.identity()
+    for a in reversed(word):
+        m = ifs.maps[a - 1]
+        ratio, shift = m.ratio * ratio, geom.op(m.shift, geom.dilate(m.ratio, shift))
+    return ratio, shift
+
+
+def test_compose_and_fold_match_a_right_fold(heis_twisted, four_corner):
+    # M rows take their last k letters from the net, N^k <= M: on three maps
+    # 2 rows k = 0, 30 rows k = 3, 100 rows of 2 letters the whole word; on
+    # four maps 70 rows k = 3, 300 rows k = 4
     rng = np.random.default_rng(5)
-    for ifs, rows, length in ((heis_twisted, 20, 6), (heis_twisted, 200, 7),
-                              (heis_twisted, 1000, 9), (heis_twisted, 100, 2),
+    for ifs, rows, length in ((heis_twisted, 2, 5), (heis_twisted, 30, 6),
+                              (heis_twisted, 100, 2), (four_corner, 70, 5),
                               (four_corner, 300, 6)):
-        idx = rng.integers(0, ifs.n_letters, size=(rows, length))
+        n = ifs.n_letters
+        idx = rng.integers(0, n, size=(rows, length))
         ratio, shift = ifs.compose_batch(idx)
-        for row, r, q in zip(idx, ratio, shift):
-            sim = ifs.compose(row + 1)
-            assert r == sim.ratio
-            np.testing.assert_array_equal(q, sim.shift)
+        fold_ratio, fold_shift = ifs._fold(idx, 2)
+        assert fold_ratio.shape == (rows, n ** 2)
+        assert fold_shift.shape == (rows, n ** 2, ifs.geometry.dim)
+        for i, row in enumerate(idx + 1):
+            r, q = _right_fold(ifs, tuple(row))
+            sim = ifs.compose(row)
+            assert sim.ratio == r and ratio[i] == r
+            np.testing.assert_array_equal(sim.shift, q)
+            np.testing.assert_array_equal(shift[i], q)
+            for j, u in enumerate(itertools.product(range(1, n + 1), repeat=2)):
+                r, q = _right_fold(ifs, tuple(row) + u)
+                assert fold_ratio[i, j] == r
+                np.testing.assert_array_equal(fold_shift[i, j], q)
+    # three empty words: every row is the depth-1 net itself
+    net_ratio, net_shift, _ = heis_twisted.relative_net(1)
+    ratio, shift = heis_twisted._fold(np.zeros((3, 0), dtype=np.int64), 1)
+    np.testing.assert_array_equal(ratio, np.tile(net_ratio, (3, 1)))
+    np.testing.assert_array_equal(shift, np.tile(net_shift, (3, 1, 1)))
 
 
 def test_compose_batch_rejects_bad_letters(heis_twisted):
