@@ -94,9 +94,9 @@ def _params(cfg: dict) -> dict:
     return p
 
 
-def _need(p: dict, key: str):
+def _need(p: dict, key: str, where: str = "params"):
     if key not in p:
-        raise ConfigError(f"params.{key} is required for this command")
+        raise ConfigError(f"{where}.{key} is required for this command")
     return p[key]
 
 
@@ -107,13 +107,13 @@ def _int_param(p: dict, key: str, default=None) -> int:
     return int(raw)
 
 
-def _param(p: dict, key: str, read, what: str, default=None):
-    """``read(params[key])``; a value it rejects is a ConfigError naming the key."""
-    raw = _need(p, key) if default is None else p.get(key, default)
+def _param(p: dict, key: str, read, what: str, default=None, where: str = "params"):
+    """``read(p[key])``; a value it rejects is a ConfigError naming ``where.key``."""
+    raw = _need(p, key, where) if default is None else p.get(key, default)
     try:
         return read(raw)
-    except (TypeError, ValueError, InputError):
-        raise ConfigError(f"params.{key} must be {what}") from None
+    except (TypeError, ValueError, OverflowError, InputError):
+        raise ConfigError(f"{where}.{key} must be {what}") from None
 
 
 def _float_param(p: dict, key: str, default=None) -> float:
@@ -151,24 +151,37 @@ def _emit(text: str, out_path):
 # ---- integrand specs for `integrate` ------------------------------------------
 
 
+def _field(desc: dict, key: str, read, what: str, default=None):
+    """An integrand field read like a params key, and named by its path."""
+    return _param(desc, key, read, what, default, where="params.integrand")
+
+
+def _nonnegative(raw) -> float:
+    value = float(raw)
+    if not value >= 0.0:
+        raise ValueError(value)
+    return value
+
+
 def _monomial(ifs: IFS, desc: dict):
     geom = ifs.geometry
-    exps = desc.get("exponents")
-    if not isinstance(exps, (list, tuple)) or len(exps) != geom.dim:
-        raise ConfigError("integrand.exponents must list one exponent per coordinate")
-    exps = np.array([int(e) for e in exps], dtype=np.int64)
-    if np.any(exps < 0):
-        raise ConfigError("integrand.exponents must be nonnegative")
-    coeff = float(desc.get("coeff", 1.0))
+
+    def read_exponents(raw):
+        exps = [int(e) for e in raw]
+        if len(exps) != geom.dim or any(a != b or a < 0 for a, b in zip(exps, raw)):
+            raise ValueError(raw)
+        return np.array(exps, dtype=np.int64)
+
+    exps = _field(desc, "exponents", read_exponents,
+                  f"a list of {geom.dim} nonnegative integers")
+    coeff = _field(desc, "coeff", float, "a number", 1.0)
 
     def f(pts):
         pts = np.asarray(pts, dtype=float)
         return coeff * np.prod(pts ** exps, axis=-1)
 
     if "lipschitz" in desc:
-        lip = float(desc["lipschitz"])
-        if lip < 0:
-            raise ConfigError("integrand.lipschitz must be nonnegative")
+        lip = _field(desc, "lipschitz", _nonnegative, "a nonnegative number")
     elif geom.kind == "euclidean":
         center, radius = ifs.attractor_bound()
         bounds = np.abs(np.asarray(center, dtype=float)) + radius
@@ -195,14 +208,12 @@ def _integrand(ifs: IFS, desc) -> tuple:
     if kind == "monomial":
         return _monomial(ifs, desc)
     if kind == "constant":
-        c = float(desc.get("value", 1.0))
+        c = _field(desc, "value", float, "a number", 1.0)
         return (lambda pts: np.full(np.asarray(pts).shape[:-1], c)), \
             ModulusSpec.lipschitz(0.0)
     if kind == "witness":
-        u = desc.get("u")
-        if u is None:
-            raise ConfigError("witness integrand needs a period word 'u'")
-        g = WitnessIntegrand(ifs, tuple(int(a) for a in u))
+        u = _field(desc, "u", validate_word, "a list of letters 1, 2, ...")
+        g = WitnessIntegrand(ifs, u)
         # values in {0, 1}: any two differ by at most 1 = 2 * 0.5
         return g, ModulusSpec.sup_only(0.5)
     raise ConfigError(f"unknown integrand kind {kind!r}")

@@ -3,8 +3,10 @@
 A system is a list of maps S_i(p) = q_i * dilate(r_i, p) on a common
 geometry.  This module computes the similarity dimension, composes every
 word's map (one word, a batch, or a batch of cylinders refined by every
-suffix of one length) by one right fold over the cached net of all words of
-a length, codes eventually periodic words to attractor points, and produces
+suffix of one length) by one chunk fold: the word is cut into chunks of c
+letters, c the largest with N^c <= 4096, each chunk's map is read from the
+cached net of all words of its length, and the chunk maps are composed.  It
+also codes eventually periodic words to attractor points, and produces
 certified geometric brackets: an enclosing ball (and, for Euclidean systems,
 an enclosing box), a diameter bracket, and a separation report.
 
@@ -44,6 +46,7 @@ _DIAM_DEPTH = 60
 _MAX_NODES = 200000
 _DIM_TOL = 1e-14
 _DIM_MAX_ITER = 200
+_CHUNK_NET = 1 << 12  # entries of the largest relative net a fold gathers from
 
 
 def similarity_dimension(ratios) -> float:
@@ -106,6 +109,12 @@ def _compose(geom, ratio_a, shift_a, ratio_b, shift_b):
     the leading axes of the shifts.
     """
     return ratio_a * ratio_b, geom.op(shift_a, geom.dilate(ratio_a, shift_b))
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _fixed_points(geom, ratios, shifts):
@@ -195,7 +204,11 @@ class IFS:
         self._bound = None
         self._diam = None
         self._sep_cache = {}
-        self._nets = {}
+        self._nets = {0: _frozen(np.ones(1), geometry.identity()[np.newaxis],
+                                 np.ones(1))}
+        self._chunk = 1
+        while self.n_letters ** (self._chunk + 1) <= _CHUNK_NET:
+            self._chunk += 1
 
         self.osc_ball = None
         if osc_ball is not None:
@@ -241,50 +254,48 @@ class IFS:
     def relative_net(self, depth: int):
         """Ratios, shifts and weights of S_u for every word u of length ``depth``.
 
-        Lexicographic order, expanded one level at a time by prepending a
-        letter, S_{e u} = S_e o S_u, so each entry is the right fold of its
-        word from the identity.  Cached per depth; the arrays are read-only.
+        Lexicographic order.  Depth d is built from the cached depth d - 1 by
+        prepending a letter, S_{e u} = S_e o S_u, one composition per new
+        depth, so each entry is the right fold of its word from the identity.
+        Cached per depth; the arrays are read-only.
         """
-        got = self._nets.get(depth)
-        if got is None:
-            geom = self.geometry
-            ratio, shift, weight = np.ones(1), geom.identity()[np.newaxis], np.ones(1)
-            for _ in range(depth):
-                ratio, shift = _compose(geom, self.ratios[:, np.newaxis],
-                                        self.shifts[:, np.newaxis], ratio, shift)
-                ratio, shift = ratio.ravel(), shift.reshape(-1, geom.dim)
-                weight = np.outer(self.letter_weights, weight).ravel()
-            for a in (ratio, shift, weight):
-                a.flags.writeable = False
-            got = self._nets[depth] = (ratio, shift, weight)
-        return got
+        geom = self.geometry
+        for d in range(max(k for k in self._nets if k <= depth) + 1, depth + 1):
+            ratio, shift, weight = self._nets[d - 1]
+            ratio, shift = _compose(geom, self.ratios[:, np.newaxis],
+                                    self.shifts[:, np.newaxis], ratio, shift)
+            self._nets[d] = _frozen(ratio.ravel(), shift.reshape(-1, geom.dim),
+                                    np.outer(self.letter_weights, weight).ravel())
+        return self._nets[depth]
 
     def _fold(self, idx: np.ndarray, depth: int):
         """Ratios (M, N^depth) and shifts (M, N^depth, dim) of S_w o S_u for each
         row w of ``idx`` (0-based, shape (M, L)) and word u of length ``depth``,
         u in lexicographic order.
 
-        The state after w's last k letters and u is read from the depth
-        k + depth ``relative_net`` (k the largest value <= L with N^k <= M; at
-        k = 0 one block, broadcast by the first composition) and the first
-        L - k letters are composed onto it: the floats of the right fold.
+        w is cut into chunks of ``self._chunk`` letters aligned at its right
+        end (the first chunk may be shorter); each chunk's map is gathered
+        from the cached ``relative_net`` of its length, the chunk maps are
+        composed right to left into S_w, and S_w is composed once onto every
+        S_u (at depth 0, u is empty and S_w is returned as it is).  A row's
+        floats depend on its letters only, not on M.  The empty word leaves
+        every row the shared depth-``depth`` net itself.
         """
-        n, (rows, length) = self.n_letters, idx.shape
-        k = 0
-        while k < length and n ** (k + 1) <= rows:
-            k += 1
-        ratio, shift, _ = self.relative_net(k + depth)
-        ratio, shift = ratio.reshape(-1, n ** depth), shift.reshape(-1, n ** depth,
-                                                                     self.geometry.dim)
-        if k:
-            code = np.ravel_multi_index(tuple(idx[:, length - k:].T), (n,) * k)
-            ratio, shift = ratio[code], shift[code]
-        for a in idx[:, :length - k].T[::-1]:
-            ratio, shift = _compose(self.geometry, self.ratios[a][:, np.newaxis],
-                                    self.shifts[a][:, np.newaxis], ratio, shift)
-        if len(ratio) != rows:  # k = L = 0: no letter spread the one net block
-            ratio, shift = (np.broadcast_to(a, (rows,) + a.shape[1:]) for a in (ratio, shift))
-        return ratio, shift
+        geom, n = self.geometry, self.n_letters
+        rows, length = idx.shape
+        state = None
+        for end in range(length, 0, -self._chunk):
+            start = max(end - self._chunk, 0)
+            ratio, shift, _ = self.relative_net(end - start)
+            code = idx[:, start:end] @ n ** np.arange(end - start - 1, -1, -1)
+            chunk = ratio[code], np.take(shift, code, axis=0)
+            state = chunk if state is None else _compose(geom, *chunk, *state)
+        ratio, shift, _ = self.relative_net(depth)
+        if state is None:
+            return (np.broadcast_to(ratio, (rows,) + ratio.shape),
+                    np.broadcast_to(shift, (rows,) + shift.shape))
+        state = state[0][:, np.newaxis], state[1][:, np.newaxis]
+        return _compose(geom, *state, ratio, shift) if depth else state
 
     def compose_batch(self, idx: np.ndarray):
         """Ratios and shifts of S_{w_1} o ... o S_{w_L} for the rows w of ``idx``

@@ -13,9 +13,9 @@ whenever the cells v partition the region R.  Everything here returns a
 Cells are built from self-similarity: the cells of a cylinder C_b refined by
 m letters are S_b applied to the depth-m net of the whole set, weighted by
 mu(C_b).  ``IFS._fold`` gives the maps of a whole segment of bases at once:
-it reads the state after each base's last letters and the m-letter suffix
-from the relative net (``IFS.relative_net``, cached per depth) and composes
-the remaining letters by broadcasting, so no cell is ever spelled out as a
+it folds each base from chunks gathered from the relative nets
+(``IFS.relative_net``, cached per depth) and composes the base's map once
+onto the m-letter net by broadcasting, so no cell is ever spelled out as a
 word.  A ``CellBlock`` keeps only the (base words, depth) segments it was
 built from, and rebuilds a cell's word on demand as a label for CSV export
 and error messages.  The empty word has no contraction to take a fixed point
@@ -186,8 +186,8 @@ def _cell_block(ifs: IFS, segments) -> CellBlock:
     """The cells of each ``(bases, depth)`` segment, in order.
 
     The maps of the cells below the bases are ``IFS._fold`` of the bases
-    onto the depth-``depth`` words, so each cell's map is the right fold
-    S_{w_1} o (S_{w_2} o ...) along its whole word.
+    onto the depth-``depth`` words: each cell's map is S_b o S_u, the chunk
+    fold of its base b composed once with the net entry of its suffix u.
     """
     geom = ifs.geometry
     parts = [(np.empty(0), np.empty((0, geom.dim)), np.empty(0))]
@@ -367,10 +367,11 @@ def mc_integrate(ifs: IFS, f, n_samples: int, seed: int):
     word length where the remaining displacement is below float resolution.
     The stream is read ``_MC_BLOCK`` samples at a time, and each block is
     composed by ``IFS.compose_batch`` and evaluated into one array of values,
-    so the working memory is one block plus 8 bytes per sample, and the
-    floats do not depend on the block size.  Returns ``(mean, stderr)`` with
-    the usual ddof=1 standard error; the bracket is statistical, not
-    certified.
+    so the working memory is one block plus 8 bytes per sample.  Each
+    sample's map is the chunk fold of its word, whose floats depend on the
+    word alone, so they do not depend on the block size.  Returns
+    ``(mean, stderr)`` with the usual ddof=1 standard error; the bracket is
+    statistical, not certified.
     """
     n_samples = int(n_samples)
     if n_samples < 2:

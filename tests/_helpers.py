@@ -85,6 +85,39 @@ def word1() -> EPWord:
     return EPWord((), (1,))
 
 
+def right_fold(ifs, word):
+    """S_{w_1} o (S_{w_2} o ... (S_{w_n} o id)), one 1-based letter at a time."""
+    geom = ifs.geometry
+    ratio, shift = 1.0, geom.identity()
+    for a in reversed(word):
+        m = ifs.maps[a - 1]
+        ratio, shift = m.ratio * ratio, geom.op(m.shift, geom.dilate(m.ratio, shift))
+    return ratio, shift
+
+
+def compose_pair(ifs, a, b):
+    """The (ratio, shift) of S_a o S_b from the two (ratio, shift) pairs."""
+    geom = ifs.geometry
+    return a[0] * b[0], geom.op(a[1], geom.dilate(a[0], b[1]))
+
+
+# letters per chunk: the largest c with N^c <= 4096
+CHUNK = {2: 12, 3: 7, 4: 6}
+
+
+def chunk_fold(ifs, word):
+    """S_w as the fold's chunk rule spells it: the word cut into chunks of
+    ``CHUNK`` letters aligned at its right end, each chunk's map the right
+    fold of its letters, and the chunk maps composed right to left."""
+    c = CHUNK[ifs.n_letters]
+    word = tuple(word)
+    out = None
+    for end in range(len(word), 0, -c):
+        piece = right_fold(ifs, word[max(end - c, 0):end])
+        out = piece if out is None else compose_pair(ifs, piece, out)
+    return right_fold(ifs, ()) if out is None else out
+
+
 def write_config(path, cfg) -> str:
     path = str(path)
     with open(path, "w", encoding="utf-8") as fh:

@@ -246,3 +246,20 @@ def test_malformed_param_exits_one(mt_config, capsys, command, override, key):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {key} must be")
+
+
+@pytest.mark.parametrize("integrand, key", [
+    ({"kind": "witness", "u": ["x"]}, "u"),
+    ({"kind": "monomial", "exponents": ["x"]}, "exponents"),
+    ({"kind": "monomial", "exponents": [1.5]}, "exponents"),
+    ({"kind": "monomial", "exponents": [float("inf")]}, "exponents"),
+    ({"kind": "monomial", "exponents": [1], "coeff": "abc"}, "coeff"),
+    ({"kind": "monomial", "exponents": [1], "lipschitz": -1.0}, "lipschitz"),
+    ({"kind": "constant", "value": [1.0]}, "value"),
+])
+def test_malformed_integrand_field_exits_one(mt_config, capsys, integrand, key):
+    assert main(["integrate", "--config", mt_config, "--override", "params.depth=3",
+                 "--override", f"params.integrand={json.dumps(integrand)}"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: params.integrand.{key} must be")

@@ -86,23 +86,23 @@ def test_word_weight_probabilities():
     assert ifs.word_weight((2, 1, 2)) == pytest.approx(p1 * p2 * p2, abs=1e-12)
 
 
-def _right_fold(ifs, word):
-    # S_{w_1} o (S_{w_2} o ... (S_{w_n} o id)), one 1-based letter at a time
-    geom = ifs.geometry
-    ratio, shift = 1.0, geom.identity()
-    for a in reversed(word):
-        m = ifs.maps[a - 1]
-        ratio, shift = m.ratio * ratio, geom.op(m.shift, geom.dilate(m.ratio, shift))
-    return ratio, shift
+def _assert_close_per_point(ratio, shift, ref):
+    # the letter-by-letter fold associates differently; per point both agree
+    # to 1e-15 relative
+    r, q = ref
+    assert abs(ratio - r) <= 1e-15 * r
+    assert np.linalg.norm(shift - q) <= 1e-15 * np.linalg.norm(q)
 
 
-def test_compose_and_fold_match_a_right_fold(heis_twisted, four_corner):
-    # M rows take their last k letters from the net, N^k <= M: on three maps
-    # 2 rows k = 0, 30 rows k = 3, 100 rows of 2 letters the whole word; on
-    # four maps 70 rows k = 3, 300 rows k = 4
+def test_compose_and_fold_match_a_right_fold(heis_twisted, middle_thirds, four_corner):
+    # exactly the chunk fold (right folds of the chunks, composed right to
+    # left), then S_w o S_u for every 2-letter u; words of one partial chunk,
+    # one full chunk, two full chunks and up to four chunks
     rng = np.random.default_rng(5)
-    for ifs, rows, length in ((heis_twisted, 2, 5), (heis_twisted, 30, 6),
-                              (heis_twisted, 100, 2), (four_corner, 70, 5),
+    assert (heis_twisted._chunk, middle_thirds._chunk, four_corner._chunk) == (7, 12, 6)
+    for ifs, rows, length in ((heis_twisted, 2, 5), (heis_twisted, 30, 17),
+                              (heis_twisted, 40, 14), (heis_twisted, 12, 28),
+                              (middle_thirds, 20, 27), (four_corner, 70, 13),
                               (four_corner, 300, 6)):
         n = ifs.n_letters
         idx = rng.integers(0, n, size=(rows, length))
@@ -111,20 +111,51 @@ def test_compose_and_fold_match_a_right_fold(heis_twisted, four_corner):
         assert fold_ratio.shape == (rows, n ** 2)
         assert fold_shift.shape == (rows, n ** 2, ifs.geometry.dim)
         for i, row in enumerate(idx + 1):
-            r, q = _right_fold(ifs, tuple(row))
+            r, q = h.chunk_fold(ifs, row)
             sim = ifs.compose(row)
             assert sim.ratio == r and ratio[i] == r
             np.testing.assert_array_equal(sim.shift, q)
             np.testing.assert_array_equal(shift[i], q)
+            _assert_close_per_point(r, q, h.right_fold(ifs, tuple(row)))
             for j, u in enumerate(itertools.product(range(1, n + 1), repeat=2)):
-                r, q = _right_fold(ifs, tuple(row) + u)
+                r, q = h.compose_pair(ifs, h.chunk_fold(ifs, row), h.right_fold(ifs, u))
                 assert fold_ratio[i, j] == r
                 np.testing.assert_array_equal(fold_shift[i, j], q)
+                _assert_close_per_point(r, q, h.right_fold(ifs, tuple(row) + u))
     # three empty words: every row is the depth-1 net itself
     net_ratio, net_shift, _ = heis_twisted.relative_net(1)
     ratio, shift = heis_twisted._fold(np.zeros((3, 0), dtype=np.int64), 1)
     np.testing.assert_array_equal(ratio, np.tile(net_ratio, (3, 1)))
     np.testing.assert_array_equal(shift, np.tile(net_shift, (3, 1, 1)))
+
+
+def test_word_floats_do_not_depend_on_the_batch(heis_twisted):
+    # one 26-letter word (a Monte Carlo sample's length) composed alone, as
+    # row 700 of a partial 1,234-row block and as row 3,000 of a full 4,096-row one
+    rng = np.random.default_rng(8)
+    word = rng.integers(0, 3, size=26)
+    alone = heis_twisted.compose(word + 1)
+    for rows, at in ((1234, 700), (4096, 3000)):
+        idx = rng.integers(0, 3, size=(rows, 26))
+        idx[at] = word
+        ratio, shift = heis_twisted.compose_batch(idx)
+        assert ratio[at] == alone.ratio
+        np.testing.assert_array_equal(shift[at], alone.shift)
+
+
+def test_relative_net_is_the_right_fold_of_each_word(heis_twisted):
+    # each depth is one composition onto the cached depth below; a fresh
+    # system asked for depth 3 first builds the same floats
+    fresh = h.make_ifs(h.heis_twisted_config())
+    ratio, shift, weight = fresh.relative_net(3)
+    for j, u in enumerate(itertools.product((1, 2, 3), repeat=3)):
+        r, q = h.right_fold(fresh, u)
+        assert ratio[j] == r
+        np.testing.assert_array_equal(shift[j], q)
+        assert weight[j] == fresh.word_weight(u)
+    for depth in range(4):
+        for a, b in zip(fresh.relative_net(depth), heis_twisted.relative_net(depth)):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_compose_batch_rejects_bad_letters(heis_twisted):

@@ -194,31 +194,30 @@ def test_mc_vs_quadrature(middle_thirds):
 
 
 def test_region_cells_gather_long_suffixes(heis_twisted):
-    # nine bases of length 2 on three maps: the fold reads the state after
-    # both base letters and the 2-letter suffix from the depth-4 net
+    # nine bases of length 2 and four of length 16 on three maps: each cell's
+    # map is the chunk fold of its base composed once onto its suffix's map
     ifs = heis_twisted
     geom = ifs.geometry
-    bases = list(itertools.product((1, 2, 3), repeat=2))
-    cells = region_cells(ifs, bases, 2)
-    assert cells.count == 81
     dhi = ifs.diam_bracket()[1]
-    i = 0
-    for b in bases:
-        for u in itertools.product((1, 2, 3), repeat=2):
-            ratio, shift = 1.0, geom.identity()
-            weight = 1.0
-            for a in reversed(b + u):
-                m = ifs.maps[a - 1]
-                ratio, shift = m.ratio * ratio, geom.op(m.shift, geom.dilate(m.ratio, shift))
-            for a in reversed(u):
-                weight = ifs.letter_weights[a - 1] * weight
-            weight = np.prod(ifs.letter_weights[np.array(b) - 1]) * weight
-            assert cells.word(i) == b + u
-            np.testing.assert_array_equal(
-                cells.points[i], shift / (1.0 - ratio ** geom.coord_degrees))
-            assert cells.diams[i] == ratio * dhi
-            assert cells.weights[i] == weight
-            i += 1
+    rng = np.random.default_rng(4)
+    for bases in (list(itertools.product((1, 2, 3), repeat=2)),
+                  [tuple(int(a) for a in w) for w in rng.integers(1, 4, size=(4, 16))]):
+        cells = region_cells(ifs, bases, 2)
+        assert cells.count == 9 * len(bases)
+        i = 0
+        for b in bases:
+            for u in itertools.product((1, 2, 3), repeat=2):
+                ratio, shift = h.compose_pair(ifs, h.chunk_fold(ifs, b), h.right_fold(ifs, u))
+                weight = 1.0
+                for a in reversed(u):
+                    weight = ifs.letter_weights[a - 1] * weight
+                weight = np.prod(ifs.letter_weights[np.array(b) - 1]) * weight
+                assert cells.word(i) == b + u
+                np.testing.assert_array_equal(
+                    cells.points[i], shift / (1.0 - ratio ** geom.coord_degrees))
+                assert cells.diams[i] == ratio * dhi
+                assert cells.weights[i] == weight
+                i += 1
 
 
 def test_mc_integrate_pinned(middle_thirds, heis_twisted):
