@@ -100,13 +100,6 @@ def _need(p: dict, key: str, where: str = "params"):
     return p[key]
 
 
-def _int_param(p: dict, key: str, default=None) -> int:
-    raw = _need(p, key) if default is None else p.get(key, default)
-    if isinstance(raw, bool) or not isinstance(raw, (int,)):
-        raise ConfigError(f"params.{key} must be an integer")
-    return int(raw)
-
-
 def _param(p: dict, key: str, read, what: str, default=None, where: str = "params"):
     """``read(p[key])``; a value it rejects is a ConfigError naming ``where.key``."""
     raw = _need(p, key, where) if default is None else p.get(key, default)
@@ -114,6 +107,14 @@ def _param(p: dict, key: str, read, what: str, default=None, where: str = "param
         return read(raw)
     except (TypeError, ValueError, OverflowError, InputError):
         raise ConfigError(f"{where}.{key} must be {what}") from None
+
+
+def _int_param(p: dict, key: str, default=None) -> int:
+    def read(raw):
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise TypeError(raw)
+        return int(raw)
+    return _param(p, key, read, "an integer", default)
 
 
 def _float_param(p: dict, key: str, default=None) -> float:

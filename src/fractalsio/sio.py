@@ -228,13 +228,17 @@ def criterion(ifs: IFS, kern: HomogeneousKernel, w, depth: int) -> CriterionRepo
     be certified, which makes those cases ``Inconclusive``; otherwise a
     bracket containing zero reports ``ZeroWithinBracket``.
     """
-    word = validate_word(w, n_letters=ifs.n_letters)
+    return _criterion(ifs, kern, validate_word(w, n_letters=ifs.n_letters), depth)[0]
+
+
+def _criterion(ifs: IFS, kern: HomogeneousKernel, word: tuple, depth: int):
+    """``criterion`` on a validated word, and the |w| annuli whose sum is its I."""
     if len(word) == 0:
         raise InputError("criterion word must be nonempty")
     xi = ifs.fixed_point(word)
     sep_flag, sep_search = _separation(ifs)
-    quad = _total(_annuli(ifs, kern, xi, EPWord((), word), len(word), depth),
-                  depth)
+    annuli = _annuli(ifs, kern, xi, EPWord((), word), len(word), depth)
+    quad = _total(annuli, depth)
     if sep_flag:
         quad = QuadratureResult(quad.value, math.inf, quad.depth, quad.cells)
     if abs(quad.value) > quad.err:
@@ -245,7 +249,7 @@ def criterion(ifs: IFS, kern: HomogeneousKernel, w, depth: int) -> CriterionRepo
         verdict = "ZeroWithinBracket"
     return CriterionReport(word=word, xi=xi, result=quad, verdict=verdict,
                            separation=sep_flag or _pole_flag(quad),
-                           separation_search=sep_search, depth=depth)
+                           separation_search=sep_search, depth=depth), annuli
 
 
 # ---- truncated integral ------------------------------------------------------
@@ -396,14 +400,15 @@ def divergence_certificate(ifs: IFS, kern: HomogeneousKernel, w, K: int,
     Refuses unless the criterion integral eta over C minus C_w is
     NonzeroCertified.  Then checks that the block increments over
     C_{w^k} minus C_{w^k+1} agree pairwise within 2 (err_k + err_j) for
-    k, j < K, and that |F_K| >= K |eta| - (K eta_err + F_err).
+    k, j < K, and that |F_K| >= K |eta| - (K eta_err + F_err).  The first
+    block reuses the criterion's annuli, so each annulus is built once.
     """
     word = validate_word(w, n_letters=ifs.n_letters)
     if len(word) == 0:
         raise InputError("divergence word must be nonempty")
     if not isinstance(K, (int, np.integer)) or K < 1:
         raise InputError("K must be a positive integer")
-    crit = criterion(ifs, kern, word, depth)
+    crit, first = _criterion(ifs, kern, word, depth)
     if crit.verdict != "NonzeroCertified":
         return DivergenceReport(
             word=word, K=int(K), status="REFUSED", criterion=crit, blocks=[],
@@ -411,18 +416,13 @@ def divergence_certificate(ifs: IFS, kern: HomogeneousKernel, w, K: int,
             reason=f"criterion verdict is {crit.verdict}, not NonzeroCertified")
 
     p = len(word)
-    annuli = _annuli(ifs, kern, crit.xi, EPWord((), word), K * p, depth)
+    annuli = first + _annuli(ifs, kern, crit.xi, EPWord((), word), K * p, depth, start=p)
     blocks = [_total(annuli[k * p:(k + 1) * p], depth) for k in range(K)]
 
-    pairwise_ok = True
-    worst = 0.0
-    for i in range(K):
-        for j in range(i + 1, K):
-            gap = abs(blocks[i].value - blocks[j].value)
-            allowance = 2.0 * (blocks[i].err + blocks[j].err)
-            worst = max(worst, gap - allowance)
-            if gap > allowance:
-                pairwise_ok = False
+    # the largest excess of a pair's gap over its allowance; 0 when none exceeds it
+    worst = max([0.0] + [abs(a.value - b.value) - 2.0 * (a.err + b.err)
+                         for i, a in enumerate(blocks) for b in blocks[i + 1:]])
+    pairwise_ok = worst <= 0.0
 
     f_final = _total(annuli, depth)
     eta = crit.result
@@ -450,12 +450,13 @@ class WitnessIntegrand:
 
     For a period word u starting with letter 1, the witness equals 1 at
     points whose coding first leaves the u-repetition track at a block-start
-    position, and 0 otherwise.  ``on_word`` evaluates that rule exactly on a
-    finite word, returning None while the word is still a prefix of the
-    u-track (undecided).  Calling the object on points decodes codings
-    geometrically by nearest preimage, which identifies the coding uniquely
-    off the boundary set for separated systems; points still undecided after
-    the decodable depth evaluate to 0 (they form a null set).
+    position, and 0 otherwise.  ``_rule`` states that rule once, on rows of
+    letters.  ``on_word`` applies it exactly to a finite word, returning None
+    while the word is still a prefix of the u-track (undecided).  Calling the
+    object on points decodes all their codings together, one letter per step
+    by nearest preimage (unique off the boundary set for separated systems),
+    and applies the rule to the letters so far until it decides each point;
+    points undecided after ``_letters`` letters evaluate to 0 (a null set).
 
     Each inverse step multiplies rounding error by 1/r, or by 1/r^2 in a
     coordinate of degree 2, which enters the gauge through a square root.
@@ -476,28 +477,22 @@ class WitnessIntegrand:
         letters = math.log(np.finfo(float).eps) / (2.0 * degree * math.log(r_min))
         self._letters = max(1, int(letters))
 
+    def _rule(self, letters) -> np.ndarray:
+        """Per row of 1-based letters: 1.0 when its first off-track letter
+        starts a block, 0.0 when it does not, nan while it is on the u-track."""
+        pos = np.arange(letters.shape[1])
+        track = np.asarray(self.u)[pos % len(self.u)]
+        first = np.where(letters != track, pos, len(pos)).min(axis=1, initial=len(pos))
+        return np.where(first == len(pos), np.nan, first % len(self.u) == 0)
+
     def on_word(self, word):
         """Exact value on a finite word: 1.0, 0.0, or None when undecided."""
         word = validate_word(word, n_letters=self.ifs.n_letters)
-        u, p = self.u, len(self.u)
-        i = 0
-        while True:
-            block = word[i * p:(i + 1) * p]
-            if len(block) == 0:
-                return None
-            if block == u[:len(block)]:
-                if len(block) < p:
-                    return None
-                i += 1
-                continue
-            return 1.0 if block[0] != u[0] else 0.0
+        value = float(self._rule(np.array([word], dtype=np.int64))[0])
+        return None if math.isnan(value) else value
 
     def __call__(self, pts):
-        """The witness at one point (a float) or at stacked points (an array).
-
-        All points are decoded together, one letter (the first nearest
-        preimage) per step, until each leaves the u-track.
-        """
+        """The witness at one point (a float) or at stacked points (an array)."""
         ifs = self.ifs
         geom = ifs.geometry
         pts = geom.check_point(np.asarray(pts, dtype=float))
@@ -507,16 +502,16 @@ class WitnessIntegrand:
         inv_shift = geom.inv(ifs.shifts)[:, np.newaxis]
         out = np.zeros(len(y))
         live = np.arange(len(y))
-        p = len(self.u)
-        for step in range(self._letters):
+        rows = np.zeros((len(y), 0), dtype=np.int64)
+        for _ in range(self._letters):
             if not len(live):
                 break
-            j = step % p
             pre = geom.dilate(inv_ratio, geom.op(inv_shift, y))
             letter = np.argmin(geom.dist(pre, center), axis=0)
-            off = letter != self.u[j] - 1
-            out[live[off]] = 1.0 if j == 0 else 0.0
-            on = np.flatnonzero(~off)
-            y, live = pre[letter[on], on], live[on]
-        out = out.reshape(pts.shape[:-1])
+            rows = np.hstack([rows, letter[:, np.newaxis] + 1])
+            value = self._rule(rows)
+            out[live] = value
+            on = np.flatnonzero(np.isnan(value))
+            y, live, rows = pre[letter[on], on], live[on], rows[on]
+        out = np.nan_to_num(out).reshape(pts.shape[:-1])
         return float(out) if out.ndim == 0 else out

@@ -18,7 +18,7 @@ def validate_word(word, n_letters=None) -> tuple:
         w = tuple(int(a) for a in word)
         if any(a != b for a, b in zip(w, word)):
             raise ValueError("non-integral letter")
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"word must be an iterable of integers, got {word!r}")
     for i, a in enumerate(w):
         if a < 1:

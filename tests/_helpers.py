@@ -118,6 +118,24 @@ def chunk_fold(ifs, word):
     return right_fold(ifs, ()) if out is None else out
 
 
+def witness_on_word(u, word):
+    """The witness on a finite word, block by block: 1.0 when the first block
+    off the u-track differs from u at its first letter, 0.0 when later, and
+    None while every block so far is a prefix of u."""
+    u, word, p = tuple(u), tuple(word), len(u)
+    i = 0
+    while True:
+        block = word[i * p:(i + 1) * p]
+        if len(block) == 0:
+            return None
+        if block == u[:len(block)]:
+            if len(block) < p:
+                return None
+            i += 1
+            continue
+        return 1.0 if block[0] != u[0] else 0.0
+
+
 def write_config(path, cfg) -> str:
     path = str(path)
     with open(path, "w", encoding="utf-8") as fh:

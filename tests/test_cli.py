@@ -66,6 +66,17 @@ def test_integrate_and_echo_reproduces(mt_config, tmp_path, capsys):
     assert second["err"] == first["err"]
 
 
+def test_integrate_witness_excluded(mt_config, capsys):
+    # over C minus C_1 the witness for u = (1,) is 1 on all of C_2: exactly 1/2
+    args = ["integrate", "--config", mt_config,
+            "--override", 'params.integrand={"kind": "witness", "u": [1]}',
+            "--override", "params.excluded=[1]", "--override", "params.depth=6"]
+    assert main(args) == 0
+    out = _json_out(capsys)
+    assert (out["value"], out["err"], out["cells"]) == (0.5, 0.5, 64)
+    assert abs(out["value"] - 0.5) <= out["err"]
+
+
 def test_integrate_mc(mt_config, capsys):
     args = ["integrate", "--config", mt_config,
             "--override", 'params.integrand={"kind":"monomial","exponents":[1]}',
@@ -238,6 +249,8 @@ def test_format_only_on_pv_trace(mt_config, capsys):
     ("criterion", 'params.word=["x"]', "params.word"),
     ("truncated", "params.x=0.5", "params.x"),
     ("truncated", "params.eps=abc", "params.eps"),
+    ("criterion", "params.depth=2.5", "params.depth"),
+    ("criterion", "params.depth=true", "params.depth"),
 ])
 def test_malformed_param_exits_one(mt_config, capsys, command, override, key):
     args = [command, "--config", mt_config, "--override", "params.word=[1]",

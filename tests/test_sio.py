@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -339,8 +340,9 @@ def test_divergence_builds_each_annulus_once(middle_thirds, monkeypatch):
     rep = divergence_certificate(middle_thirds, h.sign_kernel(middle_thirds),
                                  (1,), 4, 5)
     assert rep.status == "PASS"
-    # one annulus for the criterion, then K p = 4 for the blocks and F_K
-    assert sum(built) == 5 * 2 ** 5
+    # the criterion's annulus is the first block; K p - p = 3 more for the
+    # remaining blocks and F_K
+    assert sum(built) == 4 * 2 ** 5
     assert rep.f_final.cells == 4 * 2 ** 5
     assert [b.cells for b in rep.blocks] == [2 ** 5] * 4
 
@@ -396,6 +398,20 @@ def test_witness_matches_symbolic_rule(request, name):
         for i in range(cells.count):
             want = g.on_word((cells.word(i) * horizon)[:horizon])
             assert got[i] == (0.0 if want is None else want), (u, cells.word(i))
+
+
+@pytest.mark.parametrize("name, us", [
+    ("middle_thirds", [(1,), (1, 1), (1, 2), (1, 2, 1)]),
+    ("heis_twisted", [(1,), (1, 1), (1, 2), (1, 2, 1), (1, 3, 2)]),
+])
+def test_witness_rule_matches_block_loop(request, name, us):
+    ifs = request.getfixturevalue(name)
+    words = [w for n in range(9)
+             for w in itertools.product(range(1, ifs.n_letters + 1), repeat=n)]
+    for u in us:
+        g = WitnessIntegrand(ifs, u)
+        for w in words:
+            assert g.on_word(w) == h.witness_on_word(u, w), (u, w)
 
 
 def test_witness_batch_and_integral(middle_thirds):

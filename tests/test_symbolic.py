@@ -16,6 +16,10 @@ def test_validate_word():
         validate_word([1, 4], n_letters=3)
     with pytest.raises(InputError):
         validate_word([1.5])
+    with pytest.raises(InputError):
+        validate_word([float("inf")])
+    with pytest.raises(InputError):
+        validate_word([1, float("-inf")])
 
 
 def test_epword_validation():
