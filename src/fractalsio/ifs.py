@@ -12,18 +12,19 @@ an enclosing box), a diameter bracket, and a separation report.
 
 Both brackets come from one branch-and-bound search over pairs of cylinders,
 ``_pair_bracket``.  A cylinder C_v is enclosed in S_v(E) and witnessed from
-inside by the fixed point of S_v.  For a Euclidean system E is the box
-spanned by the letters' fixed points and S_v(E) is again a box, so a pair's
-box-to-box distance bounds its gap from below and its farthest-corner
-distance bounds its diameter from above.  For a Heisenberg system E is the
-ball B(c, R), since left translation twists the third coordinate and a box
-is not mapped to a box; the ball-center distance, shrunk or widened by both
-radii, gives the bounds.  The separation gap minimises over pairs from
-distinct first-level branches, the diameter maximises over all pairs, and a
-split composes the fatter side with every map at once.  Keys equal up to
-rounding tie and the deeper pair goes first, so the search follows one
-extremal pair to depth instead of every tied pair breadth-first.  Reported
-intervals are widened by a 1e-12 relative slack to absorb float rounding.
+inside by the images S_v(f_i) of every letter's fixed point, all attractor
+points.  For a Euclidean system E is the box spanned by the letters' fixed
+points and S_v(E) is again a box, so a pair's box-to-box distance bounds its
+gap from below and its farthest-corner distance bounds its diameter from
+above.  For a Heisenberg system E is the ball B(c, R), since left translation
+twists the third coordinate and a box is not mapped to a box; the
+ball-center distance, shrunk or widened by both radii, gives the bounds.
+The separation gap minimises over pairs from distinct first-level branches,
+the diameter maximises over all pairs, and each step splits both sides of
+one pair per bucket of tied keys in one broadcast.  Keys equal up to rounding
+tie and the deeper pair goes first, so the search follows one extremal pair
+to depth instead of every tied pair breadth-first.  Reported intervals are
+widened by a 1e-12 relative slack to absorb float rounding.
 """
 
 from __future__ import annotations
@@ -131,7 +132,11 @@ def _fixed_points(geom, ratios, shifts):
 @dataclass(frozen=True)
 class SeparationReport:
     """Certified separation verdict with the brackets that justify it, and
-    the gap search's node count and whether it stopped at ``max_nodes``."""
+    the gap search's node count and whether it stopped at ``max_nodes``.
+
+    ``Overlapping`` means an exact shared attractor point across branches
+    (an image of a fixed point in one branch equal to one in another), so the
+    gap is certified to be 0 and the brackets are [0, 0]."""
 
     status: str
     gap_lo: float
@@ -381,8 +386,9 @@ class IFS:
                          max_nodes: int = _MAX_NODES) -> SeparationReport:
         """Classify the overlap structure of the first-level cylinders.
 
-        Verdicts: ``Overlapping`` on an exact fixed-point coincidence across
-        branches; ``Inconclusive`` when the cross-branch gap cannot be
+        Verdicts: ``Overlapping`` on an exact shared attractor point across
+        branches (touching intervals share their end point, so they overlap
+        here); ``Inconclusive`` when the cross-branch gap cannot be
         certified positive by word length ``depth``; otherwise the certified
         gap bracket is compared with the bracket for the largest first-level
         cylinder diameter.  ``StronglySeparated`` when the gap is certified
@@ -469,86 +475,98 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth, max_nodes) -> _Bracket:
     ``IFS.attractor_bound`` for Heisenberg ones (left translation twists the
     third coordinate, so a coordinate box is not mapped to a box).  A pair's
     key is the distance between its two enclosures, nearest for a gap and
-    farthest for a diameter, and the distance between its two fixed points
-    witnesses it.  Cylinders are rows (length, ratio, shift, enclosure
-    center, fixed point) of one array per split, and a heap entry names its
-    two sides by array and row (a view per side would double the search's
-    memory).  Keys and the best witness are kept as sign * distance, so both
-    searches pop the smallest key; entries that cannot beat the witness are
-    dropped.  Keys in one bucket of width ``_FLOAT_SLACK * r0`` tie, and a
-    tie pops the deeper pair first, then the older one: many pairs of a
-    self-similar set share the extreme distance up to rounding, and refining
-    one of them to depth moves the witness where breadth-first order would
-    not.  The reported bound is the least key left on the heap, not its
-    bucket.  The search stops when the top key is within ``_REL_TOL`` of the
-    witness, when the top pair has both sides at ``max_depth``, or after
-    ``max_nodes`` nodes, which sets ``exhausted``.  ``overlap`` marks a zero
-    witness distance in a gap search.
+    farthest for a diameter, and its witness is the nearest (or farthest) of
+    the n^2 distances between the images S_u(f_i) and S_v(f_j) of the
+    letters' fixed points, all attractor points.  A cylinder is a row
+    (ratio, shift, enclosure center, n images), the center and images being
+    one map of the stacked anchors [c, f_1 ... f_n]; a heap entry names a
+    pair by its array of pair rows and its row.  Keys and the best witness
+    are kept as sign * distance, so both searches pop the smallest key;
+    entries that cannot beat the witness are dropped.  Keys in one bucket of
+    width ``_FLOAT_SLACK * r0`` tie, and a tie pops the deeper pair first,
+    then the older one: many pairs of a self-similar set share the extreme
+    distance up to rounding, and refining one of them to depth moves the
+    witness where breadth-first order would not.  Each step pops at most
+    one entry per bucket, in heap order, and splits both sides of every
+    popped pair with every map at once (n^2 children); once the witness is
+    exact, the pairs that must be split are those with keys below it by more
+    than the tolerance, so their order does not matter.  The reported bound
+    is the least key left on the heap, not its bucket.  The search stops
+    when the top key is within ``_REL_TOL`` of the witness, when the top pair
+    is at ``max_depth``, or after ``max_nodes`` nodes, which sets
+    ``exhausted``.  ``overlap`` marks a zero witness distance in a gap search.
     """
     geom = ifs.geometry
     c0, r0 = ifs.attractor_bound()
     d, n = geom.dim, ifs.n_letters
-    shift, center = slice(2, 2 + d), slice(2 + d, 2 + 2 * d)
-    fixed = slice(2 + 2 * d, None)
+    shift, center, images = slice(1, 1 + d), slice(1 + d, 1 + 2 * d), slice(1 + 2 * d, None)
     if geom.kind == "euclidean":
         lo, hi = ifs.attractor_box()
         c0, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
         def reach(u, v):
             side = (np.abs(u[:, center] - v[:, center])
-                    - sign * np.multiply.outer(u[:, 1] + v[:, 1], half))
+                    - sign * np.multiply.outer(u[:, 0] + v[:, 0], half))
             return geom.norm(np.maximum(side, 0.0))
     else:
         def reach(u, v):
             return (geom.dist(u[:, center], v[:, center])
-                    - sign * r0 * u[:, 1] - sign * r0 * v[:, 1])
+                    - sign * r0 * u[:, 0] - sign * r0 * v[:, 0])
+    anchors = np.vstack([c0, ifs.letter_fixed_points])
     # r0 is 0 only on a one-point attractor, where every key is 0
     width = _FLOAT_SLACK * r0 or 1.0
     heap, count = [], itertools.count()
     best, nodes, exhausted = math.inf, 0, False
 
-    def cylinders(length, ratio, shifts):
-        centers = geom.op(shifts, geom.dilate(ratio, c0))
-        return np.column_stack([np.full(len(ratio), length), ratio, shifts, centers,
-                                _fixed_points(geom, ratio, shifts)])
+    def cylinders(ratio, shifts):
+        points = geom.op(shifts[..., np.newaxis, :],
+                         geom.dilate(ratio[..., np.newaxis], anchors))
+        return np.concatenate([ratio[..., np.newaxis], shifts,
+                               points.reshape(ratio.shape + (-1,))], axis=-1)
 
-    def push(us, uks, vs, vks):
+    def push(pairs, depth):
         nonlocal best, nodes
-        u, v = us[uks], vs[vks]
-        nodes += len(u)
+        u, v = pairs[:, 0], pairs[:, 1]
+        nodes += len(pairs)
         keys = sign * np.maximum(reach(u, v), 0.0)
-        depths = u[:, 0] + v[:, 0]
-        best = min(best, float(np.min(sign * geom.dist(u[:, fixed], v[:, fixed]))))
-        for key, depth, uk, vk in zip(keys.tolist(), depths.tolist(), uks, vks):
-            if key < best:
-                heapq.heappush(heap, (key // width, -depth, next(count), key,
-                                      us, uk, vs, vk))
+        ui = u[:, images].reshape(-1, n, 1, d)
+        vi = v[:, images].reshape(-1, 1, n, d)
+        best = min(best, float(np.min(sign * geom.dist(ui, vi))))
+        keep = keys < best
+        pairs = pairs[keep]
+        for k, (key, deep) in enumerate(zip(keys[keep].tolist(), depth[keep].tolist())):
+            heapq.heappush(heap, (key // width, -deep, next(count), key, pairs, k))
 
-    firsts = cylinders(1, ifs.ratios, ifs.shifts)
-    uks, vks = map(list, zip(*first_pairs))
-    push(firsts, uks, firsts, vks)
-
-    while heap:
-        *_, key, us, uk, vs, vk = heap[0]
-        if key >= best:
+    def top():
+        while heap and heap[0][3] >= best:
             heapq.heappop(heap)
-            continue
-        u, v = us[uk], vs[vk]
-        if (best - key <= max(_REL_TOL * abs(best), 1e-15 * r0)
-                or min(u[0], v[0]) >= max_depth):
+        return heap[0] if heap else None
+
+    def final(entry):
+        return (best - entry[3] <= max(_REL_TOL * abs(best), 1e-15 * r0)
+                or -entry[1] >= max_depth)
+
+    firsts = cylinders(ifs.ratios, ifs.shifts)
+    uks, vks = map(list, zip(*first_pairs))
+    push(np.stack([firsts[uks], firsts[vks]], axis=1), np.ones(len(uks), dtype=np.int64))
+
+    while True:
+        batch = []
+        while ((entry := top()) is not None and not final(entry)
+               and nodes + n * n * len(batch) < max_nodes
+               and not (batch and entry[0] == batch[-1][0])):
+            batch.append(heapq.heappop(heap))
+        if not batch:
+            exhausted = entry is not None and not final(entry)
             break
-        if nodes >= max_nodes:
-            exhausted = True
-            break
-        heapq.heappop(heap)
-        refine_u = u[0] < max_depth and (v[0] >= max_depth or u[1] >= v[1])
-        side = u if refine_u else v
-        kids = cylinders(side[0] + 1, *_compose(geom, side[1], side[shift],
-                                                 ifs.ratios, ifs.shifts))
-        if refine_u:
-            push(kids, range(n), vs, [vk] * n)
-        else:
-            push(us, [uk] * n, kids, range(n))
+        rows = np.stack([e[4][e[5]] for e in batch])
+        kids = cylinders(*_compose(geom, rows[:, :, :1], rows[:, :, np.newaxis, shift],
+                                   ifs.ratios, ifs.shifts))
+        # kids[b, 0, i] is S_{u i} and kids[b, 1, j] is S_{v j}; child i * n + j
+        # of pair b is (S_{u i}, S_{v j})
+        pairs = np.stack([kids[:, 0].repeat(n, axis=1), np.tile(kids[:, 1], (1, n, 1))],
+                         axis=2)
+        push(pairs.reshape(-1, 2, kids.shape[-1]), np.repeat([1 - e[1] for e in batch], n * n))
 
     bound = min([best] + [entry[3] for entry in heap])
     lo, hi = (bound, best) if sign > 0 else (-best, -bound)

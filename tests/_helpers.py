@@ -67,6 +67,18 @@ def heis_twisted_config():
     }
 
 
+def heis_quarter_config():
+    # three Heisenberg similarities with ratio 1/4 and non-collinear shifts:
+    # the benchmark set, whose ball enclosures close on the gap 1/2 only
+    # after about a thousand pair nodes
+    return {
+        "geometry": {"kind": "heisenberg1"},
+        "maps": [{"r": 0.25, "q": [0.0, 0.0, 0.0]},
+                 {"r": 0.25, "q": [0.75, 0.0, 0.0]},
+                 {"r": 0.25, "q": [0.0, 0.75, 0.0]}],
+    }
+
+
 def make_ifs(cfg) -> IFS:
     return IFS.from_config(cfg)
 

@@ -31,3 +31,8 @@ def heis_cantor():
 @pytest.fixture(scope="session")
 def heis_twisted():
     return h.make_ifs(h.heis_twisted_config())
+
+
+@pytest.fixture(scope="session")
+def heis_quarter():
+    return h.make_ifs(h.heis_quarter_config())

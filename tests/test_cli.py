@@ -43,12 +43,24 @@ def test_separation(mt_config, capsys):
 
 
 def test_separation_inconclusive(tmp_path, capsys):
+    # overlapping intervals: no positive gap can be certified
     cfg = {"geometry": {"kind": "euclidean", "dim": 1},
-           "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.5, "q": [0.5]}]}
-    path = h.write_config(tmp_path / "touch.json", cfg)
+           "maps": [{"r": 0.6, "q": [0.0]}, {"r": 0.6, "q": [0.4]}]}
+    path = h.write_config(tmp_path / "overlap.json", cfg)
     assert main(["separation", "--config", path]) == 2
     out = _json_out(capsys)
     assert out["report"]["status"] == "Inconclusive"
+
+
+def test_separation_touching_overlaps(tmp_path, capsys):
+    # touching intervals share the attractor point 1/2: a certified verdict
+    cfg = {"geometry": {"kind": "euclidean", "dim": 1},
+           "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.5, "q": [0.5]}]}
+    path = h.write_config(tmp_path / "touch.json", cfg)
+    assert main(["separation", "--config", path]) == 0
+    out = _json_out(capsys)
+    assert out["report"]["status"] == "Overlapping"
+    assert out["report"]["gap_lo"] == out["report"]["gap_hi"] == 0.0
 
 
 def test_integrate_and_echo_reproduces(mt_config, tmp_path, capsys):

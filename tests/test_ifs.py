@@ -210,10 +210,17 @@ def test_separation_verdicts(middle_thirds, four_corner):
     assert middle_thirds.check_separation().status == "StronglySeparated"
     assert four_corner.check_separation().status == "StronglySeparated"
 
+    # touching intervals share the attractor point S_1(f_2) = S_2(f_1) = 1/2
     touching = IFS.from_config({
         "geometry": {"kind": "euclidean", "dim": 1},
         "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.5, "q": [0.5]}]})
-    assert touching.check_separation().status == "Inconclusive"
+    assert touching.check_separation().status == "Overlapping"
+
+    # overlapping intervals without an exactly shared image point
+    overlapping = IFS.from_config({
+        "geometry": {"kind": "euclidean", "dim": 1},
+        "maps": [{"r": 0.6, "q": [0.0]}, {"r": 0.6, "q": [0.4]}]})
+    assert overlapping.check_separation().status == "Inconclusive"
 
     shared = IFS.from_config({
         "geometry": {"kind": "euclidean", "dim": 1},
@@ -235,35 +242,32 @@ def test_four_corner_separation_converges(four_corner):
     # so only enclosures that touch the edges can close the bracket
     rep = four_corner.check_separation()
     assert rep.budget_exhausted is False
-    assert rep.nodes <= 200
+    assert rep.nodes <= 20
     assert rep.gap_lo <= 0.5 <= rep.gap_hi
     assert rep.gap_hi - rep.gap_lo <= 1e-6
 
 
-def test_separation_budget_reported(middle_thirds, four_corner):
+def test_separation_budget_reported(middle_thirds, heis_quarter):
     rep = middle_thirds.check_separation()
     assert rep.budget_exhausted is False
     assert rep.nodes > 0
-    capped = four_corner.check_separation(max_nodes=50)
+    capped = heis_quarter.check_separation(max_nodes=50)
     assert capped.budget_exhausted is True
     assert capped.nodes >= 50
     d = capped.as_dict()
     assert d["budget_exhausted"] is True and d["nodes"] == capped.nodes
 
 
-def test_exhausted_search_is_not_strongly_separated(middle_thirds, four_corner):
-    # gap 0.2 against child diameter 0.4: after four nodes the gap bracket
-    # [0.093, 0.429] still straddles the diameter, so the strength is open
-    plain = IFS.from_config({
-        "geometry": {"kind": "euclidean", "dim": 1},
-        "maps": [{"r": 0.4, "q": [0.0]}, {"r": 0.4, "q": [0.6]}]})
-    rep = plain.check_separation(max_nodes=4)
+def test_exhausted_search_is_not_strongly_separated(middle_thirds, heis_quarter):
+    # gap 1/2 against child diameter 0.359: after four nodes the gap bracket
+    # [0.245, 0.5] still straddles the diameter, so the strength is open
+    rep = heis_quarter.check_separation(max_nodes=4)
     assert rep.budget_exhausted
     assert rep.gap_lo < rep.maxdiam_lo <= rep.gap_hi
     assert rep.status == "SeparatedUnknownStrength"
     assert rep.certified_positive_gap()
     # an exhausted search whose gap bracket clears the diameter stays strong
-    capped = four_corner.check_separation(max_nodes=50)
+    capped = heis_quarter.check_separation(max_nodes=50)
     assert capped.budget_exhausted and capped.gap_lo >= capped.maxdiam_hi
     assert capped.status == "StronglySeparated"
     # the middle-thirds gap equals its child diameter: a converged exact tie
@@ -295,6 +299,17 @@ def test_separation_gap_value(middle_thirds):
     rep = middle_thirds.check_separation()
     assert rep.gap_lo <= 1.0 / 3.0 <= rep.gap_hi
     assert rep.gap_hi - rep.gap_lo <= 1e-5
+
+
+@pytest.mark.parametrize("name, gap", [("middle_thirds", 1.0 / 3.0),
+                                       ("four_corner", 0.5), ("heis_quarter", 0.5)])
+def test_gap_brackets_pin_the_exact_gap(name, gap, request):
+    # the gap is attained by images of letters' fixed points, so the witness
+    # is exact and the bracket closes to the search tolerance
+    rep = request.getfixturevalue(name).check_separation()
+    assert rep.status == "StronglySeparated" and not rep.budget_exhausted
+    assert rep.gap_lo <= gap <= rep.gap_hi
+    assert rep.gap_hi - rep.gap_lo <= 1e-6 * gap
 
 
 def test_heisenberg_separation(heis_cantor):

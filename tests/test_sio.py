@@ -194,7 +194,7 @@ def test_criterion_inconclusive_when_overlapping():
     rep = criterion(ifs, kern, (1,), 5)
     assert rep.verdict == "Inconclusive"
     assert not math.isfinite(rep.result.err)
-    assert rep.separation.startswith("separation:")
+    assert rep.separation == "separation:Overlapping"
 
 
 def test_driver_reports_show_separation_search(middle_thirds, four_corner):
@@ -302,7 +302,7 @@ def test_maximal_flags_uncertified_separation():
         "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.5, "q": [0.5]}]})
     kern = h.sign_kernel(ifs)
     est = maximal_symbolic(ifs, kern, h.word1(), 2, 3)
-    assert est.separation.startswith("separation:")
+    assert est.separation == "separation:Overlapping"
 
 
 def test_gap_nonnegative_and_bracketed(middle_thirds_osc):
