@@ -41,7 +41,10 @@ def _letter_stream(ifs: IFS, seed: int):
     A letter counts the cut points p_1 + ... + p_j (j < N) at or below its
     uniform, the index ``searchsorted(cumsum(p), u, side="right")`` gives.
     """
-    rng = np.random.Generator(np.random.Philox(int(seed)))
+    seed = int(seed)
+    if seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed}")
+    rng = np.random.Generator(np.random.Philox(seed))
     cuts = np.cumsum(ifs.letter_weights)[:-1]
     buf = np.empty(_BLOCK)
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class FractalsioError(Exception):
     """Base class for every error raised by this library."""
@@ -19,3 +21,14 @@ class EvaluationError(FractalsioError, RuntimeError):
 
 class ResourceLimitError(FractalsioError, RuntimeError):
     """A computation would exceed its cell or node budget."""
+
+
+@contextmanager
+def config_section(name: str):
+    """Re-raise a TypeError or ValueError from reading section ``name`` as a ConfigError."""
+    try:
+        yield
+    except FractalsioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config section {name!r}: {exc}") from None

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, config_section
 from .geometry import geometry_from_config
 from .symbolic import EPWord, validate_word
 
@@ -397,6 +397,8 @@ class IFS:
         ``Separated`` when the gap is certified smaller; otherwise, as after
         a search stopped by ``max_nodes``, ``SeparatedUnknownStrength``.
         """
+        if int(depth) < 0:
+            raise InputError(f"depth must be a nonnegative integer, got {depth!r}")
         key = (int(depth), int(max_nodes))
         got = self._sep_cache.get(key)
         if got is not None:
@@ -444,18 +446,24 @@ class IFS:
         if "geometry" not in cfg or "maps" not in cfg:
             raise ConfigError("IFS config needs 'geometry' and 'maps'")
         geom = geometry_from_config(cfg["geometry"])
+        if not isinstance(cfg["maps"], list):
+            raise ConfigError("'maps' must be a list of maps")
         maps = []
         for i, m in enumerate(cfg["maps"]):
             if not isinstance(m, dict) or "r" not in m or "q" not in m:
                 raise ConfigError(f"map {i} must be a dict with 'r' and 'q'")
-            maps.append((m["r"], np.asarray(m["q"], dtype=float)))
+            with config_section(f"maps.{i}"):
+                maps.append((float(m["r"]), np.asarray(m["q"], dtype=float)))
+        with config_section("s"):
+            dim_s = None if cfg.get("s") is None else float(cfg["s"])
         osc = None
         if cfg.get("osc_ball") is not None:
             ob = cfg["osc_ball"]
             if not isinstance(ob, dict) or "center" not in ob or "radius" not in ob:
                 raise ConfigError("osc_ball config needs 'center' and 'radius'")
-            osc = (np.asarray(ob["center"], dtype=float), ob["radius"])
-        return cls(geom, maps, dim_s=cfg.get("s"), osc_ball=osc)
+            with config_section("osc_ball"):
+                osc = (np.asarray(ob["center"], dtype=float), float(ob["radius"]))
+        return cls(geom, maps, dim_s=dim_s, osc_ball=osc)
 
     def __repr__(self) -> str:
         return (f"IFS({self.geometry!r}, n_letters={self.n_letters}, "

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, config_section
 from .geometry import Euclidean
 
 MODULUS_SCALE = 2.0
@@ -273,25 +273,26 @@ def omega_from_config(cfg: dict):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("omega config must be a dict with a 'kind' key")
     kind = cfg["kind"]
-    if kind == "constant":
-        return ConstantOmega(float(cfg.get("c", 1.0)))
-    if kind == "sign":
-        return SignOmega()
-    if kind == "riesz":
-        if "axis" not in cfg:
-            raise ConfigError("riesz omega config needs 'axis'")
-        return RieszComponent(int(cfg["axis"]))
-    if kind == "poly_over_norm":
-        if "coeffs" not in cfg or "degree" not in cfg:
-            raise ConfigError("poly_over_norm config needs 'coeffs' and 'degree'")
-        return PolynomialOverNorm(tuple((c, tuple(e)) for c, e in cfg["coeffs"]),
-                                  int(cfg["degree"]))
-    if kind == "perturbed":
-        for key in ("base", "direction", "rho", "eps"):
-            if key not in cfg:
-                raise ConfigError(f"perturbed omega config needs {key!r}")
-        return PerturbedOmega(omega_from_config(cfg["base"]),
-                              tuple(cfg["direction"]), cfg["rho"], cfg["eps"])
+    with config_section("omega"):
+        if kind == "constant":
+            return ConstantOmega(float(cfg.get("c", 1.0)))
+        if kind == "sign":
+            return SignOmega()
+        if kind == "riesz":
+            if "axis" not in cfg:
+                raise ConfigError("riesz omega config needs 'axis'")
+            return RieszComponent(int(cfg["axis"]))
+        if kind == "poly_over_norm":
+            if "coeffs" not in cfg or "degree" not in cfg:
+                raise ConfigError("poly_over_norm config needs 'coeffs' and 'degree'")
+            return PolynomialOverNorm(tuple((c, tuple(e)) for c, e in cfg["coeffs"]),
+                                      int(cfg["degree"]))
+        if kind == "perturbed":
+            for key in ("base", "direction", "rho", "eps"):
+                if key not in cfg:
+                    raise ConfigError(f"perturbed omega config needs {key!r}")
+            return PerturbedOmega(omega_from_config(cfg["base"]),
+                                  tuple(cfg["direction"]), cfg["rho"], cfg["eps"])
     raise ConfigError(f"unknown omega kind {kind!r}")
 
 
@@ -367,7 +368,8 @@ class HomogeneousKernel:
     def from_config(cls, cfg: dict, geometry) -> "HomogeneousKernel":
         if not isinstance(cfg, dict) or "s" not in cfg or "omega" not in cfg:
             raise ConfigError("kernel config needs 's' and 'omega'")
-        return cls(geometry, cfg["s"], omega_from_config(cfg["omega"]))
+        with config_section("kernel"):
+            return cls(geometry, cfg["s"], omega_from_config(cfg["omega"]))
 
     def __repr__(self) -> str:
         return (f"HomogeneousKernel(s={self.s:.12g}, "

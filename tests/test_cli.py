@@ -263,14 +263,36 @@ def test_format_only_on_pv_trace(mt_config, capsys):
     ("truncated", "params.eps=abc", "params.eps"),
     ("criterion", "params.depth=2.5", "params.depth"),
     ("criterion", "params.depth=true", "params.depth"),
+    ("birkhoff", "params.seed=-1", "seed"),
+    ("separation", "params.depth=-3", "depth"),
 ])
 def test_malformed_param_exits_one(mt_config, capsys, command, override, key):
     args = [command, "--config", mt_config, "--override", "params.word=[1]",
             "--override", "params.x=[0.0]", "--override", "params.eps=0.5",
-            "--override", "params.depth=3", "--override", override]
+            "--override", "params.depth=3", "--override", "params.target=[1]",
+            "--override", "params.n_steps=100", "--override", override]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {key} must be")
+
+
+@pytest.mark.parametrize("override, section", [
+    ('maps.0.r="x"', "'maps.0'"),
+    ('maps.0.q=["a"]', "'maps.0'"),
+    ("maps=5", "'maps'"),
+    ('s="x"', "'s'"),
+    ('osc_ball.radius="x"', "'osc_ball'"),
+    ('kernel.s="x"', "'kernel'"),
+    ('kernel.omega={"kind": "riesz", "axis": "a"}', "'omega'"),
+    ('kernel.omega={"kind": "poly_over_norm", "coeffs": 5, "degree": 1}', "'omega'"),
+    ('kernel.omega={"kind": "perturbed", "base": {"kind": "sign"}, '
+     '"direction": "ab", "rho": 0.5, "eps": 0.1}', "'omega'"),
+])
+def test_malformed_config_section_exits_one(mt_config, capsys, override, section):
+    assert main(["criterion", "--config", mt_config, "--override", "params.word=[1]",
+                 "--override", "params.depth=3", "--override", override]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and section in err
 
 
 @pytest.mark.parametrize("integrand, key", [

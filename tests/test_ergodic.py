@@ -18,6 +18,8 @@ def test_sample_orbit_deterministic(middle_thirds):
     assert not np.array_equal(a.letters, c.letters)
     assert len(a) == 1000
     assert a.letters.min() >= 1 and a.letters.max() <= 2
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        sample_orbit(middle_thirds, 5, -1)
 
 
 def test_sample_orbit_blocks_match_searchsorted(four_corner):

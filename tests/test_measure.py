@@ -33,6 +33,23 @@ def test_pairwise_sum_matches_fsum():
     assert pairwise_sum([]) == 0.0
     assert pairwise_sum([2.5]) == 2.5
 
+    # numpy's pairwise reduction: a block of b <= 128 values meets at most
+    # (b // 8 - 1) + 3 + b % 8 roundings, and each of the at most
+    # ceil(log2 n) halvings above the blocks adds one.
+    c = max(b // 8 - 1 + 3 + b % 8 for b in range(1, 129))
+    assert c == 24
+    u = 2.0 ** -53
+    n = 10 ** 6
+    k = math.ceil(math.log2(n)) + c
+    for big in (rng.random(n), rng.standard_normal(n)):
+        bound = k * u / (1 - k * u) * math.fsum(np.abs(big))
+        # fsum is the correctly rounded sum, off the exact one by u |fsum|
+        ref = math.fsum(big)
+        assert abs(pairwise_sum(big) - ref) <= bound + u * abs(ref)
+        if big.min() >= 0.0:
+            # a left-to-right sum of the positive set grows linearly past it
+            assert abs(np.cumsum(big)[-1] - ref) > 2 * bound
+
 
 def test_net_weights_sum_to_one(middle_thirds, four_corner):
     for ifs, depth in ((middle_thirds, 6), (four_corner, 3)):
