@@ -117,6 +117,14 @@ def _int_param(p: dict, key: str, default=None) -> int:
     return _param(p, key, read, "an integer", default)
 
 
+def _bool_param(p: dict, key: str, default=None) -> bool:
+    def read(raw):
+        if not isinstance(raw, bool):
+            raise TypeError(raw)
+        return raw
+    return _param(p, key, read, "true or false", default)
+
+
 def _float_param(p: dict, key: str, default=None) -> float:
     return _param(p, key, float, "a number", default)
 
@@ -328,7 +336,7 @@ def cmd_birkhoff(cfg, ifs, p, args):
         p["seed"] = int(args.seed)
     seed = _int_param(p, "seed", 0)
     times = None
-    if p.get("with_hitting_times"):
+    if _bool_param(p, "with_hitting_times", False):
         # one orbit scan: the frequency is the count of the hits
         times = hitting_times(ifs, target, n_steps, seed)
         freq, expected, stderr = _block_statistics(ifs, target, len(times), n_steps)

@@ -1,13 +1,18 @@
 """Ergodic sampling on the coding space.
 
-Letters are drawn i.i.d. with the natural weights r_i^s from one letter
-stream per seed: a counter-based generator (numpy Philox) read in fixed
-blocks of ``_BLOCK`` uniforms, each uniform u giving the letter
-1 + #{j < N : u >= p_1 + ... + p_j}.  Chunked Philox draws continue the
-single-call stream, so a run is reproducible bit for bit from the seed alone,
-independent of call order and of how the stream is split, and the stream
-holds only one block of uniforms at a time.  Block frequencies and hitting
-times come from one scan over the stream, one block of letters at a time.
+Letters are drawn i.i.d. with the natural weights p_i = r_i^s from one
+letter stream per seed: a counter-based generator (numpy Philox) read in
+blocks of ``_BLOCK // 2`` raw 64-bit words.  Each word is split into two
+32-bit values, low half first and in the same byte order on every platform,
+and a value u gives the letter 1 + #{j < N : u >= C_j}, where the integer
+cut points are C_j = round(2^32 (p_1 + ... + p_j)).  So a letter's
+probability is (C_j - C_{j-1}) / 2^32, within 2^-32 of its weight, far
+below any statistical error the samplers reach.  The stream keeps its
+unread values between draws, so a run is reproducible bit for bit from the
+seed alone and gives the same letters on every platform, independent of
+call order and of how the stream is split, and it holds only one block of
+values at a time.  Block frequencies and hitting times come from one scan
+over the stream, one block of letters at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .errors import InputError
 from .ifs import IFS
 from .symbolic import validate_word
 
-_BLOCK = 1 << 16  # uniforms per Philox draw
+_BLOCK = 1 << 16  # 32-bit values per Philox draw
 
 
 @dataclass(frozen=True)
@@ -34,27 +39,43 @@ class OrbitSample:
         return int(self.letters.shape[0])
 
 
-def _letter_stream(ifs: IFS, seed: int):
-    """The seed's letter stream, as ``draw(out)``: fill the int64 array ``out``
-    with the stream's next len(out) letters, 0-based, and return it.
+def _cuts(ifs: IFS) -> list:
+    """The integer cut points C_j = round(2^32 (p_1 + ... + p_j)), j < N;
+    each C_j / 2^32 is within 2^-33 of its cumulative weight."""
+    return [int(c) for c in np.rint(np.cumsum(ifs.letter_weights)[:-1] * 2.0 ** 32)]
 
-    A letter counts the cut points p_1 + ... + p_j (j < N) at or below its
-    uniform, the index ``searchsorted(cumsum(p), u, side="right")`` gives.
+
+def _letter_stream(ifs: IFS, seed: int):
+    """The seed's letter stream, as ``draw(out)``: fill the unsigned or int64
+    array ``out`` with the stream's next len(out) letters, 0-based, and
+    return it.
+
+    A letter counts the cut points C = ``_cuts(ifs)`` at or below its 32-bit
+    value u, the index ``searchsorted(C, u, side="right")`` gives.  The
+    values are the halves of ``Philox(seed).random_raw`` words, low half
+    first; the unread rest of a block is kept for the next call, so any
+    split of the stream into calls gives the letters of one call.
     """
     seed = int(seed)
     if seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    cuts = np.cumsum(ifs.letter_weights)[:-1]
-    buf = np.empty(_BLOCK)
+    bitgen = np.random.Philox(seed)
+    cuts = _cuts(ifs)
+    block, pos = np.empty(0, dtype=np.uint32), 0
 
     def draw(out):
-        for start in range(0, len(out), _BLOCK):
-            part = out[start:start + _BLOCK]
-            u = rng.random(out=buf[:len(part)])
+        nonlocal block, pos
+        done = 0
+        while done < len(out):
+            if pos == len(block):
+                raw = bitgen.random_raw(_BLOCK // 2)
+                block, pos = raw.astype("<u8", copy=False).view("<u4"), 0
+            take = min(len(out) - done, len(block) - pos)
+            u, part = block[pos:pos + take], out[done:done + take]
             np.greater_equal(u, cuts[0], out=part)
             for c in cuts[1:]:
                 part += u >= c
+            pos, done = pos + take, done + take
         return out
 
     return draw
@@ -63,9 +84,12 @@ def _letter_stream(ifs: IFS, seed: int):
 def sample_orbit(ifs: IFS, n: int, seed: int) -> OrbitSample:
     """Draw ``n`` i.i.d. letters with probabilities r_i^s.
 
-    The letters are the first ``n`` of the seed's letter stream, filled in
-    blocks of ``_BLOCK``; they equal ``searchsorted`` over the cumulative
-    weights applied to one ``Philox(seed).random(n)`` call.
+    The letters are the first ``n`` of the seed's letter stream: with the
+    integer cuts C_j = round(2^32 (p_1 + ... + p_j)), they equal
+    ``searchsorted(C, u, side="right") + 1`` over the 32-bit halves u of
+    ``Philox(seed).random_raw`` words, low half first, so each letter's
+    probability is within 2^-32 of its weight and the letters are the same
+    on every platform.  Returned as int64.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InputError("orbit length must be a nonnegative integer")
@@ -90,14 +114,16 @@ def _scan(ifs: IFS, target, n_steps: int, seed: int):
 
     The stream is read ``_BLOCK`` letters at a time and the last
     len(target) - 1 letters of a block are carried into the next, so hits
-    that straddle a block edge are found while only one block is held.
+    that straddle a block edge are found while only one block is held.  The
+    window is held in the narrowest unsigned dtype that fits the letters.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise InputError("n_steps must be a positive integer")
     target = validate_word(target, n_letters=ifs.n_letters)
     carry = max(len(target) - 1, 0)
     draw = _letter_stream(ifs, seed)
-    window = draw(np.empty(carry + min(_BLOCK, n_steps), dtype=np.int64))
+    dtype = np.min_scalar_type(ifs.n_letters - 1)
+    window = draw(np.empty(carry + min(_BLOCK, n_steps), dtype=dtype))
     for start in range(0, n_steps, _BLOCK):
         m = min(_BLOCK, n_steps - start)
         if start:

@@ -381,7 +381,8 @@ def mc_integrate(ifs: IFS, f, n_samples: int, seed: int):
     geom = ifs.geometry
     x0 = ifs.fixed_point((1,))
     draw = _letter_stream(ifs, seed)
-    letters = np.empty(min(n_samples, _MC_BLOCK) * depth, dtype=np.int64)
+    letters = np.empty(min(n_samples, _MC_BLOCK) * depth,
+                       dtype=np.min_scalar_type(ifs.n_letters - 1))
     vals = np.empty(n_samples)
     for start in range(0, n_samples, _MC_BLOCK):
         m = min(_MC_BLOCK, n_samples - start)

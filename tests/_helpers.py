@@ -1,5 +1,6 @@
 """Shared fixtures-adjacent helpers for the test suite."""
 
+import itertools
 import json
 
 import numpy as np
@@ -128,6 +129,24 @@ def chunk_fold(ifs, word):
         piece = right_fold(ifs, word[max(end - c, 0):end])
         out = piece if out is None else compose_pair(ifs, piece, out)
     return right_fold(ifs, ()) if out is None else out
+
+
+def letter_cuts(weights):
+    """The integer cut points round(2^32 (w_1 + ... + w_j)), j < N, from the
+    running sums of the weights in Python floats."""
+    return [round(c * 2 ** 32) for c in itertools.accumulate(weights)][:-1]
+
+
+def philox_letters(weights, n, seed):
+    """The seed's first ``n`` letters (1-based) from one Philox call: each raw
+    64-bit word gives two 32-bit values, its low half first, and a value
+    counts the cut points at or below it."""
+    raw = np.random.Philox(seed).random_raw((n + 1) // 2)
+    u = np.empty(2 * len(raw), dtype=np.uint64)
+    u[0::2] = raw & 0xFFFFFFFF
+    u[1::2] = raw >> 32
+    cuts = np.array(letter_cuts(weights), dtype=np.uint64)
+    return np.searchsorted(cuts, u[:n], side="right") + 1
 
 
 def witness_on_word(u, word):

@@ -189,15 +189,17 @@ def test_birkhoff_seed_reproducible(mt_config, capsys):
 
 
 def test_birkhoff_hitting_times_pinned(tmp_path, capsys):
-    # exact report: one orbit gives both the frequency and the hitting times
+    # exact report: one orbit gives both the frequency and the hitting times;
+    # the times are the starts of (2, 3) in the reference stream's letters
     cfg = h.heis_twisted_config()
     cfg["params"] = {"target": [2, 3], "n_steps": 120, "with_hitting_times": True}
     path = h.write_config(tmp_path / "b.json", cfg)
     assert main(["birkhoff", "--config", path, "--seed", "42"]) == 0
     out = _json_out(capsys)
     assert (out["frequency"], out["expected"], out["stderr"]) == (
-        0.1, 0.11111111111111113, 0.0573775310549247)
-    assert out["hitting_times"] == [8, 11, 50, 57, 67, 76, 78, 95, 100, 106, 111, 119]
+        0.11666666666666667, 0.11111111111111113, 0.0573775310549247)
+    assert out["hitting_times"] == [14, 24, 28, 36, 45, 51, 61, 64, 66, 80, 96, 101,
+                                    110, 118]
 
 
 def test_perturb_emits_kernel(tmp_path, capsys):
@@ -264,6 +266,7 @@ def test_format_only_on_pv_trace(mt_config, capsys):
     ("criterion", "params.depth=2.5", "params.depth"),
     ("criterion", "params.depth=true", "params.depth"),
     ("birkhoff", "params.seed=-1", "seed"),
+    ("birkhoff", 'params.with_hitting_times="no"', "params.with_hitting_times"),
     ("separation", "params.depth=-3", "depth"),
 ])
 def test_malformed_param_exits_one(mt_config, capsys, command, override, key):

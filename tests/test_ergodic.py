@@ -22,20 +22,51 @@ def test_sample_orbit_deterministic(middle_thirds):
         sample_orbit(middle_thirds, 5, -1)
 
 
+def _three_letters():
+    return h.make_ifs({"geometry": {"kind": "euclidean", "dim": 1},
+                       "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.25, "q": [0.6]},
+                                {"r": 0.125, "q": [0.85]}]})
+
+
 def test_sample_orbit_blocks_match_searchsorted(four_corner):
-    # one Philox call and a searchsorted over the cumulative weights, the
-    # single-call form of the blocked stream
-    ifs = h.make_ifs({"geometry": {"kind": "euclidean", "dim": 1},
-                      "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.25, "q": [0.6]},
-                               {"r": 0.125, "q": [0.85]}]})
+    # the blocked stream against one Philox call split into 32-bit halves and
+    # a searchsorted over the integer cuts
     n = 2 * ergodic._BLOCK + 777
-    for system in (ifs, four_corner):
-        cum = np.cumsum(system.letter_weights)
-        cum[-1] = 1.0
-        draws = np.random.Generator(np.random.Philox(17)).random(n)
-        ref = np.searchsorted(cum, draws, side="right") + 1
+    for system in (_three_letters(), four_corner):
+        ref = h.philox_letters(system.letter_weights, n, 17)
         np.testing.assert_array_equal(sample_orbit(system, n, seed=17).letters, ref)
         assert sample_orbit(system, n, seed=17).letters.dtype == np.int64
+
+
+def test_letter_stream_split_matches_one_call(heis_twisted):
+    # odd pieces leave half-words and block rests unread between calls; the
+    # pieces still spell the one-call stream, in any output dtype
+    pieces = [1, 3, 65535, 65537, 2, 131071, 5, 1]
+    n = sum(pieces)
+    for system in (_three_letters(), heis_twisted):
+        ref = h.philox_letters(system.letter_weights, n, 29) - 1
+        for dtype in (np.uint8, np.int64):
+            draw = ergodic._letter_stream(system, 29)
+            got = np.concatenate([draw(np.empty(k, dtype=dtype)) for k in pieces])
+            np.testing.assert_array_equal(got, ref)
+        whole = ergodic._letter_stream(system, 29)(np.empty(n, dtype=np.int64))
+        np.testing.assert_array_equal(whole, ref)
+
+
+def test_letter_cuts_are_within_two_to_minus_32(middle_thirds, heis_twisted, four_corner):
+    # dyadic weights give exact cuts; every cut is the rounded cumulative
+    # weight, so each letter's probability moves by at most 2^-32
+    dyadic = h.make_ifs({"geometry": {"kind": "euclidean", "dim": 1},
+                         "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.25, "q": [0.6]},
+                                  {"r": 0.25, "q": [0.8]}]})
+    assert ergodic._cuts(dyadic) == [2 ** 31, 3 * 2 ** 30]
+    for system in (dyadic, _three_letters(), middle_thirds, heis_twisted, four_corner):
+        cuts = ergodic._cuts(system)
+        assert cuts == h.letter_cuts(system.letter_weights)
+        cum = np.cumsum(system.letter_weights)[:-1]
+        assert np.all(np.abs(np.array(cuts) / 2.0 ** 32 - cum) <= 2.0 ** -33)
+        probs = np.diff([0] + cuts + [2 ** 32]) / 2.0 ** 32
+        assert np.all(np.abs(probs - system.letter_weights) <= 2.0 ** -32)
 
 
 def test_sample_orbit_respects_weights(four_corner):
@@ -107,9 +138,7 @@ def test_hitting_times_block(four_corner):
 def test_scan_matches_whole_orbit():
     # the blocked scan against one whole orbit: the target is read off the
     # orbit across the first block edge, so at least one hit straddles it
-    ifs = h.make_ifs({"geometry": {"kind": "euclidean", "dim": 1},
-                      "maps": [{"r": 0.5, "q": [0.0]}, {"r": 0.25, "q": [0.6]},
-                               {"r": 0.125, "q": [0.85]}]})
+    ifs = _three_letters()
     block = ergodic._BLOCK
     n = 2 * block + 777
     letters = sample_orbit(ifs, n + 2, seed=3).letters
