@@ -23,7 +23,8 @@ from .errors import ConfigError, FractalsioError, InputError
 from .ergodic import _block_statistics, birkhoff_frequency, hitting_times
 from .ifs import IFS
 from .kernels import HomogeneousKernel
-from .measure import ModulusSpec, integrate, integrate_complement, mc_integrate
+from .measure import (ModulusSpec, complement_base_words, integrate_cells,
+                      mc_integrate, region_cells)
 from .sio import (PV_CSV_HEADER, WitnessIntegrand, ball_cylinder_gap, criterion,
                   maximal_symbolic, pv_trace, truncated)
 from .symbolic import EPWord, validate_word
@@ -211,21 +212,23 @@ def _monomial(ifs: IFS, desc: dict):
 
 
 def _integrand(ifs: IFS, desc) -> tuple:
+    """The integrand on points, and its bracket over a ``CellBlock``."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("params.integrand must be an object with a 'kind'")
     kind = desc["kind"]
-    if kind == "monomial":
-        return _monomial(ifs, desc)
-    if kind == "constant":
-        c = _field(desc, "value", float, "a number", 1.0)
-        return (lambda pts: np.full(np.asarray(pts).shape[:-1], c)), \
-            ModulusSpec.lipschitz(0.0)
     if kind == "witness":
-        u = _field(desc, "u", validate_word, "a list of letters 1, 2, ...")
-        g = WitnessIntegrand(ifs, u)
-        # values in {0, 1}: any two differ by at most 1 = 2 * 0.5
-        return g, ModulusSpec.sup_only(0.5)
-    raise ConfigError(f"unknown integrand kind {kind!r}")
+        g = WitnessIntegrand(ifs, _field(desc, "u", validate_word,
+                                         "a list of letters 1, 2, ..."))
+        return g, g.bracket
+    if kind == "monomial":
+        f, mod = _monomial(ifs, desc)
+    elif kind == "constant":
+        c = _field(desc, "value", float, "a number", 1.0)
+        f, mod = (lambda pts: np.full(np.asarray(pts).shape[:-1], c)), \
+            ModulusSpec.lipschitz(0.0)
+    else:
+        raise ConfigError(f"unknown integrand kind {kind!r}")
+    return f, lambda cells: integrate_cells(cells, f, mod)
 
 
 # ---- commands ------------------------------------------------------------------
@@ -249,7 +252,7 @@ def cmd_separation(cfg, ifs, p, args):
 
 
 def cmd_integrate(cfg, ifs, p, args):
-    f, mod = _integrand(ifs, _need(p, "integrand"))
+    f, bracket = _integrand(ifs, _need(p, "integrand"))
     method = p.get("method", "net")
     if method == "mc":
         if "excluded" in p:
@@ -263,11 +266,9 @@ def cmd_integrate(cfg, ifs, p, args):
                 "n_samples": n_samples, "seed": seed}
     elif method == "net":
         depth = _int_param(p, "depth")
-        if "excluded" in p:
-            quad = integrate_complement(ifs, f, mod, _word_param(p, "excluded"), depth)
-        else:
-            quad = integrate(ifs, f, mod, depth)
-        body = {"method": "net", **quad.as_dict()}
+        bases = (complement_base_words(_word_param(p, "excluded"), ifs.n_letters)
+                 if "excluded" in p else [()])
+        body = {"method": "net", **bracket(region_cells(ifs, bases, depth)).as_dict()}
     else:
         raise ConfigError(f"unknown method {method!r} (use 'net' or 'mc')")
     return body, 0
@@ -402,12 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.format is not None and args.command != "pv-trace":
-            parser.error("--format applies only to pv-trace")
+            _PARSER.error("--format applies only to pv-trace")
         cfg = load_config(args.config, args.override)
         ifs = IFS.from_config(cfg)
         body, code = _COMMANDS[args.command][0](cfg, ifs, _params(cfg), args)

@@ -16,10 +16,13 @@ group-geometry constants are sampled bounds with a safety margin and assume
 the compared points are no farther from each other than from the pole, which
 holds for quadrature cells resolved below their pole distance.
 
-Sign convention caveat: the sign family jumps across the hyperplane z_1 = 0,
-so its Lipschitz constant is only valid when each compared pair lies on one
-side, which is automatic in one dimension (cells are intervals away from the
-pole) and the caller's responsibility otherwise.
+A family whose Omega jumps says where: ``jumps(geom, z, radius)`` marks the
+displacements z whose ball of that radius meets the jump set, or is None when
+no evaluated cell can meet it.  The sign family jumps across z_1 = 0; the first
+coordinate is additive in both geometries, so a cell B(x_v, d_v) meets it
+exactly when |z_1(x_v)| <= d_v.  In one dimension that set is the pole, which
+every evaluated cell is certified away from.  ``cell_err_bound`` charges a
+marked cell the full oscillation 2 sup / delta^s instead of L(delta) d.
 """
 
 from __future__ import annotations
@@ -48,8 +51,14 @@ def bump_profile(t):
     return out
 
 
+class _Smooth:
+    def jumps(self, geom, z, radius):
+        """None: Omega is Lipschitz on the whole sphere."""
+        return None
+
+
 @dataclass(frozen=True)
-class ConstantOmega:
+class ConstantOmega(_Smooth):
     """Omega(z) = c."""
 
     c: float = 1.0
@@ -83,15 +92,17 @@ class SignOmega:
         return 1.0
 
     def lip_for(self, geom) -> float:
-        # valid for one-sided pairs; see the module docstring
-        return 1.0
+        return 1.0  # 0 off the jump, which ``jumps`` marks
+
+    def jumps(self, geom, z, radius):
+        return None if geom.dim == 1 else np.abs(z[..., 0]) <= radius
 
     def to_config(self) -> dict:
         return {"kind": "sign"}
 
 
 @dataclass(frozen=True)
-class RieszComponent:
+class RieszComponent(_Smooth):
     """Omega(z) = z_axis / ||z||^degree(axis), the axis-th Riesz direction.
 
     ``axis`` is 1-based.  The homogeneity degree of the coordinate comes from
@@ -133,7 +144,7 @@ class RieszComponent:
 
 
 @dataclass(frozen=True)
-class PolynomialOverNorm:
+class PolynomialOverNorm(_Smooth):
     """Omega(z) = P(z) / ||z||^degree for a weighted-homogeneous polynomial P.
 
     ``coeffs`` is a list of monomials [c, [e_1, ..., e_d]]; each must have
@@ -263,6 +274,9 @@ class PerturbedOmega:
         extra = self.eps * PHI_DERIV_BOUND * (math.pi / 2.0) / self.rho
         return self.base.lip_for(geom) + extra
 
+    def jumps(self, geom, z, radius):
+        return self.base.jumps(geom, z, radius)
+
     def to_config(self) -> dict:
         return {"kind": "perturbed", "base": self.base.to_config(),
                 "direction": list(self.direction), "rho": self.rho,
@@ -343,9 +357,13 @@ class HomogeneousKernel:
             return float(out)
         return out
 
-    def cell_err_bound(self, delta, diams):
-        """Per-cell oscillation bounds L(delta_v) * d_v of y -> k(x, y)."""
-        return self.lipschitz_on(delta) * np.asarray(diams, dtype=float)
+    def cell_err_bound(self, delta, diams, z):
+        """Per-cell oscillation bounds of y -> k(x, y): L(delta_v) d_v, or
+        2 sup / delta_v^s where ``omega.jumps`` marks the node displacement."""
+        err = self.lipschitz_on(delta) * np.asarray(diams, dtype=float)
+        jump = self.omega.jumps(self.geometry, z, diams)
+        return err if jump is None else np.where(
+            jump, 2.0 * self.omega_sup / delta ** self.s, err)
 
     def pole_sup(self, eps: float) -> float:
         """Sup bound for |k(x, .)| outside the ball of radius eps around x."""

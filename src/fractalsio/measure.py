@@ -17,9 +17,10 @@ it folds each base from chunks gathered from the relative nets
 (``IFS.relative_net``, cached per depth) and composes the base's map once
 onto the m-letter net by broadcasting, so no cell is ever spelled out as a
 word.  A ``CellBlock`` keeps only the (base words, depth) segments it was
-built from, and rebuilds a cell's word on demand as a label for CSV export
-and error messages.  The empty word has no contraction to take a fixed point
-of, so its cell is represented by the fixed point of S_1.
+built from; ``CellBlock.letters`` unravels them into one row of letters per
+cell, for the witness rule, CSV labels and error messages.  The empty word
+has no contraction to take a fixed point of, so its cell is represented by
+the fixed point of S_1.
 
 Ball complements are split by ``_ball_cells`` (also used by ``sio``), which
 tracks the active cells as an array of letters, split by masks, and adds each
@@ -62,45 +63,18 @@ def pairwise_sum(values) -> float:
 
 @dataclass(frozen=True)
 class ModulusSpec:
-    """Modulus of continuity for an integrand.
+    """Lipschitz modulus of continuity of an integrand: omega(d) = L d."""
 
-    kinds: ``lipschitz`` (omega(d) = L d), ``holder`` (omega(d) = c d^alpha),
-    ``sup_only`` (omega(d) = 2 M, the crude oscillation bound from |f| <= M).
-    """
-
-    kind: str
-    a: float
-    alpha: float = 1.0
+    L: float
 
     @classmethod
     def lipschitz(cls, L: float) -> "ModulusSpec":
         if not (L >= 0.0 and math.isfinite(L)):
             raise InputError("Lipschitz constant must be finite and >= 0")
-        return cls("lipschitz", float(L))
-
-    @classmethod
-    def holder(cls, c: float, alpha: float) -> "ModulusSpec":
-        if not (c >= 0.0 and math.isfinite(c)):
-            raise InputError("Holder constant must be finite and >= 0")
-        if not (0.0 < alpha <= 1.0):
-            raise InputError("Holder exponent must lie in (0, 1]")
-        return cls("holder", float(c), float(alpha))
-
-    @classmethod
-    def sup_only(cls, M: float) -> "ModulusSpec":
-        if not (M >= 0.0 and math.isfinite(M)):
-            raise InputError("sup bound must be finite and >= 0")
-        return cls("sup_only", float(M))
+        return cls(float(L))
 
     def omega(self, d):
-        d = np.asarray(d, dtype=float)
-        if self.kind == "lipschitz":
-            return self.a * d
-        if self.kind == "holder":
-            return self.a * d ** self.alpha
-        if self.kind == "sup_only":
-            return np.full_like(d, 2.0 * self.a)
-        raise InputError(f"unknown modulus kind {self.kind!r}")
+        return self.L * np.asarray(d, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -139,7 +113,8 @@ class CellBlock:
     cells were built from: ``bases`` is an integer array with one base word
     per row (1-based letters, all rows the same length), and each base
     contributes the cells of every ``depth``-letter refinement of its
-    cylinder in lexicographic order.
+    cylinder in lexicographic order.  ``letters`` is the one routine that
+    turns the segments into cell words.
     """
 
     weights: np.ndarray
@@ -157,29 +132,30 @@ class CellBlock:
         """Length of the longest cell word."""
         return max((bases.shape[1] + d for bases, d in self.segments), default=0)
 
-    def word(self, i: int) -> tuple:
-        """The word of cell ``i``, rebuilt from the segments."""
-        i = int(i)
+    def letters(self) -> np.ndarray:
+        """Each cell's word as a row of 1-based letters, 0-padded to ``depth``,
+        in the narrowest unsigned dtype that holds N."""
+        n = self.n_letters
+        out = np.zeros((self.count, self.depth), dtype=np.min_scalar_type(n))
+        row = 0
         for bases, depth in self.segments:
-            size = self.n_letters ** depth
-            if 0 <= i < len(bases) * size:
-                b, k = divmod(i, size)
-                suffix = np.unravel_index(k, (self.n_letters,) * depth)
-                return (tuple(int(a) for a in bases[b])
-                        + tuple(int(a) + 1 for a in suffix))
-            i -= len(bases) * size
-        raise IndexError("cell index out of range")
+            size, k = n ** depth, bases.shape[1]
+            block = out[row:row + len(bases) * size]
+            block[:, :k] = np.repeat(bases, size, axis=0)
+            suffixes = np.indices((n,) * depth).reshape(depth, size).T + 1
+            block[:, k:k + depth] = np.tile(suffixes, (len(bases), 1))
+            row += len(block)
+        return out
 
 
 def _word_label(word) -> str:
-    return ".".join(str(a) for a in word)
+    return ".".join(str(a) for a in word if a)  # 0 pads a letter row
 
 
-def _check_budget(count: int, cap: int):
-    if count > cap:
-        raise ResourceLimitError(
-            f"refinement would need {count} cells, over the budget {cap}"
-        )
+def _check_budget(count: int):
+    if count > IFS.DEFAULT_CELL_CAP:
+        raise ResourceLimitError(f"refinement would need {count} cells, "
+                                 f"over the budget {IFS.DEFAULT_CELL_CAP}")
 
 
 def _cell_block(ifs: IFS, segments) -> CellBlock:
@@ -216,23 +192,22 @@ def cells_for_words(ifs: IFS, words) -> CellBlock:
     return _cell_block(ifs, _word_segments(ifs, words, 0))
 
 
-def net(ifs: IFS, depth: int, cap: int = None) -> CellBlock:
+def net(ifs: IFS, depth: int) -> CellBlock:
     """The full depth-``depth`` cylinder net in lexicographic order."""
     if not isinstance(depth, (int, np.integer)) or depth < 0:
         raise InputError("net depth must be a nonnegative integer")
-    return region_cells(ifs, [()], depth, cap=cap)
+    return region_cells(ifs, [()], depth)
 
 
-def region_cells(ifs: IFS, base_words, depth: int, cap: int = None) -> CellBlock:
+def region_cells(ifs: IFS, base_words, depth: int) -> CellBlock:
     """Cells refining each base cylinder by ``depth`` extra letters.
 
     Order: base words first, then suffixes lexicographically within a base.
     """
     if depth < 0:
         raise InputError("refinement depth must be nonnegative")
-    cap = ifs.DEFAULT_CELL_CAP if cap is None else cap
     segments = _word_segments(ifs, base_words, depth)
-    _check_budget(sum(len(bases) for bases, _ in segments) * ifs.n_letters ** depth, cap)
+    _check_budget(sum(len(bases) for bases, _ in segments) * ifs.n_letters ** depth)
     return _cell_block(ifs, segments)
 
 
@@ -250,7 +225,7 @@ def _eval_f(f, points, cells=None, first=0):
                               f"{len(points)} points, expected ({len(points)},)")
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))
-        where = _word_label(cells.word(i)) if cells is not None else f"index {first + i}"
+        where = _word_label(cells.letters()[i]) if cells is not None else f"index {first + i}"
         raise EvaluationError(f"integrand returned a non-finite value on cell {where}")
     return vals
 
@@ -298,7 +273,7 @@ def integrate_complement(ifs: IFS, f, mod: ModulusSpec, excluded,
     return integrate_cells(region_cells(ifs, bases, depth), f, mod)
 
 
-def _ball_cells(ifs: IFS, center, eps: float, depth: int, cap: int = None):
+def _ball_cells(ifs: IFS, center, eps: float, depth: int):
     """The cells of the attractor outside the ball B(center, eps).
 
     Cells certified outside the ball are kept, refined to word length
@@ -315,7 +290,6 @@ def _ball_cells(ifs: IFS, center, eps: float, depth: int, cap: int = None):
         raise InputError("ball radius eps must be positive and finite")
     if depth < 0:
         raise InputError("refinement depth must be nonnegative")
-    cap = ifs.DEFAULT_CELL_CAP if cap is None else cap
 
     n = ifs.n_letters
     letters = np.zeros((1, 0), dtype=np.int64)  # words of the active cells
@@ -329,7 +303,7 @@ def _ball_cells(ifs: IFS, center, eps: float, depth: int, cap: int = None):
         m = depth - level
         n_out = int(np.count_nonzero(outside))
         if level < depth:
-            _check_budget(n_kept + n_out * n ** m + len(letters) * n, cap)
+            _check_budget(n_kept + n_out * n ** m + len(letters) * n)
         if n_out:
             segments.append((letters[outside], m))
             n_kept += n_out * n ** m
@@ -342,14 +316,14 @@ def _ball_cells(ifs: IFS, center, eps: float, depth: int, cap: int = None):
 
 
 def integrate_ball_complement(ifs: IFS, f, mod: ModulusSpec, center, eps: float,
-                              depth: int, cap: int = None) -> QuadratureResult:
+                              depth: int) -> QuadratureResult:
     """Bracketed integral of f over the attractor minus the ball B(center, eps).
 
     The cells kept outside the ball are integrated as usual.  Straddling
     cells left at word length ``depth`` are not split further: each adds
     mu(C_v) (|f(x_v)| + omega(d_v)), a bound for |f| on it, to ``err``.
     """
-    kept, straddlers = _ball_cells(ifs, center, eps, depth, cap)
+    kept, straddlers = _ball_cells(ifs, center, eps, depth)
     quad = integrate_cells(kept, f, mod)
     err = quad.err
     if straddlers.count:
@@ -399,6 +373,6 @@ def export_net_csv(cells: CellBlock, f, path: str):
     vals = _eval_f(f, cells.points, cells)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("cell,word,weight,diameter,fvalue\n")
-        for i in range(cells.count):
-            fh.write(f"{i},{_word_label(cells.word(i))},{cells.weights[i]:.17g},"
+        for i, row in enumerate(cells.letters()):
+            fh.write(f"{i},{_word_label(row)},{cells.weights[i]:.17g},"
                      f"{cells.diams[i]:.17g},{vals[i]:.17g}\n")

@@ -64,7 +64,7 @@ def _bracket(kern: HomogeneousKernel, pole, cells, size: int, depth: int,
         weights = cells.weights[part]
         value = pairwise_sum(weights * kvals)
         err = pairwise_sum(weights * kern.cell_err_bound(delta[part],
-                                                         cells.diams[part]))
+                                                         cells.diams[part], z[part]))
         out.append(QuadratureResult(value, err, depth, size))
     return out
 
@@ -457,6 +457,8 @@ class WitnessIntegrand:
     by nearest preimage (unique off the boundary set for separated systems),
     and applies the rule to the letters so far until it decides each point;
     points undecided after ``_letters`` letters evaluate to 0 (a null set).
+    ``bracket`` is the witness's own cell bound: the rule on each cell's
+    letters decides where the node value may be trusted.
 
     Each inverse step multiplies rounding error by 1/r, or by 1/r^2 in a
     coordinate of degree 2, which enters the gauge through a square root.
@@ -478,12 +480,31 @@ class WitnessIntegrand:
         self._letters = max(1, int(letters))
 
     def _rule(self, letters) -> np.ndarray:
-        """Per row of 1-based letters: 1.0 when its first off-track letter
-        starts a block, 0.0 when it does not, nan while it is on the u-track."""
+        """Per row of 1-based letters (0 pads a row past its word's end): 1.0
+        when its first off-track letter starts a block, 0.0 when it does not,
+        nan while it is on the u-track."""
         pos = np.arange(letters.shape[1])
         track = np.asarray(self.u)[pos % len(self.u)]
-        first = np.where(letters != track, pos, len(pos)).min(axis=1, initial=len(pos))
+        off = (letters != track) & (letters > 0)
+        first = np.where(off, pos, len(pos)).min(axis=1, initial=len(pos))
         return np.where(first == len(pos), np.nan, first % len(self.u) == 0)
+
+    def bracket(self, cells) -> QuadratureResult:
+        """Bracketed integral of the witness over the cells of a ``CellBlock``.
+
+        The witness is constant on a cell whose word ``_rule`` decides.  Such
+        a cell counts its node value, from one call on every node, with err
+        0 if the rule agrees and its full mass if not.  The undecided cell,
+        the u-track prefix, counts half its mass with half its mass as err.
+        """
+        node = self(cells.points)
+        rule = self._rule(cells.letters())
+        undecided = np.isnan(rule)
+        value = np.where(undecided, 0.5, node)
+        err = np.where(undecided, 0.5, node != rule)
+        return QuadratureResult(pairwise_sum(cells.weights * value),
+                                pairwise_sum(cells.weights * err),
+                                cells.depth, cells.count)
 
     def on_word(self, word):
         """Exact value on a finite word: 1.0, 0.0, or None when undecided."""

@@ -167,6 +167,11 @@ def witness_on_word(u, word):
         return 1.0 if block[0] != u[0] else 0.0
 
 
+def cell_words(cells) -> list:
+    """Each cell's word, read from its 0-padded row of ``letters``."""
+    return [tuple(int(a) for a in row if a) for row in cells.letters()]
+
+
 def write_config(path, cfg) -> str:
     path = str(path)
     with open(path, "w", encoding="utf-8") as fh:

@@ -58,6 +58,12 @@ def test_removed_names_are_gone():
     assert "region_sup" not in inspect.signature(
         fractalsio.integrate_ball_complement).parameters
     assert not hasattr(fractalsio.EPWord, "shift")
+    for name in ("holder", "sup_only", "kind", "alpha"):  # one kind, Lipschitz
+        assert not hasattr(fractalsio.ModulusSpec.lipschitz(1.0), name), name
+    assert not hasattr(fractalsio.CellBlock, "word")  # read from letters()
+    for func in (fractalsio.net, fractalsio.region_cells,
+                 fractalsio.integrate_ball_complement, fractalsio.measure._ball_cells):
+        assert "cap" not in inspect.signature(func).parameters, func
     kern = fractalsio.HomogeneousKernel(fractalsio.Euclidean(1), 1.0,
                                         fractalsio.SignOmega())
     assert not hasattr(kern, "analytic")

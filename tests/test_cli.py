@@ -85,8 +85,18 @@ def test_integrate_witness_excluded(mt_config, capsys):
             "--override", "params.excluded=[1]", "--override", "params.depth=6"]
     assert main(args) == 0
     out = _json_out(capsys)
-    assert (out["value"], out["err"], out["cells"]) == (0.5, 0.5, 64)
+    assert (out["value"], out["err"], out["cells"]) == (0.5, 0.0, 64)
     assert abs(out["value"] - 0.5) <= out["err"]
+
+
+def test_main_calls_share_no_state(mt_config, capsys):
+    # main reuses one parser: appended overrides must not leak into the next call
+    assert main(["dim", "--config", mt_config, "--override", "params.a=1"]) == 0
+    assert _json_out(capsys)["config"]["params"] == {"a": 1}
+    assert main(["dim", "--config", mt_config, "--override", "params.b=2"]) == 0
+    assert _json_out(capsys)["config"]["params"] == {"b": 2}
+    assert main(["dim", "--config", mt_config]) == 0
+    assert _json_out(capsys)["config"]["params"] == {}
 
 
 def test_integrate_mc(mt_config, capsys):

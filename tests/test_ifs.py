@@ -284,7 +284,7 @@ def test_pair_brackets_contain_net_reference(name, request):
     cells = net(ifs, 5)
     d = float(np.max(cells.diams))
     dist = ifs.geometry.dist(cells.points[:, np.newaxis], cells.points[np.newaxis])
-    branch = np.array([cells.word(i)[0] for i in range(cells.count)])
+    branch = cells.letters()[:, 0]
     min_pts = float(np.min(dist[branch[:, np.newaxis] != branch[np.newaxis]]))
     max_pts = float(np.max(dist))
     diam_lo, diam_hi = ifs.diam_bracket()

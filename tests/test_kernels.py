@@ -144,9 +144,33 @@ def test_cell_err_bound_shapes(middle_thirds):
     kern = h.sign_kernel(middle_thirds)
     deltas = np.array([0.5, 1.0])
     diams = np.array([0.1, 0.2])
-    out = kern.cell_err_bound(deltas, diams)
+    out = kern.cell_err_bound(deltas, diams, np.array([[0.5], [1.0]]))
     assert out.shape == (2,)
     assert np.all(out > 0)
+
+
+def test_jump_sets():
+    # sign jumps where a displacement ball meets z_1 = 0, in both geometries;
+    # in one dimension that set is the pole, and smooth families have none
+    z2 = np.array([[0.05, 1.0], [-0.5, 1.0], [0.0, 0.0]])
+    z3 = np.array([[0.05, 1.0, 2.0], [-0.5, 1.0, 2.0]])
+    r = np.array([0.1, 0.1, 0.1])
+    bumped = PerturbedOmega(SignOmega(), (1.0, 0.0), 0.5, 0.1)
+    for geom, z, want in [(E2, z2, [True, False, True]), (HG, z3, [True, False])]:
+        assert SignOmega().jumps(geom, z, r[:len(z)]).tolist() == want
+    assert bumped.jumps(E2, z2, r).tolist() == [True, False, True]
+    assert SignOmega().jumps(E1, z2[:, :1], r) is None
+    for geom, omega in _omega_battery():
+        if not isinstance(omega, SignOmega):
+            assert omega.jumps(geom, np.ones((1, geom.dim)), r[:1]) is None
+
+
+def test_cell_err_bound_charges_jumps():
+    # a cell meeting the jump is charged 2 sup / delta^s, the others L(delta) d
+    kern = HomogeneousKernel(E2, 1.0, SignOmega())
+    delta, diams = np.array([0.5, 0.5]), np.array([0.1, 0.1])
+    out = kern.cell_err_bound(delta, diams, np.array([[0.05, 0.6], [0.6, 0.05]]))
+    assert out.tolist() == [2.0 / 0.5, kern.lipschitz_on(0.5) * 0.1]
 
 
 def test_pole_sup():

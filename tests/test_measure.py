@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import _helpers as h
-from fractalsio import (EvaluationError, ModulusSpec, ResourceLimitError,
+from fractalsio import (IFS, EvaluationError, ModulusSpec, ResourceLimitError,
                         cells_for_words, complement_base_words, integrate,
                         integrate_ball_complement, integrate_cells,
                         integrate_complement, integrate_cylinder, mc_integrate,
@@ -108,7 +108,7 @@ def test_cells_match_reference(request, name):
         weights, points, diams = _reference_cells(ifs, words)
         assert cells.count == len(words)
         assert cells.depth == max(len(w) for w in words)
-        assert [cells.word(i) for i in range(cells.count)] == words
+        assert h.cell_words(cells) == words
         np.testing.assert_allclose(cells.points, points, rtol=0.0, atol=4e-16)
         np.testing.assert_allclose(cells.weights, weights, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(cells.diams, diams, rtol=1e-15, atol=0.0)
@@ -221,6 +221,7 @@ def test_region_cells_gather_long_suffixes(heis_twisted):
                   [tuple(int(a) for a in w) for w in rng.integers(1, 4, size=(4, 16))]):
         cells = region_cells(ifs, bases, 2)
         assert cells.count == 9 * len(bases)
+        words = h.cell_words(cells)
         i = 0
         for b in bases:
             for u in itertools.product((1, 2, 3), repeat=2):
@@ -229,7 +230,7 @@ def test_region_cells_gather_long_suffixes(heis_twisted):
                 for a in reversed(u):
                     weight = ifs.letter_weights[a - 1] * weight
                 weight = np.prod(ifs.letter_weights[np.array(b) - 1]) * weight
-                assert cells.word(i) == b + u
+                assert words[i] == b + u
                 np.testing.assert_array_equal(
                     cells.points[i], shift / (1.0 - ratio ** geom.coord_degrees))
                 assert cells.diams[i] == ratio * dhi
@@ -341,16 +342,21 @@ def test_integrand_output_shape_checked(middle_thirds, f):
         integrate(middle_thirds, f, LIP1, depth=3)
 
 
-def test_resource_limit(four_corner):
+def test_resource_limit(four_corner, monkeypatch):
+    monkeypatch.setattr(IFS, "DEFAULT_CELL_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        net(four_corner, 5, cap=100)
+        net(four_corner, 5)
+    with pytest.raises(ResourceLimitError):
+        integrate_ball_complement(four_corner, _coord, LIP1, [0.0, 0.0], 1e-3, 5)
 
 
-def test_holder_and_sup_moduli():
-    hol = ModulusSpec.holder(2.0, 0.5)
-    assert hol.omega(0.25) == pytest.approx(1.0)
-    sup = ModulusSpec.sup_only(3.0)
-    assert sup.omega(123.0) == pytest.approx(6.0)
+def test_letters_unravel_segments(middle_thirds, four_corner):
+    # the one routine behind every cell word: 0-padded rows in uint8
+    cells = region_cells(middle_thirds, complement_base_words((1, 2), 2), 1)
+    assert cells.letters().dtype == np.uint8
+    np.testing.assert_array_equal(cells.letters(), [[2, 1, 0], [2, 2, 0],
+                                                    [1, 1, 1], [1, 1, 2]])
+    assert net(four_corner, 0).letters().shape == (1, 0)
 
 
 def test_export_net_csv(tmp_path, middle_thirds):

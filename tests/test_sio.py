@@ -7,11 +7,10 @@ import pytest
 import _helpers as h
 import fractalsio.sio as sio
 from fractalsio import (IFS, ConfigError, EPWord, HomogeneousKernel, InputError,
-                        RieszComponent, WitnessIntegrand, ball_cylinder_gap,
-                        complement_base_words, criterion,
-                        divergence_certificate, integrate_complement,
-                        maximal_symbolic, net, pv_trace, region_cells,
-                        truncated)
+                        RieszComponent, SignOmega, WitnessIntegrand,
+                        ball_cylinder_gap, complement_base_words, criterion,
+                        divergence_certificate, maximal_symbolic, net,
+                        pv_trace, region_cells, truncated)
 
 ETA_LO, ETA_HI = -0.6458, -0.5  # frozen analytic bracket for the sign kernel
 
@@ -395,9 +394,9 @@ def test_witness_matches_symbolic_rule(request, name):
         g = WitnessIntegrand(ifs, u)
         assert g._letters == horizon
         got = g(cells.points)
-        for i in range(cells.count):
-            want = g.on_word((cells.word(i) * horizon)[:horizon])
-            assert got[i] == (0.0 if want is None else want), (u, cells.word(i))
+        for i, word in enumerate(h.cell_words(cells)):
+            want = g.on_word((word * horizon)[:horizon])
+            assert got[i] == (0.0 if want is None else want), (u, word)
 
 
 @pytest.mark.parametrize("name, us", [
@@ -415,16 +414,65 @@ def test_witness_rule_matches_block_loop(request, name, us):
 
 
 def test_witness_batch_and_integral(middle_thirds):
-    from fractalsio import ModulusSpec
     g = WitnessIntegrand(middle_thirds, (1,))
     # g = 1 exactly on C_2 here, so its complement integral over C minus C_1
-    # equals mu(C_2) = 1/2
-    quad = integrate_complement(middle_thirds, g, ModulusSpec.sup_only(0.5),
-                                (1,), depth=6)
-    assert abs(quad.value - 0.5) <= quad.err
+    # equals mu(C_2) = 1/2, and the rule decides every cell
+    quad = g.bracket(region_cells(middle_thirds, complement_base_words((1,), 2), 6))
+    assert (quad.value, quad.err, quad.cells) == (0.5, 0.0, 64)
     pts = np.array([[0.9], [0.05]])
     vals = g(pts)
     assert vals.shape == (2,)
+
+
+def test_witness_bracket_pins(middle_thirds):
+    # the exact integral is (1 - p_1) / (1 - p_1 p_2) = 2/3; the one undecided
+    # cell, 1 2 1 2 1 2 1 2, counts half its mass 2^-8 as value and as err
+    g = WitnessIntegrand(middle_thirds, (1, 2))
+    quad = g.bracket(net(middle_thirds, 8))
+    assert (quad.value, quad.err, quad.cells) == (0.666015625, 2.0 ** -9, 256)
+    for depth in (9, 10, 14):
+        quad = g.bracket(net(middle_thirds, depth))
+        assert quad.err == 2.0 ** -(depth + 1)
+        assert abs(quad.value - 2.0 / 3.0) <= quad.err
+    # over C minus C_111 the undecided row 1 2 1 2 ... is one letter shorter
+    # than the block's rows; 0 pads it, and C_111 adds nothing to the integral
+    cells = region_cells(middle_thirds, complement_base_words((1, 1, 1), 2), 6)
+    quad = g.bracket(cells)
+    assert quad.err == 2.0 ** -9
+    assert abs(quad.value - 2.0 / 3.0) <= quad.err
+
+
+def test_witness_bracket_past_decoder_horizon(middle_thirds):
+    # the decoder reads 16 letters, so at depth 18 it leaves cells undecided
+    # that the rule decides; each is charged its mass and the bracket holds
+    g = WitnessIntegrand(middle_thirds, (1, 2))
+    quad = g.bracket(net(middle_thirds, 18))
+    assert 2.0 ** -19 < quad.err < 1e-5
+    assert abs(quad.value - 2.0 / 3.0) <= quad.err
+
+
+def test_four_corner_sign_brackets_hold_mc_reference(four_corner):
+    # sign jumps on z_1 = 0, which the cells of letters 1 and 3 touch; each
+    # such cell is charged the kernel's full oscillation on it
+    kern = HomogeneousKernel(four_corner.geometry, 1.0, SignOmega())
+    reps = [criterion(four_corner, kern, (1,), d) for d in (4, 6, 8)]
+    assert all(rep.verdict == "NonzeroCertified" for rep in reps)
+    quads = [rep.result for rep in reps]
+    for a, b in itertools.combinations(quads, 2):
+        assert h.overlap(a, b), (a, b)
+    # plain Monte Carlo of sign(-y_1) / |y| over C minus C_1, the pole being
+    # the fixed point (0, 0) of map 1; y = q_{a_1} + q_{a_2} / 4 + ...
+    rng = np.random.default_rng(2024)
+    shifts = np.array([[0.0, 0.0], [0.75, 0.0], [0.0, 0.75], [0.75, 0.75]])
+    n = 400_000
+    first = rng.integers(0, 4, n)
+    y = shifts[first].copy()
+    for k in range(1, 26):
+        y += 0.25 ** k * shifts[rng.integers(0, 4, n)]
+    vals = np.where(first == 0, 0.0, -np.sign(y[:, 0]) / np.hypot(y[:, 0], y[:, 1]))
+    mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
+    for quad in quads:
+        assert abs(quad.value - mean) <= quad.err + 4.0 * se, (quad, mean, se)
 
 
 def test_witness_requires_letter_one(middle_thirds):
