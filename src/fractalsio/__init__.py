@@ -11,9 +11,8 @@ from .errors import (ConfigError, EvaluationError, FractalsioError, InputError,
                      ResourceLimitError)
 from .geometry import Euclidean, Heisenberg1, geometry_from_config
 from .symbolic import EPWord, validate_word
-from .ifs import IFS, SeparationReport, Similarity, similarity_dimension
-from .measure import (CellBlock, ModulusSpec, QuadratureResult,
-                      cells_for_words, complement_base_words, export_net_csv,
+from .ifs import IFS, SeparationReport, similarity_dimension
+from .measure import (CellBlock, QuadratureResult, cells_for_words, complement_base_words, export_net_csv,
                       integrate, integrate_ball_complement, integrate_cells,
                       integrate_complement, integrate_cylinder, mc_integrate,
                       net, pairwise_sum, region_cells)
@@ -24,7 +23,7 @@ from .sio import (CriterionReport, DivergenceReport, MaximalEstimate, PVRow,
                   PVTrace, WitnessIntegrand, ball_cylinder_gap, criterion,
                   divergence_certificate, maximal_symbolic, pv_trace,
                   truncated)
-from .ergodic import OrbitSample, birkhoff_frequency, hitting_times, sample_orbit
+from .ergodic import birkhoff_frequency, hitting_times, sample_orbit
 
 __version__ = "0.1.0"
 
@@ -33,8 +32,8 @@ __all__ = [
     "ResourceLimitError",
     "Euclidean", "Heisenberg1", "geometry_from_config",
     "EPWord", "validate_word",
-    "IFS", "SeparationReport", "Similarity", "similarity_dimension",
-    "CellBlock", "ModulusSpec", "QuadratureResult", "cells_for_words",
+    "IFS", "SeparationReport", "similarity_dimension",
+    "CellBlock", "QuadratureResult", "cells_for_words",
     "complement_base_words", "export_net_csv", "integrate",
     "integrate_ball_complement", "integrate_cells", "integrate_complement",
     "integrate_cylinder", "mc_integrate", "net", "pairwise_sum",
@@ -45,6 +44,6 @@ __all__ = [
     "CriterionReport", "DivergenceReport", "MaximalEstimate", "PVRow",
     "PVTrace", "WitnessIntegrand", "ball_cylinder_gap", "criterion",
     "divergence_certificate", "maximal_symbolic", "pv_trace", "truncated",
-    "OrbitSample", "birkhoff_frequency", "hitting_times", "sample_orbit",
+    "birkhoff_frequency", "hitting_times", "sample_orbit",
     "__version__",
 ]

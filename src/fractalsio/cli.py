@@ -23,8 +23,7 @@ from .errors import ConfigError, FractalsioError, InputError
 from .ergodic import _block_statistics, birkhoff_frequency, hitting_times
 from .ifs import IFS
 from .kernels import HomogeneousKernel
-from .measure import (ModulusSpec, complement_base_words, integrate_cells,
-                      mc_integrate, region_cells)
+from .measure import complement_base_words, integrate_cells, mc_integrate, region_cells
 from .sio import (PV_CSV_HEADER, WitnessIntegrand, ball_cylinder_gap, criterion,
                   maximal_symbolic, pv_trace, truncated)
 from .symbolic import EPWord, validate_word
@@ -168,7 +167,7 @@ def _field(desc: dict, key: str, read, what: str, default=None):
 
 def _nonnegative(raw) -> float:
     value = float(raw)
-    if not value >= 0.0:
+    if not (value >= 0.0 and math.isfinite(value)):
         raise ValueError(value)
     return value
 
@@ -191,7 +190,7 @@ def _monomial(ifs: IFS, desc: dict):
         return coeff * np.prod(pts ** exps, axis=-1)
 
     if "lipschitz" in desc:
-        lip = _field(desc, "lipschitz", _nonnegative, "a nonnegative number")
+        lip = _field(desc, "lipschitz", _nonnegative, "a finite nonnegative number")
     elif geom.kind == "euclidean":
         center, radius = ifs.attractor_bound()
         bounds = np.abs(np.asarray(center, dtype=float)) + radius
@@ -208,7 +207,7 @@ def _monomial(ifs: IFS, desc: dict):
     else:
         raise ConfigError("provide integrand.lipschitz for group geometries "
                           "(the automatic bound is Euclidean only)")
-    return f, ModulusSpec.lipschitz(lip)
+    return f, lip
 
 
 def _integrand(ifs: IFS, desc) -> tuple:
@@ -221,14 +220,13 @@ def _integrand(ifs: IFS, desc) -> tuple:
                                          "a list of letters 1, 2, ..."))
         return g, g.bracket
     if kind == "monomial":
-        f, mod = _monomial(ifs, desc)
+        f, lip = _monomial(ifs, desc)
     elif kind == "constant":
         c = _field(desc, "value", float, "a number", 1.0)
-        f, mod = (lambda pts: np.full(np.asarray(pts).shape[:-1], c)), \
-            ModulusSpec.lipschitz(0.0)
+        f, lip = (lambda pts: np.full(np.asarray(pts).shape[:-1], c)), 0.0
     else:
         raise ConfigError(f"unknown integrand kind {kind!r}")
-    return f, lambda cells: integrate_cells(cells, f, mod)
+    return f, lambda cells: integrate_cells(cells, f, lip)
 
 
 # ---- commands ------------------------------------------------------------------

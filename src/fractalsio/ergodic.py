@@ -17,8 +17,6 @@ over the stream, one block of letters at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -26,17 +24,6 @@ from .ifs import IFS
 from .symbolic import validate_word
 
 _BLOCK = 1 << 16  # 32-bit values per Philox draw
-
-
-@dataclass(frozen=True)
-class OrbitSample:
-    """A sampled letter sequence (1-based) and the seed that produced it."""
-
-    seed: int
-    letters: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.letters.shape[0])
 
 
 def _cuts(ifs: IFS) -> list:
@@ -81,21 +68,21 @@ def _letter_stream(ifs: IFS, seed: int):
     return draw
 
 
-def sample_orbit(ifs: IFS, n: int, seed: int) -> OrbitSample:
-    """Draw ``n`` i.i.d. letters with probabilities r_i^s.
+def sample_orbit(ifs: IFS, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` i.i.d. letters (1-based) with probabilities r_i^s.
 
     The letters are the first ``n`` of the seed's letter stream: with the
     integer cuts C_j = round(2^32 (p_1 + ... + p_j)), they equal
     ``searchsorted(C, u, side="right") + 1`` over the 32-bit halves u of
     ``Philox(seed).random_raw`` words, low half first, so each letter's
     probability is within 2^-32 of its weight and the letters are the same
-    on every platform.  Returned as int64.
+    on every platform.  Returned as an int64 array.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InputError("orbit length must be a nonnegative integer")
     letters = _letter_stream(ifs, seed)(np.empty(int(n), dtype=np.int64))
     letters += 1
-    return OrbitSample(seed=int(seed), letters=letters)
+    return letters
 
 
 def _block_statistics(ifs: IFS, target, count: int, n_steps: int):

@@ -91,17 +91,6 @@ def similarity_dimension(ratios) -> float:
     raise InputError("similarity dimension iteration failed to converge")
 
 
-@dataclass(frozen=True)
-class Similarity:
-    """One contraction p -> shift * dilate(ratio, p)."""
-
-    ratio: float
-    shift: np.ndarray
-
-    def apply(self, geom, pts):
-        return geom.op(self.shift, geom.dilate(self.ratio, pts))
-
-
 def _compose(geom, ratio_a, shift_a, ratio_b, shift_b):
     """(ratio, shift) of S_a o S_b, broadcasting over stacked maps.
 
@@ -132,7 +121,7 @@ def _fixed_points(geom, ratios, shifts):
 @dataclass(frozen=True)
 class SeparationReport:
     """Certified separation verdict with the brackets that justify it, and
-    the gap search's node count and whether it stopped at ``max_nodes``.
+    the gap search's node count and whether it stopped at ``_MAX_NODES``.
 
     ``Overlapping`` means an exact shared attractor point across branches
     (an image of a fixed point in one branch equal to one in another), so the
@@ -161,36 +150,33 @@ _Bracket = namedtuple("_Bracket", "lo hi nodes overlap exhausted")
 class IFS:
     """A finite system of similarities with its natural measure exponent.
 
-    ``maps`` is a sequence of ``Similarity`` or ``(ratio, shift)`` pairs,
-    letters are 1-based.  ``dim_s`` may pin the exponent; when omitted it is
-    the similarity dimension.  ``osc_ball=(center, radius)`` optionally
-    declares a ball whose images under the maps are pairwise disjoint and
-    contained in it; the claim is checked on construction.
+    ``maps`` is a sequence of ``(ratio, shift)`` pairs, held as the arrays
+    ``ratios`` and ``shifts``; letters are 1-based.  ``dim_s`` may pin the
+    exponent; when omitted it is the similarity dimension.
+    ``osc_ball=(center, radius)`` optionally declares a ball whose images
+    under the maps are pairwise disjoint and contained in it; the claim is
+    checked on construction.
     """
 
     DEFAULT_CELL_CAP = 1 << 24
 
     def __init__(self, geometry, maps, *, dim_s=None, osc_ball=None):
         self.geometry = geometry
-        sims = []
-        for m in maps:
-            if isinstance(m, Similarity):
-                ratio, shift = m.ratio, m.shift
-            else:
-                ratio, shift = m
+        ratios, shifts = [], []
+        for ratio, shift in maps:
             ratio = float(ratio)
             if not (0.0 < ratio < 1.0):
                 raise InputError(f"contraction ratio {ratio!r} not in (0, 1)")
             shift = geometry.check_point(shift)
             if shift.ndim != 1:
                 raise InputError("map shift must be a single point")
-            sims.append(Similarity(ratio, shift))
-        if len(sims) < 2:
+            ratios.append(ratio)
+            shifts.append(shift)
+        if len(ratios) < 2:
             raise InputError("an IFS needs at least two maps")
-        self.maps = tuple(sims)
-        self.ratios = np.array([m.ratio for m in sims])
-        self.shifts = np.stack([m.shift for m in sims])
-        self.n_letters = len(sims)
+        self.ratios = np.array(ratios)
+        self.shifts = np.stack(shifts)
+        self.n_letters = len(ratios)
 
         s_nat = similarity_dimension(self.ratios)
         if dim_s is None:
@@ -227,7 +213,7 @@ class IFS:
 
     def _check_osc_ball(self, center, radius):
         geom = self.geometry
-        images = np.stack([m.apply(geom, center) for m in self.maps])
+        images = geom.op(self.shifts, geom.dilate(self.ratios, center))
         slack = 1e-9 * radius
         reach = geom.dist(images, center) + self.ratios * radius
         if np.any(reach > radius + slack):
@@ -248,13 +234,14 @@ class IFS:
 
     # ---- words and composition -------------------------------------------
 
-    def compose(self, word) -> Similarity:
-        """The similarity S_{w_1} o ... o S_{w_n}; the word must be nonempty."""
+    def compose(self, word):
+        """``(ratio, shift)`` of the similarity S_{w_1} o ... o S_{w_n}, which
+        maps p to shift * dilate(ratio, p); the word must be nonempty."""
         w = validate_word(word, n_letters=self.n_letters)
         if not w:
             raise InputError("cannot compose the empty word")
         ratio, shift = self._fold(np.array([w], dtype=np.int64) - 1, 0)
-        return Similarity(float(ratio[0, 0]), shift[0, 0])
+        return float(ratio[0, 0]), shift[0, 0]
 
     def relative_net(self, depth: int):
         """Ratios, shifts and weights of S_u for every word u of length ``depth``.
@@ -315,7 +302,8 @@ class IFS:
         return ratio[:, 0], shift[:, 0]
 
     def apply_word(self, word, pts):
-        return self.compose(word).apply(self.geometry, pts)
+        ratio, shift = self.compose(word)
+        return self.geometry.op(shift, self.geometry.dilate(ratio, pts))
 
     def word_ratio(self, word) -> float:
         idx = np.asarray(validate_word(word, n_letters=self.n_letters), dtype=np.intp)
@@ -328,8 +316,8 @@ class IFS:
 
     def fixed_point(self, word) -> np.ndarray:
         """The unique fixed point of S_w; lies on the attractor."""
-        sim = self.compose(word)
-        return _fixed_points(self.geometry, np.asarray(sim.ratio), sim.shift)
+        ratio, shift = self.compose(word)
+        return _fixed_points(self.geometry, ratio, shift)
 
     def code_point(self, w) -> np.ndarray:
         """Point addressed by the eventually periodic word ``w``.
@@ -374,7 +362,7 @@ class IFS:
         """Certified interval [lo, hi] containing the attractor diameter."""
         if self._diam is None:
             pairs = itertools.combinations_with_replacement(range(self.n_letters), 2)
-            br = _pair_bracket(self, pairs, -1, _DIAM_DEPTH, _MAX_NODES)
+            br = _pair_bracket(self, pairs, -1, _DIAM_DEPTH)
             self._diam = (br.lo, br.hi)
         return self._diam
 
@@ -382,8 +370,7 @@ class IFS:
         """Certified upper bound on the diameter of the cylinder of ``word``."""
         return self.word_ratio(word) * self.diam_bracket()[1]
 
-    def check_separation(self, depth: int = 12,
-                         max_nodes: int = _MAX_NODES) -> SeparationReport:
+    def check_separation(self, depth: int = 12) -> SeparationReport:
         """Classify the overlap structure of the first-level cylinders.
 
         Verdicts: ``Overlapping`` on an exact shared attractor point across
@@ -395,16 +382,16 @@ class IFS:
         at least that diameter, or when the search converged and the gap
         bracket reaches the diameter bracket (so exact ties resolve);
         ``Separated`` when the gap is certified smaller; otherwise, as after
-        a search stopped by ``max_nodes``, ``SeparatedUnknownStrength``.
+        a search stopped by ``_MAX_NODES``, ``SeparatedUnknownStrength``.
         """
         if int(depth) < 0:
             raise InputError(f"depth must be a nonnegative integer, got {depth!r}")
-        key = (int(depth), int(max_nodes))
+        key = int(depth)
         got = self._sep_cache.get(key)
         if got is not None:
             return got
         pairs = itertools.combinations(range(self.n_letters), 2)
-        gap = _pair_bracket(self, pairs, +1, depth, max_nodes)
+        gap = _pair_bracket(self, pairs, +1, depth)
         dlo, dhi = self.diam_bracket()
         rmax = float(np.max(self.ratios))
         md_lo, md_hi = rmax * dlo, rmax * dhi
@@ -429,8 +416,8 @@ class IFS:
     def to_config(self) -> dict:
         cfg = {
             "geometry": self.geometry.to_config(),
-            "maps": [{"r": m.ratio, "q": [float(x) for x in m.shift]}
-                     for m in self.maps],
+            "maps": [{"r": float(r), "q": [float(x) for x in q]}
+                     for r, q in zip(self.ratios, self.shifts)],
             "s": self.dim_s,
         }
         if self.osc_ball is not None:
@@ -473,7 +460,7 @@ class IFS:
 # ---- branch and bound over cylinder pairs ----------------------------------
 
 
-def _pair_bracket(ifs, first_pairs, sign, max_depth, max_nodes) -> _Bracket:
+def _pair_bracket(ifs, first_pairs, sign, max_depth) -> _Bracket:
     """Bracket the least (sign = +1) or greatest (sign = -1) distance between
     the two cylinders of a pair, over all pairs of words extending the
     0-based letter pairs ``first_pairs``.
@@ -501,7 +488,7 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth, max_nodes) -> _Bracket:
     than the tolerance, so their order does not matter.  The reported bound
     is the least key left on the heap, not its bucket.  The search stops
     when the top key is within ``_REL_TOL`` of the witness, when the top pair
-    is at ``max_depth``, or after ``max_nodes`` nodes, which sets
+    is at ``max_depth``, or after ``_MAX_NODES`` nodes, which sets
     ``exhausted``.  ``overlap`` marks a zero witness distance in a gap search.
     """
     geom = ifs.geometry
@@ -561,7 +548,7 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth, max_nodes) -> _Bracket:
     while True:
         batch = []
         while ((entry := top()) is not None and not final(entry)
-               and nodes + n * n * len(batch) < max_nodes
+               and nodes + n * n * len(batch) < _MAX_NODES
                and not (batch and entry[0] == batch[-1][0])):
             batch.append(heapq.heappop(heap))
         if not batch:

@@ -26,8 +26,11 @@ Ball complements are split by ``_ball_cells`` (also used by ``sio``), which
 tracks the active cells as an array of letters, split by masks, and adds each
 outside cell as a base.  This module knows nothing of kernels.
 
-Every bracket is summed by ``pairwise_sum``, numpy's pairwise reduction:
-deterministic for a given numpy build, with the rounding bound stated there.
+Every bracket, here and in ``sio``, is summed by ``_cell_bracket``: value
+sum_v w_v f_v and err sum_v w_v e_v, each by ``pairwise_sum``, numpy's
+pairwise reduction, deterministic for a given numpy build, with the rounding
+bound stated there.  An integrand's modulus is its Lipschitz constant L,
+omega(d) = L d, passed as a float.
 """
 
 from __future__ import annotations
@@ -59,22 +62,6 @@ def pairwise_sum(values) -> float:
     n alone, so the sum is deterministic for a given numpy build.
     """
     return float(np.add.reduce(np.asarray(values, dtype=float).ravel()))
-
-
-@dataclass(frozen=True)
-class ModulusSpec:
-    """Lipschitz modulus of continuity of an integrand: omega(d) = L d."""
-
-    L: float
-
-    @classmethod
-    def lipschitz(cls, L: float) -> "ModulusSpec":
-        if not (L >= 0.0 and math.isfinite(L)):
-            raise InputError("Lipschitz constant must be finite and >= 0")
-        return cls(float(L))
-
-    def omega(self, d):
-        return self.L * np.asarray(d, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -146,6 +133,13 @@ class CellBlock:
             block[:, k:k + depth] = np.tile(suffixes, (len(bases), 1))
             row += len(block)
         return out
+
+
+def _cell_bracket(weights, values, errs, depth: int) -> QuadratureResult:
+    """The bracket sum_v w_v values_v +- sum_v w_v errs_v over ``len(weights)``
+    cells; ``values`` and ``errs`` are arrays or scalars broadcast to them."""
+    return QuadratureResult(pairwise_sum(weights * values), pairwise_sum(weights * errs),
+                            depth, len(weights))
 
 
 def _word_label(word) -> str:
@@ -230,25 +224,26 @@ def _eval_f(f, points, cells=None, first=0):
     return vals
 
 
-def integrate_cells(cells: CellBlock, f, mod: ModulusSpec) -> QuadratureResult:
-    """Bracketed integral of f over the union of the given cells."""
+def integrate_cells(cells: CellBlock, f, lipschitz: float) -> QuadratureResult:
+    """Bracketed integral of f, with Lipschitz constant ``lipschitz``, over the
+    union of the given cells."""
+    if not (lipschitz >= 0.0 and math.isfinite(lipschitz)):
+        raise InputError("Lipschitz constant must be finite and >= 0")
     if cells.count == 0:
         return QuadratureResult(0.0, 0.0, 0, 0)
-    vals = _eval_f(f, cells.points, cells)
-    value = pairwise_sum(cells.weights * vals)
-    err = pairwise_sum(cells.weights * mod.omega(cells.diams))
-    return QuadratureResult(value, err, cells.depth, cells.count)
+    return _cell_bracket(cells.weights, _eval_f(f, cells.points, cells),
+                         lipschitz * cells.diams, cells.depth)
 
 
-def integrate(ifs: IFS, f, mod: ModulusSpec, depth: int) -> QuadratureResult:
+def integrate(ifs: IFS, f, lipschitz: float, depth: int) -> QuadratureResult:
     """Bracketed integral of f over the whole attractor at net depth ``depth``."""
-    return integrate_cells(net(ifs, depth), f, mod)
+    return integrate_cells(net(ifs, depth), f, lipschitz)
 
 
-def integrate_cylinder(ifs: IFS, f, mod: ModulusSpec, word,
+def integrate_cylinder(ifs: IFS, f, lipschitz: float, word,
                        depth: int) -> QuadratureResult:
     """Bracketed integral of f over one cylinder, refined ``depth`` letters."""
-    return integrate_cells(region_cells(ifs, [word], depth), f, mod)
+    return integrate_cells(region_cells(ifs, [word], depth), f, lipschitz)
 
 
 def complement_base_words(excluded, n_letters: int) -> list:
@@ -266,11 +261,11 @@ def complement_base_words(excluded, n_letters: int) -> list:
     return out
 
 
-def integrate_complement(ifs: IFS, f, mod: ModulusSpec, excluded,
+def integrate_complement(ifs: IFS, f, lipschitz: float, excluded,
                          depth: int) -> QuadratureResult:
     """Bracketed integral of f over C minus C_excluded."""
     bases = complement_base_words(excluded, ifs.n_letters)
-    return integrate_cells(region_cells(ifs, bases, depth), f, mod)
+    return integrate_cells(region_cells(ifs, bases, depth), f, lipschitz)
 
 
 def _ball_cells(ifs: IFS, center, eps: float, depth: int):
@@ -315,21 +310,21 @@ def _ball_cells(ifs: IFS, center, eps: float, depth: int):
     return _cell_block(ifs, segments), _cell_block(ifs, [(letters, 0)])
 
 
-def integrate_ball_complement(ifs: IFS, f, mod: ModulusSpec, center, eps: float,
+def integrate_ball_complement(ifs: IFS, f, lipschitz: float, center, eps: float,
                               depth: int) -> QuadratureResult:
     """Bracketed integral of f over the attractor minus the ball B(center, eps).
 
     The cells kept outside the ball are integrated as usual.  Straddling
     cells left at word length ``depth`` are not split further: each adds
-    mu(C_v) (|f(x_v)| + omega(d_v)), a bound for |f| on it, to ``err``.
+    mu(C_v) (|f(x_v)| + L d_v), a bound for |f| on it, to ``err``.
     """
     kept, straddlers = _ball_cells(ifs, center, eps, depth)
-    quad = integrate_cells(kept, f, mod)
+    quad = integrate_cells(kept, f, lipschitz)
     err = quad.err
     if straddlers.count:
         svals = np.abs(_eval_f(f, straddlers.points, straddlers))
-        err += pairwise_sum(straddlers.weights
-                            * (svals + mod.omega(straddlers.diams)))
+        err += _cell_bracket(straddlers.weights, 0.0,
+                             svals + lipschitz * straddlers.diams, depth).err
     return QuadratureResult(quad.value, err, depth, kept.count + straddlers.count)
 
 

@@ -4,7 +4,8 @@
 cells, value = sum_v w_v k(pole, x_v) and err = sum_v w_v L(delta_v) d_v,
 with L the kernel's certified modulus and delta_v = d(pole, x_v) - d_v the
 certified pole distance (valid because the quadrature bound only compares
-points within one cell).  A slice with a cell not certified away from the
+points within one cell).  Both sums, like every bracket here, are taken by
+``measure._cell_bracket``.  A slice with a cell not certified away from the
 pole gets value 0 and an infinite err, and every sum containing it is
 flagged ``unresolved-pole-distance`` rather than silently wrong.
 
@@ -31,8 +32,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .ifs import IFS
 from .kernels import HomogeneousKernel
-from .measure import (QuadratureResult, _ball_cells, complement_base_words,
-                      pairwise_sum, region_cells)
+from .measure import (QuadratureResult, _ball_cells, _cell_bracket,
+                      complement_base_words, region_cells)
 from .symbolic import EPWord, validate_word
 
 SEP_FLAG = "separation:"
@@ -60,12 +61,9 @@ def _bracket(kern: HomogeneousKernel, pole, cells, size: int, depth: int,
         if float(np.min(delta[part])) <= 0.0:
             out.append(QuadratureResult(0.0, math.inf, depth, size))
             continue
-        kvals = kern.omega.eval(geom, z[part]) / dist[part] ** kern.s
-        weights = cells.weights[part]
-        value = pairwise_sum(weights * kvals)
-        err = pairwise_sum(weights * kern.cell_err_bound(delta[part],
-                                                         cells.diams[part], z[part]))
-        out.append(QuadratureResult(value, err, depth, size))
+        out.append(_cell_bracket(
+            cells.weights[part], kern.omega.eval(geom, z[part]) / dist[part] ** kern.s,
+            kern.cell_err_bound(delta[part], cells.diams[part], z[part]), depth))
     return out
 
 
@@ -153,10 +151,6 @@ class PVTrace:
             lines.append(f"{r.k},{_fmt(r.F.value)},{_fmt(r.F.err)},"
                          f"{_fmt(r.A.value)},{_fmt(r.A.err)},{r.flag}")
         return "\n".join(lines) + "\n"
-
-    def to_csv(self, path: str):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
 
 
 def pv_trace(ifs: IFS, kern: HomogeneousKernel, w: EPWord, K: int,
@@ -266,11 +260,9 @@ def truncated(ifs: IFS, kern: HomogeneousKernel, x, eps: float,
     |k(x, .)| outside the ball, to ``err``.
     """
     kept, straddlers = _ball_cells(ifs, x, eps, depth)
-    sup = pairwise_sum(straddlers.weights * kern.pole_sup(eps))
+    outer = _cell_bracket(straddlers.weights, 0.0, kern.pole_sup(eps), depth)
     return _total(_bracket(kern, x, kept, max(kept.count, 1), depth,
-                           floor=eps * (1.0 - 1e-12))
-                  + [QuadratureResult(0.0, sup, depth, straddlers.count)],
-                  depth)
+                           floor=eps * (1.0 - 1e-12)) + [outer], depth)
 
 
 # ---- symbolic maximal scan ---------------------------------------------------
@@ -502,9 +494,7 @@ class WitnessIntegrand:
         undecided = np.isnan(rule)
         value = np.where(undecided, 0.5, node)
         err = np.where(undecided, 0.5, node != rule)
-        return QuadratureResult(pairwise_sum(cells.weights * value),
-                                pairwise_sum(cells.weights * err),
-                                cells.depth, cells.count)
+        return _cell_bracket(cells.weights, value, err, cells.depth)
 
     def on_word(self, word):
         """Exact value on a finite word: 1.0, 0.0, or None when undecided."""

@@ -103,8 +103,8 @@ def right_fold(ifs, word):
     geom = ifs.geometry
     ratio, shift = 1.0, geom.identity()
     for a in reversed(word):
-        m = ifs.maps[a - 1]
-        ratio, shift = m.ratio * ratio, geom.op(m.shift, geom.dilate(m.ratio, shift))
+        r, q = ifs.ratios[a - 1], ifs.shifts[a - 1]
+        ratio, shift = r * ratio, geom.op(q, geom.dilate(r, shift))
     return ratio, shift
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 import _helpers as h
 from fractalsio import (ConstantOmega, EPWord, Euclidean, Heisenberg1,
-                        HomogeneousKernel, ModulusSpec, PolynomialOverNorm,
+                        HomogeneousKernel, PolynomialOverNorm,
                         RieszComponent, SignOmega, ball_cylinder_gap, criterion,
                         birkhoff_frequency, integrate, integrate_cylinder,
                         maximal_symbolic, mc_integrate, pv_trace, truncated)
@@ -169,7 +169,7 @@ def test_07_measure_engine_vs_oracle():
     def f(pts):
         return np.asarray(pts, dtype=float)[..., 0] ** 2
 
-    quad = integrate(ifs, f, ModulusSpec.lipschitz(2.0), depth=12)
+    quad = integrate(ifs, f, 2.0, depth=12)
     mean, stderr = mc_integrate(ifs, f, 100000, seed=2024)
     ok = abs(quad.value - 0.375) <= quad.err
     ok &= abs(mean - 0.375) <= 3.0 * stderr
@@ -233,13 +233,13 @@ def test_09_identity_suite():
         def f(pts):
             return aa + bb * np.asarray(pts, dtype=float)[..., 0]
 
-        lhs = integrate_cylinder(mt, f, ModulusSpec.lipschitz(abs(bb)), word, 5)
+        lhs = integrate_cylinder(mt, f, abs(bb), word, 5)
 
         def g(pts):
             return f(mt.apply_word(word, pts))
 
         ratio = mt.word_ratio(word)
-        rhs = integrate(mt, g, ModulusSpec.lipschitz(abs(bb) * ratio),
+        rhs = integrate(mt, g, abs(bb) * ratio,
                         5).scale(mt.word_weight(word))
         if abs(lhs.value - rhs.value) > lhs.err + rhs.err:
             failures += 1

@@ -8,8 +8,8 @@ PUBLIC = [
     "ResourceLimitError",
     "Euclidean", "Heisenberg1", "geometry_from_config",
     "EPWord", "validate_word",
-    "IFS", "SeparationReport", "Similarity", "similarity_dimension",
-    "CellBlock", "ModulusSpec", "QuadratureResult", "cells_for_words",
+    "IFS", "SeparationReport", "similarity_dimension",
+    "CellBlock", "QuadratureResult", "cells_for_words",
     "complement_base_words", "export_net_csv", "integrate",
     "integrate_ball_complement", "integrate_cells", "integrate_complement",
     "integrate_cylinder", "mc_integrate", "net", "pairwise_sum",
@@ -20,7 +20,7 @@ PUBLIC = [
     "CriterionReport", "DivergenceReport", "MaximalEstimate", "PVRow",
     "PVTrace", "WitnessIntegrand", "ball_cylinder_gap", "criterion",
     "divergence_certificate", "maximal_symbolic", "pv_trace", "truncated",
-    "OrbitSample", "birkhoff_frequency", "hitting_times", "sample_orbit",
+    "birkhoff_frequency", "hitting_times", "sample_orbit",
     "__version__",
 ]
 
@@ -36,6 +36,10 @@ REMOVED = [
     ("fractalsio", "power"), ("fractalsio", "concat"), ("fractalsio", "is_prefix"),
     ("fractalsio.symbolic", "power"), ("fractalsio.symbolic", "concat"),
     ("fractalsio.symbolic", "is_prefix"),
+    ("fractalsio", "ModulusSpec"), ("fractalsio", "Similarity"),
+    ("fractalsio", "OrbitSample"), ("fractalsio.measure", "ModulusSpec"),
+    ("fractalsio.ifs", "Similarity"), ("fractalsio.ergodic", "OrbitSample"),
+    ("fractalsio.sio", "pairwise_sum"),  # every bracket is summed in measure
 ]
 
 
@@ -48,7 +52,7 @@ def test_all_names_resolve():
         assert getattr(fractalsio, name) is not None
 
 
-def test_removed_names_are_gone():
+def test_removed_names_are_gone(middle_thirds):
     for module, name in REMOVED:
         assert not hasattr(importlib.import_module(module), name), (module, name)
     assert not hasattr(fractalsio.IFS, "fixed_points_batch")
@@ -58,8 +62,8 @@ def test_removed_names_are_gone():
     assert "region_sup" not in inspect.signature(
         fractalsio.integrate_ball_complement).parameters
     assert not hasattr(fractalsio.EPWord, "shift")
-    for name in ("holder", "sup_only", "kind", "alpha"):  # one kind, Lipschitz
-        assert not hasattr(fractalsio.ModulusSpec.lipschitz(1.0), name), name
+    assert not hasattr(middle_thirds, "maps")  # read ratios and shifts
+    assert not hasattr(fractalsio.PVTrace, "to_csv")  # the CLI writes to_csv_text()
     assert not hasattr(fractalsio.CellBlock, "word")  # read from letters()
     for func in (fractalsio.net, fractalsio.region_cells,
                  fractalsio.integrate_ball_complement, fractalsio.measure._ball_cells):
@@ -70,6 +74,7 @@ def test_removed_names_are_gone():
     for func, names in [(fractalsio.similarity_dimension, ("tol", "max_iter")),
                         (fractalsio.mc_integrate, ("depth",)),
                         (fractalsio.WitnessIntegrand, ("max_blocks",)),
-                        (fractalsio.HomogeneousKernel, ("analytic",))]:
+                        (fractalsio.HomogeneousKernel, ("analytic",)),
+                        (fractalsio.IFS.check_separation, ("max_nodes",))]:
         params = inspect.signature(func).parameters
         assert not any(name in params for name in names), (func, names)

@@ -316,6 +316,7 @@ def test_malformed_config_section_exits_one(mt_config, capsys, override, section
     ({"kind": "monomial", "exponents": [1], "coeff": "abc"}, "coeff"),
     ({"kind": "monomial", "exponents": [1], "lipschitz": -1.0}, "lipschitz"),
     ({"kind": "constant", "value": [1.0]}, "value"),
+    ({"kind": "monomial", "exponents": [1], "lipschitz": float("inf")}, "lipschitz"),
 ])
 def test_malformed_integrand_field_exits_one(mt_config, capsys, integrand, key):
     assert main(["integrate", "--config", mt_config, "--override", "params.depth=3",

@@ -13,11 +13,11 @@ from fractalsio import (InputError, birkhoff_frequency, ergodic, hitting_times,
 def test_sample_orbit_deterministic(middle_thirds):
     a = sample_orbit(middle_thirds, 1000, seed=7)
     b = sample_orbit(middle_thirds, 1000, seed=7)
-    assert np.array_equal(a.letters, b.letters)
+    assert np.array_equal(a, b)
     c = sample_orbit(middle_thirds, 1000, seed=8)
-    assert not np.array_equal(a.letters, c.letters)
+    assert not np.array_equal(a, c)
     assert len(a) == 1000
-    assert a.letters.min() >= 1 and a.letters.max() <= 2
+    assert a.min() >= 1 and a.max() <= 2
     with pytest.raises(InputError, match="seed must be a nonnegative integer"):
         sample_orbit(middle_thirds, 5, -1)
 
@@ -34,8 +34,8 @@ def test_sample_orbit_blocks_match_searchsorted(four_corner):
     n = 2 * ergodic._BLOCK + 777
     for system in (_three_letters(), four_corner):
         ref = h.philox_letters(system.letter_weights, n, 17)
-        np.testing.assert_array_equal(sample_orbit(system, n, seed=17).letters, ref)
-        assert sample_orbit(system, n, seed=17).letters.dtype == np.int64
+        np.testing.assert_array_equal(sample_orbit(system, n, seed=17), ref)
+        assert sample_orbit(system, n, seed=17).dtype == np.int64
 
 
 def test_letter_stream_split_matches_one_call(heis_twisted):
@@ -72,7 +72,7 @@ def test_letter_cuts_are_within_two_to_minus_32(middle_thirds, heis_twisted, fou
 def test_sample_orbit_respects_weights(four_corner):
     # equal ratios: all four letters should appear with frequency ~1/4
     s = sample_orbit(four_corner, 40000, seed=11)
-    counts = np.bincount(s.letters, minlength=5)[1:]
+    counts = np.bincount(s, minlength=5)[1:]
     freqs = counts / 40000.0
     stderr = np.sqrt(0.25 * 0.75 / 40000.0)
     assert np.all(np.abs(freqs - 0.25) <= 4 * stderr)
@@ -132,7 +132,7 @@ def test_hitting_times_block(four_corner):
     times = hitting_times(four_corner, (2, 3), n, seed=21)
     s = sample_orbit(four_corner, n + 1, seed=21)
     for t in times[:50]:
-        assert s.letters[t] == 2 and s.letters[t + 1] == 3
+        assert s[t] == 2 and s[t + 1] == 3
 
 
 def test_scan_matches_whole_orbit():
@@ -141,7 +141,7 @@ def test_scan_matches_whole_orbit():
     ifs = _three_letters()
     block = ergodic._BLOCK
     n = 2 * block + 777
-    letters = sample_orbit(ifs, n + 2, seed=3).letters
+    letters = sample_orbit(ifs, n + 2, seed=3)
     for target in (tuple(letters[block - 1:block + 2]),
                    tuple(letters[2 * block - 2:2 * block + 1]), (2, 1, 3)):
         hits = np.ones(n, dtype=bool)
@@ -171,8 +171,8 @@ def test_stationarity_windows(middle_thirds):
     # the first and second halves of one long orbit see the same frequency
     n = 40000
     orbit = sample_orbit(middle_thirds, 2 * n, seed=33)
-    first = np.count_nonzero(orbit.letters[:n] == 1) / n
-    second = np.count_nonzero(orbit.letters[n:] == 1) / n
+    first = np.count_nonzero(orbit[:n] == 1) / n
+    second = np.count_nonzero(orbit[n:] == 1) / n
     stderr = np.sqrt(0.5 * 0.5 / n)
     assert abs(first - second) <= 4.0 * stderr
 

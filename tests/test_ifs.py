@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import _helpers as h
+import fractalsio.ifs
 from fractalsio import IFS, ConfigError, EPWord, InputError, net, similarity_dimension
 
 
@@ -39,14 +40,13 @@ def test_declared_dimension_checked():
 
 
 def test_compose_four_corner(four_corner):
-    sim = four_corner.compose((2, 2))
-    assert sim.ratio == pytest.approx(1.0 / 16.0)
-    assert np.allclose(sim.shift, [15.0 / 16.0, 0.0])
+    ratio, shift = four_corner.compose((2, 2))
+    assert ratio == pytest.approx(1.0 / 16.0)
+    assert np.allclose(shift, [15.0 / 16.0, 0.0])
     # composing then applying equals applying twice
     pt = np.array([0.3, 0.7])
-    twice = four_corner.maps[1].apply(four_corner.geometry,
-                                      four_corner.maps[1].apply(
-                                          four_corner.geometry, pt))
+    geom, r, q = four_corner.geometry, four_corner.ratios[1], four_corner.shifts[1]
+    twice = geom.op(q, geom.dilate(r, geom.op(q, geom.dilate(r, pt))))
     assert np.allclose(four_corner.apply_word((2, 2), pt), twice)
 
 
@@ -112,9 +112,9 @@ def test_compose_and_fold_match_a_right_fold(heis_twisted, middle_thirds, four_c
         assert fold_shift.shape == (rows, n ** 2, ifs.geometry.dim)
         for i, row in enumerate(idx + 1):
             r, q = h.chunk_fold(ifs, row)
-            sim = ifs.compose(row)
-            assert sim.ratio == r and ratio[i] == r
-            np.testing.assert_array_equal(sim.shift, q)
+            sim_ratio, sim_shift = ifs.compose(row)
+            assert sim_ratio == r and ratio[i] == r
+            np.testing.assert_array_equal(sim_shift, q)
             np.testing.assert_array_equal(shift[i], q)
             _assert_close_per_point(r, q, h.right_fold(ifs, tuple(row)))
             for j, u in enumerate(itertools.product(range(1, n + 1), repeat=2)):
@@ -134,13 +134,13 @@ def test_word_floats_do_not_depend_on_the_batch(heis_twisted):
     # row 700 of a partial 1,234-row block and as row 3,000 of a full 4,096-row one
     rng = np.random.default_rng(8)
     word = rng.integers(0, 3, size=26)
-    alone = heis_twisted.compose(word + 1)
+    alone_ratio, alone_shift = heis_twisted.compose(word + 1)
     for rows, at in ((1234, 700), (4096, 3000)):
         idx = rng.integers(0, 3, size=(rows, 26))
         idx[at] = word
         ratio, shift = heis_twisted.compose_batch(idx)
-        assert ratio[at] == alone.ratio
-        np.testing.assert_array_equal(shift[at], alone.shift)
+        assert ratio[at] == alone_ratio
+        np.testing.assert_array_equal(shift[at], alone_shift)
 
 
 def test_relative_net_is_the_right_fold_of_each_word(heis_twisted):
@@ -247,27 +247,39 @@ def test_four_corner_separation_converges(four_corner):
     assert rep.gap_hi - rep.gap_lo <= 1e-6
 
 
-def test_separation_budget_reported(middle_thirds, heis_quarter):
+def _capped_separation(monkeypatch, nodes, config=h.heis_quarter_config):
+    """``check_separation()`` of a fresh system with the pair-search budget
+    cut to ``nodes``.  Fixtures are shared and cache their verdicts, and the
+    diameter search shares the budget, so the system is built anew and its
+    diameter bracketed under the full budget first."""
+    ifs = h.make_ifs(config())
+    ifs.diam_bracket()
+    with monkeypatch.context() as patch:
+        patch.setattr(fractalsio.ifs, "_MAX_NODES", nodes)
+        return ifs.check_separation()
+
+
+def test_separation_budget_reported(middle_thirds, monkeypatch):
     rep = middle_thirds.check_separation()
     assert rep.budget_exhausted is False
     assert rep.nodes > 0
-    capped = heis_quarter.check_separation(max_nodes=50)
+    capped = _capped_separation(monkeypatch, 50)
     assert capped.budget_exhausted is True
     assert capped.nodes >= 50
     d = capped.as_dict()
     assert d["budget_exhausted"] is True and d["nodes"] == capped.nodes
 
 
-def test_exhausted_search_is_not_strongly_separated(middle_thirds, heis_quarter):
+def test_exhausted_search_is_not_strongly_separated(middle_thirds, monkeypatch):
     # gap 1/2 against child diameter 0.359: after four nodes the gap bracket
     # [0.245, 0.5] still straddles the diameter, so the strength is open
-    rep = heis_quarter.check_separation(max_nodes=4)
+    rep = _capped_separation(monkeypatch, 4)
     assert rep.budget_exhausted
     assert rep.gap_lo < rep.maxdiam_lo <= rep.gap_hi
     assert rep.status == "SeparatedUnknownStrength"
     assert rep.certified_positive_gap()
     # an exhausted search whose gap bracket clears the diameter stays strong
-    capped = heis_quarter.check_separation(max_nodes=50)
+    capped = _capped_separation(monkeypatch, 50)
     assert capped.budget_exhausted and capped.gap_lo >= capped.maxdiam_hi
     assert capped.status == "StronglySeparated"
     # the middle-thirds gap equals its child diameter: a converged exact tie
@@ -277,7 +289,7 @@ def test_exhausted_search_is_not_strongly_separated(middle_thirds, heis_quarter)
 
 
 @pytest.mark.parametrize("name", ["middle_thirds", "four_corner", "heis_twisted"])
-def test_pair_brackets_contain_net_reference(name, request):
+def test_pair_brackets_contain_net_reference(name, request, monkeypatch):
     # every attractor point lies within d of a depth-5 cell point, and the
     # cell points lie on the attractor
     ifs = request.getfixturevalue(name)
@@ -290,7 +302,8 @@ def test_pair_brackets_contain_net_reference(name, request):
     diam_lo, diam_hi = ifs.diam_bracket()
     assert diam_hi >= max_pts
     assert diam_lo <= max_pts + 2.0 * d
-    for rep in (ifs.check_separation(), ifs.check_separation(max_nodes=50)):
+    capped = _capped_separation(monkeypatch, 50, getattr(h, f"{name}_config"))
+    for rep in (ifs.check_separation(), capped):
         assert rep.gap_lo <= min_pts
         assert rep.gap_hi >= min_pts - 2.0 * d
 

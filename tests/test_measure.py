@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import _helpers as h
-from fractalsio import (IFS, EvaluationError, ModulusSpec, ResourceLimitError,
-                        cells_for_words, complement_base_words, integrate,
+from fractalsio import (IFS, EvaluationError, InputError, QuadratureResult,
+                        ResourceLimitError, cells_for_words, complement_base_words, integrate,
                         integrate_ball_complement, integrate_cells,
                         integrate_complement, integrate_cylinder, mc_integrate,
                         measure, net, pairwise_sum, region_cells)
 from fractalsio.ifs import _compose
 
-LIP1 = ModulusSpec.lipschitz(1.0)
+LIP1 = 1.0
 
 
 def _coord(pts):
@@ -51,6 +51,25 @@ def test_pairwise_sum_matches_fsum():
             assert abs(np.cumsum(big)[-1] - ref) > 2 * bound
 
 
+def test_cell_bracket_is_two_pairwise_sums():
+    empty = np.empty(0)
+    assert measure._cell_bracket(empty, empty, empty, 3) == QuadratureResult(0.0, 0.0, 3, 0)
+    rng = np.random.default_rng(5)
+    weights, values, errs = rng.random(1003), rng.standard_normal(1003), rng.random(1003)
+    quad = measure._cell_bracket(weights, values, errs, 7)
+    assert quad == QuadratureResult(pairwise_sum(weights * values),
+                                    pairwise_sum(weights * errs), 7, 1003)
+    quad = measure._cell_bracket(weights, 0.0, 0.3, 2)  # scalars broadcast
+    assert quad == QuadratureResult(pairwise_sum(weights * 0.0),
+                                    pairwise_sum(weights * 0.3), 2, 1003)
+
+
+@pytest.mark.parametrize("lipschitz", [-1.0, math.nan, math.inf])
+def test_integrate_cells_rejects_bad_lipschitz(middle_thirds, lipschitz):
+    with pytest.raises(InputError, match="Lipschitz constant"):
+        integrate_cells(net(middle_thirds, 2), _coord, lipschitz)
+
+
 def test_net_weights_sum_to_one(middle_thirds, four_corner):
     for ifs, depth in ((middle_thirds, 6), (four_corner, 3)):
         cells = net(ifs, depth)
@@ -71,7 +90,7 @@ def _reference_cells(ifs, words):
     for w in words:
         ratio, shift, weight = 1.0, np.zeros(ifs.geometry.dim), 1.0
         for a in w:
-            r, q = ifs.maps[a - 1].ratio, ifs.maps[a - 1].shift
+            r, q = ifs.ratios[a - 1], ifs.shifts[a - 1]
             if twisted:
                 x, y, t = shift
                 qx, qy, qt = ratio * q[0], ratio * q[1], ratio ** 2 * q[2]
@@ -83,7 +102,7 @@ def _reference_cells(ifs, words):
         if w:
             points.append(shift / (1.0 - ratio ** degrees))
         else:
-            r1, q1 = ifs.maps[0].ratio, ifs.maps[0].shift
+            r1, q1 = ifs.ratios[0], ifs.shifts[0]
             points.append(q1 / (1.0 - r1 ** degrees))
         weights.append(weight)
         diams.append(ratio * ifs.diam_bracket()[1])
@@ -119,7 +138,7 @@ def test_moment_oracles(middle_thirds):
     m1 = integrate(middle_thirds, _coord, LIP1, depth=10)
     assert h.within(0.5, m1)
     assert m1.err <= 1e-4
-    m2 = integrate(middle_thirds, _coord_sq, ModulusSpec.lipschitz(2.0), depth=10)
+    m2 = integrate(middle_thirds, _coord_sq, 2.0, depth=10)
     assert h.within(0.375, m2)
 
 
@@ -143,7 +162,7 @@ def test_push_forward_identity(middle_thirds):
 
     ratio = middle_thirds.word_ratio(word)
     rhs = integrate(middle_thirds, composed,
-                    ModulusSpec.lipschitz(ratio), depth=8).scale(weight)
+                    ratio, depth=8).scale(weight)
     # representative points differ between the two layouts, so compare brackets
     assert h.overlap(lhs, rhs)
     assert lhs.value == pytest.approx(rhs.value, abs=lhs.err + rhs.err)
@@ -195,14 +214,14 @@ def test_ball_complement_straddlers_bracket(middle_thirds):
     def f(pts):
         return np.ones(np.asarray(pts).shape[:-1])
 
-    quad = integrate_ball_complement(middle_thirds, f, ModulusSpec.lipschitz(0.0),
+    quad = integrate_ball_complement(middle_thirds, f, 0.0,
                                      np.array([0.0]), 0.1, depth=6)
     assert quad.err > 0.0
     assert quad.value - quad.err <= 0.8 <= quad.value + quad.err
 
 
 def test_mc_vs_quadrature(middle_thirds):
-    quad = integrate(middle_thirds, _coord_sq, ModulusSpec.lipschitz(2.0),
+    quad = integrate(middle_thirds, _coord_sq, 2.0,
                      depth=10)
     mean, stderr = mc_integrate(middle_thirds, _coord_sq, 100000, seed=123)
     assert abs(mean - quad.value) <= 3.0 * stderr + quad.err

@@ -123,7 +123,7 @@ def test_pv_trace_csv_layout(tmp_path, middle_thirds):
     kern = h.sign_kernel(middle_thirds)
     tr = pv_trace(middle_thirds, kern, h.word1(), 3, 4)
     out = tmp_path / "trace.csv"
-    tr.to_csv(str(out))
+    out.write_text(tr.to_csv_text())
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "k,F_value,F_err,A_value,A_err,flag"
     assert len(lines) == 4
