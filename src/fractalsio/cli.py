@@ -172,6 +172,13 @@ def _nonnegative(raw) -> float:
     return value
 
 
+def _positive(raw) -> float:
+    value = float(raw)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(value)
+    return value
+
+
 def _monomial(ifs: IFS, desc: dict):
     geom = ifs.geometry
 
@@ -289,7 +296,7 @@ def cmd_pv_trace(cfg, ifs, p, args):
 def cmd_truncated(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
     x = _point_param(p, "x")
-    eps = _float_param(p, "eps")
+    eps = _param(p, "eps", _positive, "a finite positive number")
     depth = _int_param(p, "depth")
     quad = truncated(ifs, kern, x, eps, depth)
     return ({"x": x, "eps": eps, **quad.as_dict()},
@@ -321,7 +328,7 @@ def cmd_gap(cfg, ifs, p, args):
     n = _int_param(p, "n")
     m1 = _int_param(p, "m1")
     depth = _int_param(p, "depth")
-    radius_factor = _float_param(p, "radius_factor", 2.0)
+    radius_factor = _param(p, "radius_factor", _positive, "a finite positive number", 2.0)
     quad = ball_cylinder_gap(ifs, kern, w, n, m1, depth,
                              radius_factor=radius_factor)
     return ({"n": n, "m1": m1, "radius_factor": radius_factor,

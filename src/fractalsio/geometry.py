@@ -22,7 +22,10 @@ class _Geometry:
         return np.zeros(self.dim)
 
     def check_point(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
+        try:
+            p = np.asarray(p, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("point coordinates must be numbers") from None
         if p.shape[-1:] != (self.dim,):
             raise InputError(
                 f"expected point(s) with last axis {self.dim}, got shape {p.shape}"

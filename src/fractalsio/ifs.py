@@ -163,8 +163,12 @@ class IFS:
     def __init__(self, geometry, maps, *, dim_s=None, osc_ball=None):
         self.geometry = geometry
         ratios, shifts = [], []
-        for ratio, shift in maps:
-            ratio = float(ratio)
+        for i, pair in enumerate(maps):
+            try:
+                ratio, shift = pair
+                ratio = float(ratio)
+            except (TypeError, ValueError):
+                raise InputError(f"map {i} must be a (number, point) pair") from None
             if not (0.0 < ratio < 1.0):
                 raise InputError(f"contraction ratio {ratio!r} not in (0, 1)")
             shift = geometry.check_point(shift)

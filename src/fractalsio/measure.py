@@ -22,9 +22,9 @@ cell, for the witness rule, CSV labels and error messages.  The empty word
 has no contraction to take a fixed point of, so its cell is represented by
 the fixed point of S_1.
 
-Ball complements are split by ``_ball_cells`` (also used by ``sio``), which
-tracks the active cells as an array of letters, split by masks, and adds each
-outside cell as a base.  This module knows nothing of kernels.
+Ball shells eps <= d(center, .) <= outer are split by ``_ball_cells`` (also
+used by ``sio``), which tracks the active cells as letter rows and certified
+distance ranges, split by masks.  This module knows nothing of kernels.
 
 Every bracket, here and in ``sio``, is summed by ``_cell_bracket``: value
 sum_v w_v f_v and err sum_v w_v e_v, each by ``pairwise_sum``, numpy's
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +76,6 @@ class QuadratureResult:
 
     def __add__(self, other):
         return QuadratureResult(self.value + other.value, self.err + other.err,
-                                max(self.depth, other.depth),
-                                self.cells + other.cells)
-
-    def __sub__(self, other):
-        return QuadratureResult(self.value - other.value, self.err + other.err,
                                 max(self.depth, other.depth),
                                 self.cells + other.cells)
 
@@ -227,7 +223,8 @@ def _eval_f(f, points, cells=None, first=0):
 def integrate_cells(cells: CellBlock, f, lipschitz: float) -> QuadratureResult:
     """Bracketed integral of f, with Lipschitz constant ``lipschitz``, over the
     union of the given cells."""
-    if not (lipschitz >= 0.0 and math.isfinite(lipschitz)):
+    if not (isinstance(lipschitz, numbers.Real) and lipschitz >= 0.0
+            and math.isfinite(lipschitz)):
         raise InputError("Lipschitz constant must be finite and >= 0")
     if cells.count == 0:
         return QuadratureResult(0.0, 0.0, 0, 0)
@@ -268,13 +265,14 @@ def integrate_complement(ifs: IFS, f, lipschitz: float, excluded,
     return integrate_cells(region_cells(ifs, bases, depth), f, lipschitz)
 
 
-def _ball_cells(ifs: IFS, center, eps: float, depth: int):
-    """The cells of the attractor outside the ball B(center, eps).
+def _ball_cells(ifs: IFS, center, eps: float, depth: int, outer: float = math.inf):
+    """The cells of the attractor in the shell eps <= d(center, .) <= outer.
 
-    Cells certified outside the ball are kept, refined to word length
-    ``depth``; cells certified inside are dropped, and straddling cells are
-    split until word length ``depth``.  Returns the kept cells and the
-    straddlers that remain at that length.
+    Each active cell carries [lo, hi], its certified distance to the center,
+    narrowed by d(center, x_v) -+ d_v at each level and inherited by its
+    children.  Cells inside the shell are kept, refined to word length
+    ``depth``, cells outside it dropped, and the others split until that
+    length.  Returns the kept cells, the straddlers left then, and their lo.
     """
     geom = ifs.geometry
     center = geom.check_point(np.asarray(center, dtype=float))
@@ -288,26 +286,29 @@ def _ball_cells(ifs: IFS, center, eps: float, depth: int):
 
     n = ifs.n_letters
     letters = np.zeros((1, 0), dtype=np.int64)  # words of the active cells
-    segments = []
-    n_kept = 0
+    lo, hi = 0.0, math.inf  # their certified distances to the center
+    segments, n_kept = [], 0
     for level in range(depth + 1):
         cells = _cell_block(ifs, [(letters, 0)])
         dist = geom.dist(cells.points, center)
-        outside = dist - cells.diams >= eps
-        inside = dist + cells.diams <= eps
+        lo = np.maximum(lo, dist - cells.diams)
+        hi = np.minimum(hi, dist + cells.diams)
+        kept = (lo >= eps) & (hi <= outer)
+        split = ~kept & (hi > eps) & (lo < outer)
         m = depth - level
-        n_out = int(np.count_nonzero(outside))
+        n_out = int(np.count_nonzero(kept))
         if level < depth:
             _check_budget(n_kept + n_out * n ** m + len(letters) * n)
         if n_out:
-            segments.append((letters[outside], m))
+            segments.append((letters[kept], m))
             n_kept += n_out * n ** m
-        letters = letters[~outside & ~inside]
+        letters, lo, hi = letters[split], lo[split], hi[split]
         if level == depth or not len(letters):
             break
         letters = np.column_stack((np.repeat(letters, n, axis=0),
                                    np.tile(np.arange(1, n + 1), len(letters))))
-    return _cell_block(ifs, segments), _cell_block(ifs, [(letters, 0)])
+        lo, hi = np.repeat(lo, n), np.repeat(hi, n)
+    return _cell_block(ifs, segments), _cell_block(ifs, [(letters, 0)]), lo
 
 
 def integrate_ball_complement(ifs: IFS, f, lipschitz: float, center, eps: float,
@@ -318,7 +319,7 @@ def integrate_ball_complement(ifs: IFS, f, lipschitz: float, center, eps: float,
     cells left at word length ``depth`` are not split further: each adds
     mu(C_v) (|f(x_v)| + L d_v), a bound for |f| on it, to ``err``.
     """
-    kept, straddlers = _ball_cells(ifs, center, eps, depth)
+    kept, straddlers, _ = _ball_cells(ifs, center, eps, depth)
     quad = integrate_cells(kept, f, lipschitz)
     err = quad.err
     if straddlers.count:

@@ -15,11 +15,11 @@ periodic-point integral over C minus C_w sums the first |w| annuli of w
 repeated, a divergence block sums one period's annuli, and the cylinder term
 of the ball comparison and the maximal sums T(m, n) sum consecutive annuli.
 ``_annuli`` builds their cells in one block and brackets each annulus as a
-slice.  ``truncated`` brackets the cells ``measure._ball_cells`` keeps
-outside its ball as one slice, their certified pole distance floored by the
-ball radius.  Results are also flagged when the system's
-separation cannot be certified, since cylinder weights presume essentially
-disjoint branches.
+slice.  ``truncated`` and the ball term of the comparison bracket the cells
+``measure._ball_cells`` keeps in a shell around the pole as one slice, their
+certified pole distance floored by the inner radius.  Results are also
+flagged when the system's separation cannot be certified, since cylinder
+weights presume essentially disjoint branches.
 """
 
 from __future__ import annotations
@@ -251,18 +251,25 @@ def _criterion(ifs: IFS, kern: HomogeneousKernel, word: tuple, depth: int):
 
 def truncated(ifs: IFS, kern: HomogeneousKernel, x, eps: float,
               depth: int) -> QuadratureResult:
-    """T_eps(1)(x): bracketed integral of k(x, .) outside the ball B(x, eps).
+    """T_eps(1)(x): bracketed integral of k(x, .) outside the ball B(x, eps)."""
+    return _shell(ifs, kern, x, eps, math.inf, depth)
 
-    The kept cells are bracketed as one slice.  Each lies in a cell that the
-    ball split certified at distance >= eps from x, so eps (less a rounding
-    margin) floors its certified pole distance.  Straddling cells are not
-    evaluated: each adds its mass times ``pole_sup(eps)``, a bound for
-    |k(x, .)| outside the ball, to ``err``.
+
+def _shell(ifs: IFS, kern: HomogeneousKernel, x, eps: float, outer: float,
+           depth: int) -> QuadratureResult:
+    """Bracketed integral of k(x, .) over the shell eps <= d(x, .) <= outer.
+
+    The kept cells are one slice, their certified pole distance floored by eps
+    less a rounding margin.  Straddling cells are not evaluated: each adds its
+    mass times sup / max(delta_v, eps)^s, a bound for |k(x, .)| on its part of
+    the shell, to ``err``, with delta_v its certified distance from x.
     """
-    kept, straddlers = _ball_cells(ifs, x, eps, depth)
-    outer = _cell_bracket(straddlers.weights, 0.0, kern.pole_sup(eps), depth)
+    kept, straddlers, lo = _ball_cells(ifs, x, eps, depth, outer)
+    sup = np.where(lo > eps, kern.omega_sup / np.maximum(lo, eps) ** kern.s,
+                   kern.pole_sup(eps))  # the scalar keeps truncated's floats
+    rest = _cell_bracket(straddlers.weights, 0.0, sup, depth)
     return _total(_bracket(kern, x, kept, max(kept.count, 1), depth,
-                           floor=eps * (1.0 - 1e-12)) + [outer], depth)
+                           floor=eps * (1.0 - 1e-12)) + [rest], depth)
 
 
 # ---- symbolic maximal scan ---------------------------------------------------
@@ -324,10 +331,10 @@ def ball_cylinder_gap(ifs: IFS, kern: HomogeneousKernel, w: EPWord, n: int,
     """Gap between a cylinder annulus and the matching ball annulus around pi(w).
 
     The cylinder term integrates over C_{w|n} minus C_{w|n+m1*p} (p the
-    period length); the ball term over B_1 minus B_2 with radii
-    ``radius_factor`` times the certified diameters of those cylinders.
-    Returns |difference| with the combined bracket.  Requires the IFS to
-    carry its open-set ball (``osc_ball``).
+    period length); the ball term, in one pass, over the shell B_1 minus B_2
+    with radii ``radius_factor`` times the certified diameters of those
+    cylinders.  Returns |difference| with the combined bracket.  Requires the
+    IFS to carry its open-set ball (``osc_ball``).
     """
     if ifs.osc_ball is None:
         raise ConfigError("ball_cylinder_gap needs the IFS osc_ball "
@@ -339,18 +346,15 @@ def ball_cylinder_gap(ifs: IFS, kern: HomogeneousKernel, w: EPWord, n: int,
     if not (isinstance(m1, (int, np.integer)) and m1 >= 1):
         raise InputError("m1 must be an integer >= 1")
     radius_factor = float(radius_factor)
-    if radius_factor <= 0.0:
-        raise InputError("radius_factor must be positive")
+    if not (radius_factor > 0.0 and math.isfinite(radius_factor)):
+        raise InputError("radius_factor must be positive and finite")
     p = len(w.period)
     inner = n + m1 * p
     pole = ifs.code_point(w)
 
     cyl = _total(_annuli(ifs, kern, pole, w, inner, depth, start=n), depth)
-    eps_outer = radius_factor * ifs.cylinder_diam_hi(w.prefix(n))
-    eps_inner = radius_factor * ifs.cylinder_diam_hi(w.prefix(inner))
-    trunc_depth = inner + depth
-    ball = (truncated(ifs, kern, pole, eps_inner, trunc_depth)
-            - truncated(ifs, kern, pole, eps_outer, trunc_depth))
+    ball = _shell(ifs, kern, pole, radius_factor * ifs.cylinder_diam_hi(w.prefix(inner)),
+                  radius_factor * ifs.cylinder_diam_hi(w.prefix(n)), inner + depth)
 
     return QuadratureResult(abs(cyl.value - ball.value), cyl.err + ball.err,
                             depth, cyl.cells + ball.cells)

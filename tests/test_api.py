@@ -65,6 +65,7 @@ def test_removed_names_are_gone(middle_thirds):
     assert not hasattr(middle_thirds, "maps")  # read ratios and shifts
     assert not hasattr(fractalsio.PVTrace, "to_csv")  # the CLI writes to_csv_text()
     assert not hasattr(fractalsio.CellBlock, "word")  # read from letters()
+    assert not hasattr(fractalsio.QuadratureResult, "__sub__")  # the gap's shell is one pass
     for func in (fractalsio.net, fractalsio.region_cells,
                  fractalsio.integrate_ball_complement, fractalsio.measure._ball_cells):
         assert "cap" not in inspect.signature(func).parameters, func

@@ -273,6 +273,13 @@ def test_format_only_on_pv_trace(mt_config, capsys):
     ("criterion", 'params.word=["x"]', "params.word"),
     ("truncated", "params.x=0.5", "params.x"),
     ("truncated", "params.eps=abc", "params.eps"),
+    ("truncated", "params.eps=0", "params.eps"),
+    ("truncated", "params.eps=-1", "params.eps"),
+    ("truncated", "params.eps=NaN", "params.eps"),
+    ("truncated", "params.eps=Infinity", "params.eps"),
+    ("gap", "params.radius_factor=0", "params.radius_factor"),
+    ("gap", "params.radius_factor=NaN", "params.radius_factor"),
+    ("gap", "params.radius_factor=Infinity", "params.radius_factor"),
     ("criterion", "params.depth=2.5", "params.depth"),
     ("criterion", "params.depth=true", "params.depth"),
     ("birkhoff", "params.seed=-1", "seed"),
@@ -283,6 +290,7 @@ def test_malformed_param_exits_one(mt_config, capsys, command, override, key):
     args = [command, "--config", mt_config, "--override", "params.word=[1]",
             "--override", "params.x=[0.0]", "--override", "params.eps=0.5",
             "--override", "params.depth=3", "--override", "params.target=[1]",
+            "--override", "params.n=1", "--override", "params.m1=1",
             "--override", "params.n_steps=100", "--override", override]
     assert main(args) == 1
     err = capsys.readouterr().err

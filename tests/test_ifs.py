@@ -6,7 +6,8 @@ import pytest
 
 import _helpers as h
 import fractalsio.ifs
-from fractalsio import IFS, ConfigError, EPWord, InputError, net, similarity_dimension
+from fractalsio import (IFS, ConfigError, EPWord, Euclidean, InputError, net,
+                        similarity_dimension)
 
 
 def test_similarity_dimension_oracles():
@@ -337,6 +338,13 @@ def test_osc_ball_validation():
     bad["osc_ball"]["radius"] = 0.2  # images escape the ball
     with pytest.raises(ConfigError):
         IFS.from_config(bad)
+
+
+@pytest.mark.parametrize("bad_map", [(0.5,), 0.5, (0.5, [0.0], 1), ("x", [0.0]),
+                                     (0.5, "ab")])
+def test_malformed_map_is_an_input_error(bad_map):
+    with pytest.raises(InputError):
+        IFS(Euclidean(1), [(1.0 / 3.0, [0.0]), bad_map])
 
 
 def test_bad_words_rejected(middle_thirds):

@@ -64,7 +64,7 @@ def test_cell_bracket_is_two_pairwise_sums():
                                     pairwise_sum(weights * 0.3), 2, 1003)
 
 
-@pytest.mark.parametrize("lipschitz", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("lipschitz", [-1.0, math.nan, math.inf, "1", None, [1.0]])
 def test_integrate_cells_rejects_bad_lipschitz(middle_thirds, lipschitz):
     with pytest.raises(InputError, match="Lipschitz constant"):
         integrate_cells(net(middle_thirds, 2), _coord, lipschitz)
@@ -218,6 +218,32 @@ def test_ball_complement_straddlers_bracket(middle_thirds):
                                      np.array([0.0]), 0.1, depth=6)
     assert quad.err > 0.0
     assert quad.value - quad.err <= 0.8 <= quad.value + quad.err
+
+
+@pytest.mark.parametrize("name, center, eps, outer, depth", [
+    ("middle_thirds", [0.1], 0.15, 0.7, 7),
+    ("four_corner", [0.3, 0.4], 0.2, 0.6, 5),
+    ("heis_quarter", [0.2, 0.1, 0.0], 0.25, 0.6, 5),
+])
+def test_ball_cells_bracket_a_shell(name, center, eps, outer, depth, request):
+    # kept cells lie in the shell eps <= d(center, .) <= outer and straddlers
+    # cover the rest of it, so the shell's measure, from a seeded sample of
+    # the natural measure, lies between their masses
+    ifs = request.getfixturevalue(name)
+    geom, center = ifs.geometry, np.array(center)
+    kept, straddlers, lo = measure._ball_cells(ifs, center, eps, depth, outer)
+    assert straddlers.count == len(lo) and np.all(lo < outer)
+    d = geom.dist(kept.points, center)
+    assert np.all((d >= eps) & (d <= outer))
+    rng = np.random.default_rng(11)
+    n = 40000
+    idx = rng.choice(ifs.n_letters, size=(n, 30), p=ifs.letter_weights)
+    ratio, shift = ifs.compose_batch(idx)
+    d = geom.dist(geom.op(shift, geom.dilate(ratio, ifs.letter_fixed_points[0])), center)
+    share = np.mean((d >= eps) & (d <= outer))
+    tol = 4.0 * math.sqrt(share * (1.0 - share) / n)
+    assert pairwise_sum(kept.weights) <= share + tol
+    assert pairwise_sum(kept.weights) + pairwise_sum(straddlers.weights) >= share - tol
 
 
 def test_mc_vs_quadrature(middle_thirds):

@@ -317,6 +317,42 @@ def test_gap_tight_radius_sanity(middle_thirds_osc):
     quad = ball_cylinder_gap(middle_thirds_osc, kern, h.word1(), 2, 1, 6,
                              radius_factor=1.0)
     assert quad.value <= quad.err + 1e-9
+    assert quad.err < 0.0030  # the shell's straddlers are charged one pass
+
+
+def _with_osc_ball(cfg, center, radius):
+    return h.make_ifs(dict(cfg, osc_ball={"center": center, "radius": radius}))
+
+
+@pytest.mark.parametrize("ifs, omega", [
+    (_with_osc_ball(h.middle_thirds_config(), [0.5], 0.5), SignOmega()),
+    (_with_osc_ball(h.four_corner_config(), [0.5, 0.5], 0.75), RieszComponent(1)),
+    (_with_osc_ball(h.heis_quarter_config(), [0.3, 0.3, 0.0], 0.9), RieszComponent(1)),
+], ids=["middle_thirds", "four_corner", "heis_quarter"])
+def test_gap_ball_shell_is_one_pass(ifs, omega):
+    # the gap's ball term, one pass over the shell between its two radii,
+    # against the difference of two ball complements
+    kern = HomogeneousKernel(ifs.geometry, ifs.dim_s, omega)
+    w, n, m1, depth, radius_factor = EPWord((2,), (1,)), 1, 1, 4, 1.5
+    inner = n + m1 * len(w.period)
+    pole = ifs.code_point(w)
+    eps_inner = radius_factor * ifs.cylinder_diam_hi(w.prefix(inner))
+    eps_outer = radius_factor * ifs.cylinder_diam_hi(w.prefix(n))
+    one = sio._shell(ifs, kern, pole, eps_inner, eps_outer, inner + depth)
+    a = truncated(ifs, kern, pole, eps_inner, inner + depth)
+    b = truncated(ifs, kern, pole, eps_outer, inner + depth)
+    assert math.isfinite(one.err)
+    assert abs(one.value - (a.value - b.value)) <= one.err + a.err + b.err
+    assert one.err <= a.err + b.err
+    assert one.cells < a.cells + b.cells
+
+
+@pytest.mark.parametrize("radius_factor", [0.0, -1.0, math.nan, math.inf])
+def test_gap_rejects_bad_radius_factor(middle_thirds_osc, radius_factor):
+    kern = h.sign_kernel(middle_thirds_osc)
+    with pytest.raises(InputError, match="radius_factor"):
+        ball_cylinder_gap(middle_thirds_osc, kern, h.word1(), 2, 1, 4,
+                          radius_factor=radius_factor)
 
 
 def test_gap_requires_osc_ball(middle_thirds):
