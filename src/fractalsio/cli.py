@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, FractalsioError, InputError
+from .errors import ConfigError, FractalsioError, integer, nonnegative, positive
 from .ergodic import _block_statistics, birkhoff_frequency, hitting_times
 from .ifs import IFS
 from .kernels import HomogeneousKernel
@@ -105,16 +105,13 @@ def _param(p: dict, key: str, read, what: str, default=None, where: str = "param
     raw = _need(p, key, where) if default is None else p.get(key, default)
     try:
         return read(raw)
-    except (TypeError, ValueError, OverflowError, InputError):
+    except (TypeError, ValueError, OverflowError):  # an InputError is a ValueError
         raise ConfigError(f"{where}.{key} must be {what}") from None
 
 
 def _int_param(p: dict, key: str, default=None) -> int:
-    def read(raw):
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise TypeError(raw)
-        return int(raw)
-    return _param(p, key, read, "an integer", default)
+    """An integer of any sign; the library entry point checks its range."""
+    return _param(p, key, lambda raw: integer(raw, key, -math.inf), "an integer", default)
 
 
 def _bool_param(p: dict, key: str, default=None) -> bool:
@@ -123,10 +120,6 @@ def _bool_param(p: dict, key: str, default=None) -> bool:
             raise TypeError(raw)
         return raw
     return _param(p, key, read, "true or false", default)
-
-
-def _float_param(p: dict, key: str, default=None) -> float:
-    return _param(p, key, float, "a number", default)
 
 
 def _point_param(p: dict, key: str) -> list:
@@ -165,26 +158,12 @@ def _field(desc: dict, key: str, read, what: str, default=None):
     return _param(desc, key, read, what, default, where="params.integrand")
 
 
-def _nonnegative(raw) -> float:
-    value = float(raw)
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise ValueError(value)
-    return value
-
-
-def _positive(raw) -> float:
-    value = float(raw)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(value)
-    return value
-
-
 def _monomial(ifs: IFS, desc: dict):
     geom = ifs.geometry
 
     def read_exponents(raw):
-        exps = [int(e) for e in raw]
-        if len(exps) != geom.dim or any(a != b or a < 0 for a, b in zip(exps, raw)):
+        exps = [integer(e, "exponent", 0) for e in raw]
+        if len(exps) != geom.dim:
             raise ValueError(raw)
         return np.array(exps, dtype=np.int64)
 
@@ -197,7 +176,8 @@ def _monomial(ifs: IFS, desc: dict):
         return coeff * np.prod(pts ** exps, axis=-1)
 
     if "lipschitz" in desc:
-        lip = _field(desc, "lipschitz", _nonnegative, "a finite nonnegative number")
+        lip = _field(desc, "lipschitz", lambda raw: nonnegative(raw, "lipschitz"),
+                     "a finite nonnegative number")
     elif geom.kind == "euclidean":
         center, radius = ifs.attractor_bound()
         bounds = np.abs(np.asarray(center, dtype=float)) + radius
@@ -250,8 +230,7 @@ def cmd_dim(cfg, ifs, p, args):
 
 
 def cmd_separation(cfg, ifs, p, args):
-    depth = _int_param(p, "depth", 12)
-    rep = ifs.check_separation(depth=depth)
+    rep = ifs.check_separation()
     return ({"report": rep.as_dict()},
             0 if rep.status in ("Separated", "StronglySeparated", "Overlapping") else 2)
 
@@ -296,7 +275,7 @@ def cmd_pv_trace(cfg, ifs, p, args):
 def cmd_truncated(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
     x = _point_param(p, "x")
-    eps = _param(p, "eps", _positive, "a finite positive number")
+    eps = _param(p, "eps", lambda raw: positive(raw, "eps"), "a finite positive number")
     depth = _int_param(p, "depth")
     quad = truncated(ifs, kern, x, eps, depth)
     return ({"x": x, "eps": eps, **quad.as_dict()},
@@ -328,7 +307,8 @@ def cmd_gap(cfg, ifs, p, args):
     n = _int_param(p, "n")
     m1 = _int_param(p, "m1")
     depth = _int_param(p, "depth")
-    radius_factor = _param(p, "radius_factor", _positive, "a finite positive number", 2.0)
+    radius_factor = _param(p, "radius_factor", lambda raw: positive(raw, "radius_factor"),
+                           "a finite positive number", 2.0)
     quad = ball_cylinder_gap(ifs, kern, w, n, m1, depth,
                              radius_factor=radius_factor)
     return ({"n": n, "m1": m1, "radius_factor": radius_factor,
@@ -358,8 +338,8 @@ def cmd_birkhoff(cfg, ifs, p, args):
 def cmd_perturb(cfg, ifs, p, args):
     kern = _build_kernel(cfg, ifs)
     direction = _point_param(p, "direction")
-    rho = _float_param(p, "rho")
-    eps = _float_param(p, "eps")
+    rho = _param(p, "rho", lambda raw: positive(raw, "rho", math.pi), "a number in (0, pi)")
+    eps = _param(p, "eps", lambda raw: positive(raw, "eps"), "a finite positive number")
     new_kern = kern.perturb(direction, rho, eps)
     geom = ifs.geometry
     u = np.asarray(direction, dtype=float)

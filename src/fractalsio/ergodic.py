@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import integer
 from .ifs import IFS
 from .symbolic import validate_word
 
@@ -43,10 +43,7 @@ def _letter_stream(ifs: IFS, seed: int):
     first; the unread rest of a block is kept for the next call, so any
     split of the stream into calls gives the letters of one call.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise InputError(f"seed must be a nonnegative integer, got {seed}")
-    bitgen = np.random.Philox(seed)
+    bitgen = np.random.Philox(integer(seed, "seed", 0))
     cuts = _cuts(ifs)
     block, pos = np.empty(0, dtype=np.uint32), 0
 
@@ -78,9 +75,8 @@ def sample_orbit(ifs: IFS, n: int, seed: int) -> np.ndarray:
     probability is within 2^-32 of its weight and the letters are the same
     on every platform.  Returned as an int64 array.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise InputError("orbit length must be a nonnegative integer")
-    letters = _letter_stream(ifs, seed)(np.empty(int(n), dtype=np.int64))
+    n = integer(n, "orbit length", 0)
+    letters = _letter_stream(ifs, seed)(np.empty(n, dtype=np.int64))
     letters += 1
     return letters
 
@@ -104,8 +100,7 @@ def _scan(ifs: IFS, target, n_steps: int, seed: int):
     that straddle a block edge are found while only one block is held.  The
     window is held in the narrowest unsigned dtype that fits the letters.
     """
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise InputError("n_steps must be a positive integer")
+    n_steps = integer(n_steps, "n_steps", 1)
     target = validate_word(target, n_letters=ifs.n_letters)
     carry = max(len(target) - 1, 0)
     draw = _letter_stream(ifs, seed)

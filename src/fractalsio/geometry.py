@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, integer
 
 
 class _Geometry:
@@ -47,9 +47,7 @@ class Euclidean(_Geometry):
     kind = "euclidean"
 
     def __init__(self, dim: int):
-        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-            raise InputError("euclidean dimension must be a positive integer")
-        self.dim = int(dim)
+        self.dim = integer(dim, "euclidean dimension", 1)
         self.coord_degrees = np.ones(self.dim)
 
     def op(self, p, q):

@@ -37,13 +37,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, config_section
+from .errors import ConfigError, InputError, config_section, positive
 from .geometry import geometry_from_config
 from .symbolic import EPWord, validate_word
 
 _FLOAT_SLACK = 1e-12
 _REL_TOL = 1e-6
 _DIAM_DEPTH = 60
+_SEP_DEPTH = 12  # word length at which the separation search gives up
 _MAX_NODES = 200000
 _DIM_TOL = 1e-14
 _DIM_MAX_ITER = 200
@@ -151,54 +152,38 @@ class IFS:
     """A finite system of similarities with its natural measure exponent.
 
     ``maps`` is a sequence of ``(ratio, shift)`` pairs, held as the arrays
-    ``ratios`` and ``shifts``; letters are 1-based.  ``dim_s`` may pin the
-    exponent; when omitted it is the similarity dimension.
-    ``osc_ball=(center, radius)`` optionally declares a ball whose images
-    under the maps are pairwise disjoint and contained in it; the claim is
-    checked on construction.
+    ``ratios`` and ``shifts``; letters are 1-based.  The measure exponent
+    ``dim_s`` is always the similarity dimension of the ratios, so the letter
+    weights r_i^s sum to 1 up to rounding.  ``osc_ball=(center, radius)``
+    optionally declares a ball whose images under the maps are pairwise
+    disjoint and contained in it; the claim is checked on construction.
     """
 
     DEFAULT_CELL_CAP = 1 << 24
 
-    def __init__(self, geometry, maps, *, dim_s=None, osc_ball=None):
+    def __init__(self, geometry, maps, *, osc_ball=None):
         self.geometry = geometry
-        ratios, shifts = [], []
-        for i, pair in enumerate(maps):
-            try:
-                ratio, shift = pair
-                ratio = float(ratio)
-            except (TypeError, ValueError):
-                raise InputError(f"map {i} must be a (number, point) pair") from None
-            if not (0.0 < ratio < 1.0):
-                raise InputError(f"contraction ratio {ratio!r} not in (0, 1)")
-            shift = geometry.check_point(shift)
-            if shift.ndim != 1:
-                raise InputError("map shift must be a single point")
-            ratios.append(ratio)
-            shifts.append(shift)
-        if len(ratios) < 2:
+        try:
+            pairs = [(ratio, shift) for ratio, shift in maps]
+        except (TypeError, ValueError):
+            raise InputError("maps must be a sequence of (ratio, shift) pairs") from None
+        if len(pairs) < 2:
             raise InputError("an IFS needs at least two maps")
-        self.ratios = np.array(ratios)
+        self.ratios = np.array([positive(ratio, f"contraction ratio of map {i}", 1.0)
+                                for i, (ratio, _) in enumerate(pairs)])
+        shifts = [geometry.check_point(shift) for _, shift in pairs]
+        if any(shift.ndim != 1 for shift in shifts):
+            raise InputError("map shift must be a single point")
         self.shifts = np.stack(shifts)
-        self.n_letters = len(ratios)
+        self.n_letters = len(pairs)
 
-        s_nat = similarity_dimension(self.ratios)
-        if dim_s is None:
-            self.dim_s = s_nat
-        else:
-            dim_s = float(dim_s)
-            if abs(dim_s - s_nat) > 1e-8:
-                raise ConfigError(
-                    f"declared exponent {dim_s!r} disagrees with the similarity "
-                    f"dimension {s_nat!r}"
-                )
-            self.dim_s = dim_s
+        self.dim_s = similarity_dimension(self.ratios)
         self.letter_weights = self.ratios ** self.dim_s
         self.letter_fixed_points = _fixed_points(geometry, self.ratios, self.shifts)
 
         self._bound = None
         self._diam = None
-        self._sep_cache = {}
+        self._sep = None
         self._nets = {0: _frozen(np.ones(1), geometry.identity()[np.newaxis],
                                  np.ones(1))}
         self._chunk = 1
@@ -209,9 +194,7 @@ class IFS:
         if osc_ball is not None:
             center, radius = osc_ball
             center = geometry.check_point(np.asarray(center, dtype=float))
-            radius = float(radius)
-            if radius <= 0.0:
-                raise ConfigError("osc ball radius must be positive")
+            radius = positive(radius, "osc ball radius")
             self._check_osc_ball(center, radius)
             self.osc_ball = (center, radius)
 
@@ -374,28 +357,25 @@ class IFS:
         """Certified upper bound on the diameter of the cylinder of ``word``."""
         return self.word_ratio(word) * self.diam_bracket()[1]
 
-    def check_separation(self, depth: int = 12) -> SeparationReport:
+    def check_separation(self) -> SeparationReport:
         """Classify the overlap structure of the first-level cylinders.
 
         Verdicts: ``Overlapping`` on an exact shared attractor point across
         branches (touching intervals share their end point, so they overlap
         here); ``Inconclusive`` when the cross-branch gap cannot be
-        certified positive by word length ``depth``; otherwise the certified
-        gap bracket is compared with the bracket for the largest first-level
-        cylinder diameter.  ``StronglySeparated`` when the gap is certified
-        at least that diameter, or when the search converged and the gap
-        bracket reaches the diameter bracket (so exact ties resolve);
+        certified positive by word length ``_SEP_DEPTH`` (12); otherwise the
+        certified gap bracket is compared with the bracket for the largest
+        first-level cylinder diameter.  ``StronglySeparated`` when the gap is
+        certified at least that diameter, or when the search converged and
+        the gap bracket reaches the diameter bracket (so exact ties resolve);
         ``Separated`` when the gap is certified smaller; otherwise, as after
         a search stopped by ``_MAX_NODES``, ``SeparatedUnknownStrength``.
+        The search runs once per system and its report is kept.
         """
-        if int(depth) < 0:
-            raise InputError(f"depth must be a nonnegative integer, got {depth!r}")
-        key = int(depth)
-        got = self._sep_cache.get(key)
-        if got is not None:
-            return got
+        if self._sep is not None:
+            return self._sep
         pairs = itertools.combinations(range(self.n_letters), 2)
-        gap = _pair_bracket(self, pairs, +1, depth)
+        gap = _pair_bracket(self, pairs, +1, _SEP_DEPTH)
         dlo, dhi = self.diam_bracket()
         rmax = float(np.max(self.ratios))
         md_lo, md_hi = rmax * dlo, rmax * dhi
@@ -410,10 +390,9 @@ class IFS:
             status = "Separated"
         else:
             status = "SeparatedUnknownStrength"
-        rep = SeparationReport(status, lo, hi, md_lo, md_hi, depth, gap.nodes,
-                               gap.exhausted)
-        self._sep_cache[key] = rep
-        return rep
+        self._sep = SeparationReport(status, lo, hi, md_lo, md_hi, _SEP_DEPTH,
+                                     gap.nodes, gap.exhausted)
+        return self._sep
 
     # ---- config --------------------------------------------------------------
 
@@ -445,16 +424,22 @@ class IFS:
                 raise ConfigError(f"map {i} must be a dict with 'r' and 'q'")
             with config_section(f"maps.{i}"):
                 maps.append((float(m["r"]), np.asarray(m["q"], dtype=float)))
-        with config_section("s"):
-            dim_s = None if cfg.get("s") is None else float(cfg["s"])
         osc = None
         if cfg.get("osc_ball") is not None:
             ob = cfg["osc_ball"]
             if not isinstance(ob, dict) or "center" not in ob or "radius" not in ob:
                 raise ConfigError("osc_ball config needs 'center' and 'radius'")
             with config_section("osc_ball"):
-                osc = (np.asarray(ob["center"], dtype=float), float(ob["radius"]))
-        return cls(geom, maps, dim_s=dim_s, osc_ball=osc)
+                osc = (np.asarray(ob["center"], dtype=float),
+                       positive(ob["radius"], "osc ball radius"))
+        ifs = cls(geom, maps, osc_ball=osc)
+        if cfg.get("s") is not None:  # written by to_config; checked, never used
+            with config_section("s"):
+                declared = positive(cfg["s"], "declared exponent s")
+            if abs(declared - ifs.dim_s) > 1e-8:
+                raise ConfigError(f"declared exponent {declared!r} disagrees with the "
+                                  f"similarity dimension {ifs.dim_s!r}")
+        return ifs
 
     def __repr__(self) -> str:
         return (f"IFS({self.geometry!r}, n_letters={self.n_letters}, "

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, config_section
+from .errors import ConfigError, InputError, config_section, integer, positive
 from .geometry import Euclidean
 
 MODULUS_SCALE = 2.0
@@ -114,8 +114,7 @@ class RieszComponent(_Smooth):
     kind: str = field(default="riesz", init=False)
 
     def __post_init__(self):
-        if not isinstance(self.axis, (int, np.integer)) or self.axis < 1:
-            raise InputError("riesz axis must be a positive 1-based integer")
+        object.__setattr__(self, "axis", integer(self.axis, "riesz axis", 1))
 
     def _degree(self, geom) -> float:
         if self.axis > geom.dim:
@@ -140,7 +139,7 @@ class RieszComponent(_Smooth):
         return 6.0  # sampled bound for the degree-2 group coordinate
 
     def to_config(self) -> dict:
-        return {"kind": "riesz", "axis": int(self.axis)}
+        return {"kind": "riesz", "axis": self.axis}
 
 
 @dataclass(frozen=True)
@@ -157,17 +156,10 @@ class PolynomialOverNorm(_Smooth):
     kind: str = field(default="poly_over_norm", init=False)
 
     def __post_init__(self):
-        cleaned = []
-        for mono in self.coeffs:
-            c, exps = mono
-            exps = tuple(int(e) for e in exps)
-            if any(e < 0 for e in exps):
-                raise InputError("monomial exponents must be nonnegative")
-            cleaned.append((float(c), exps))
-        object.__setattr__(self, "coeffs", tuple(cleaned))
-        if not isinstance(self.degree, (int, np.integer)) or self.degree < 1:
-            raise InputError("polynomial degree must be a positive integer")
-        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "coeffs", tuple(
+            (float(c), tuple(integer(e, "monomial exponent", 0) for e in exps))
+            for c, exps in self.coeffs))
+        object.__setattr__(self, "degree", integer(self.degree, "polynomial degree", 1))
 
     def _check_dim(self, geom):
         for c, exps in self.coeffs:
@@ -237,14 +229,8 @@ class PerturbedOmega:
         if n == 0.0:
             raise InputError("bump direction must be nonzero")
         object.__setattr__(self, "direction", tuple(float(x) for x in d / n))
-        rho = float(self.rho)
-        if not (0.0 < rho < math.pi):
-            raise InputError("bump width rho must lie in (0, pi)")
-        object.__setattr__(self, "rho", rho)
-        eps = float(self.eps)
-        if not (eps > 0.0 and math.isfinite(eps)):
-            raise InputError("bump amplitude eps must be positive")
-        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "rho", positive(self.rho, "bump width rho", math.pi))
+        object.__setattr__(self, "eps", positive(self.eps, "bump amplitude eps"))
 
     def _require_euclidean(self, geom):
         if not isinstance(geom, Euclidean):
@@ -295,12 +281,12 @@ def omega_from_config(cfg: dict):
         if kind == "riesz":
             if "axis" not in cfg:
                 raise ConfigError("riesz omega config needs 'axis'")
-            return RieszComponent(int(cfg["axis"]))
+            return RieszComponent(cfg["axis"])
         if kind == "poly_over_norm":
             if "coeffs" not in cfg or "degree" not in cfg:
                 raise ConfigError("poly_over_norm config needs 'coeffs' and 'degree'")
             return PolynomialOverNorm(tuple((c, tuple(e)) for c, e in cfg["coeffs"]),
-                                      int(cfg["degree"]))
+                                      cfg["degree"])
         if kind == "perturbed":
             for key in ("base", "direction", "rho", "eps"):
                 if key not in cfg:
@@ -314,11 +300,8 @@ class HomogeneousKernel:
     """A kernel Omega(z)/d^s bound to a geometry, with certified moduli."""
 
     def __init__(self, geometry, s: float, omega):
-        s = float(s)
-        if not (s > 0.0 and math.isfinite(s)):
-            raise InputError("kernel exponent s must be positive and finite")
         self.geometry = geometry
-        self.s = s
+        self.s = positive(s, "kernel exponent s")
         self.omega = omega
         self.omega_sup = float(omega.sup_for(geometry))
         self.omega_lip = float(omega.lip_for(geometry))
@@ -367,10 +350,7 @@ class HomogeneousKernel:
 
     def pole_sup(self, eps: float) -> float:
         """Sup bound for |k(x, .)| outside the ball of radius eps around x."""
-        eps = float(eps)
-        if eps <= 0.0:
-            raise InputError("eps must be positive")
-        return self.omega_sup / eps ** self.s
+        return self.omega_sup / positive(eps, "eps") ** self.s
 
     def perturb(self, z_direction, rho: float, eps: float) -> "HomogeneousKernel":
         """This kernel with a smooth cap bump of width rho and amplitude eps added."""

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ergodic import _letter_stream
-from .errors import EvaluationError, InputError, ResourceLimitError
+from .errors import (EvaluationError, InputError, ResourceLimitError, integer,
+                     nonnegative, positive)
 from .ifs import IFS, _fixed_points
 from .symbolic import validate_word
 
@@ -184,8 +184,6 @@ def cells_for_words(ifs: IFS, words) -> CellBlock:
 
 def net(ifs: IFS, depth: int) -> CellBlock:
     """The full depth-``depth`` cylinder net in lexicographic order."""
-    if not isinstance(depth, (int, np.integer)) or depth < 0:
-        raise InputError("net depth must be a nonnegative integer")
     return region_cells(ifs, [()], depth)
 
 
@@ -194,8 +192,7 @@ def region_cells(ifs: IFS, base_words, depth: int) -> CellBlock:
 
     Order: base words first, then suffixes lexicographically within a base.
     """
-    if depth < 0:
-        raise InputError("refinement depth must be nonnegative")
+    depth = integer(depth, "refinement depth", 0)
     segments = _word_segments(ifs, base_words, depth)
     _check_budget(sum(len(bases) for bases, _ in segments) * ifs.n_letters ** depth)
     return _cell_block(ifs, segments)
@@ -223,9 +220,7 @@ def _eval_f(f, points, cells=None, first=0):
 def integrate_cells(cells: CellBlock, f, lipschitz: float) -> QuadratureResult:
     """Bracketed integral of f, with Lipschitz constant ``lipschitz``, over the
     union of the given cells."""
-    if not (isinstance(lipschitz, numbers.Real) and lipschitz >= 0.0
-            and math.isfinite(lipschitz)):
-        raise InputError("Lipschitz constant must be finite and >= 0")
+    lipschitz = nonnegative(lipschitz, "Lipschitz constant")
     if cells.count == 0:
         return QuadratureResult(0.0, 0.0, 0, 0)
     return _cell_bracket(cells.weights, _eval_f(f, cells.points, cells),
@@ -278,11 +273,8 @@ def _ball_cells(ifs: IFS, center, eps: float, depth: int, outer: float = math.in
     center = geom.check_point(np.asarray(center, dtype=float))
     if center.ndim != 1:
         raise InputError("ball center must be a single point")
-    eps = float(eps)
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise InputError("ball radius eps must be positive and finite")
-    if depth < 0:
-        raise InputError("refinement depth must be nonnegative")
+    eps = positive(eps, "ball radius eps")
+    depth = integer(depth, "refinement depth", 0)
 
     n = ifs.n_letters
     letters = np.zeros((1, 0), dtype=np.int64)  # words of the active cells
@@ -343,9 +335,7 @@ def mc_integrate(ifs: IFS, f, n_samples: int, seed: int):
     ``(mean, stderr)`` with the usual ddof=1 standard error; the bracket is
     statistical, not certified.
     """
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise InputError("need at least two samples")
+    n_samples = integer(n_samples, "n_samples", 2)
     r_max = float(np.max(ifs.ratios))
     depth = min(max(int(math.ceil(math.log(1e-12) / math.log(r_max))), 4), 256)
     geom = ifs.geometry

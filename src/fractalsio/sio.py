@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, integer, positive
 from .ifs import IFS
 from .kernels import HomogeneousKernel
 from .measure import (QuadratureResult, _ball_cells, _cell_bracket,
@@ -166,8 +166,7 @@ def pv_trace(ifs: IFS, kern: HomogeneousKernel, w: EPWord, K: int,
     """
     if not isinstance(w, EPWord):
         raise InputError("pv_trace expects an EPWord")
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise InputError("K must be a positive integer")
+    K = integer(K, "K", 1)
     pole = ifs.code_point(w)
     sep_flag, sep_search = _separation(ifs)
     p = len(w.period) if w.is_periodic() else 0
@@ -308,8 +307,7 @@ def maximal_symbolic(ifs: IFS, kern: HomogeneousKernel, w: EPWord, max_n: int,
     """
     if not isinstance(w, EPWord):
         raise InputError("maximal_symbolic expects an EPWord")
-    if not isinstance(max_n, (int, np.integer)) or max_n < 2:
-        raise InputError("max_n must be an integer >= 2")
+    max_n = integer(max_n, "max_n", 2)
     pole = ifs.code_point(w)
     sep_flag, sep_search = _separation(ifs)
 
@@ -341,13 +339,8 @@ def ball_cylinder_gap(ifs: IFS, kern: HomogeneousKernel, w: EPWord, n: int,
                           "(open-set ball) in the configuration")
     if not isinstance(w, EPWord):
         raise InputError("ball_cylinder_gap expects an EPWord")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InputError("n must be an integer >= 1")
-    if not (isinstance(m1, (int, np.integer)) and m1 >= 1):
-        raise InputError("m1 must be an integer >= 1")
-    radius_factor = float(radius_factor)
-    if not (radius_factor > 0.0 and math.isfinite(radius_factor)):
-        raise InputError("radius_factor must be positive and finite")
+    n, m1 = integer(n, "n", 1), integer(m1, "m1", 1)
+    radius_factor = positive(radius_factor, "radius_factor")
     p = len(w.period)
     inner = n + m1 * p
     pole = ifs.code_point(w)
@@ -402,12 +395,11 @@ def divergence_certificate(ifs: IFS, kern: HomogeneousKernel, w, K: int,
     word = validate_word(w, n_letters=ifs.n_letters)
     if len(word) == 0:
         raise InputError("divergence word must be nonempty")
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise InputError("K must be a positive integer")
+    K = integer(K, "K", 1)
     crit, first = _criterion(ifs, kern, word, depth)
     if crit.verdict != "NonzeroCertified":
         return DivergenceReport(
-            word=word, K=int(K), status="REFUSED", criterion=crit, blocks=[],
+            word=word, K=K, status="REFUSED", criterion=crit, blocks=[],
             f_final=None, checks={},
             reason=f"criterion verdict is {crit.verdict}, not NonzeroCertified")
 
@@ -430,7 +422,7 @@ def divergence_certificate(ifs: IFS, kern: HomogeneousKernel, w, K: int,
         ("block increments disagree beyond brackets" if not pairwise_ok
          else "final complement integral below the certified growth bound")
     return DivergenceReport(
-        word=word, K=int(K), status=status, criterion=crit, blocks=blocks,
+        word=word, K=K, status=status, criterion=crit, blocks=blocks,
         f_final=f_final,
         checks={"pairwise_ok": pairwise_ok, "pairwise_excess": worst,
                 "growth_ok": growth_ok, "growth_bound": need,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, integer
 
 
 def validate_word(word, n_letters=None) -> tuple:
@@ -44,16 +44,13 @@ class EPWord:
             raise InputError("period must be nonempty")
 
     def letter(self, i: int) -> int:
-        if i < 0:
-            raise InputError("letter index must be nonnegative")
+        i = integer(i, "letter index", 0)
         if i < len(self.pre):
             return self.pre[i]
         return self.period[(i - len(self.pre)) % len(self.period)]
 
     def prefix(self, n: int) -> tuple:
-        if n < 0:
-            raise InputError("prefix length must be nonnegative")
-        return tuple(self.letter(i) for i in range(n))
+        return tuple(self.letter(i) for i in range(integer(n, "prefix length", 0)))
 
     def is_periodic(self) -> bool:
         return len(self.pre) == 0

@@ -76,6 +76,8 @@ def test_removed_names_are_gone(middle_thirds):
                         (fractalsio.mc_integrate, ("depth",)),
                         (fractalsio.WitnessIntegrand, ("max_blocks",)),
                         (fractalsio.HomogeneousKernel, ("analytic",)),
-                        (fractalsio.IFS.check_separation, ("max_nodes",))]:
+                        (fractalsio.IFS.check_separation, ("max_nodes",)),
+                        (fractalsio.IFS, ("dim_s",)),
+                        (fractalsio.IFS.check_separation, ("depth",))]:
         params = inspect.signature(func).parameters
         assert not any(name in params for name in names), (func, names)

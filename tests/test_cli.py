@@ -284,14 +284,23 @@ def test_format_only_on_pv_trace(mt_config, capsys):
     ("criterion", "params.depth=true", "params.depth"),
     ("birkhoff", "params.seed=-1", "seed"),
     ("birkhoff", 'params.with_hitting_times="no"', "params.with_hitting_times"),
-    ("separation", "params.depth=-3", "depth"),
+    ("perturb", "params.eps=0", "params.eps"),
+    ("perturb", "params.eps=-1", "params.eps"),
+    ("perturb", "params.eps=NaN", "params.eps"),
+    ("perturb", "params.eps=Infinity", "params.eps"),
+    ("perturb", "params.eps=abc", "params.eps"),
+    ("perturb", "params.rho=0", "params.rho"),
+    ("perturb", "params.rho=4.0", "params.rho"),
+    ("perturb", "params.rho=NaN", "params.rho"),
+    ("perturb", "params.rho=abc", "params.rho"),
 ])
 def test_malformed_param_exits_one(mt_config, capsys, command, override, key):
     args = [command, "--config", mt_config, "--override", "params.word=[1]",
             "--override", "params.x=[0.0]", "--override", "params.eps=0.5",
             "--override", "params.depth=3", "--override", "params.target=[1]",
             "--override", "params.n=1", "--override", "params.m1=1",
-            "--override", "params.n_steps=100", "--override", override]
+            "--override", "params.n_steps=100", "--override", "params.direction=[1.0]",
+            "--override", "params.rho=0.5", "--override", override]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {key} must be")

@@ -40,6 +40,16 @@ def test_declared_dimension_checked():
         IFS.from_config(cfg)
 
 
+def test_declared_dimension_is_never_used():
+    # a declared s within the 1e-8 check is accepted, but the weights come from
+    # the similarity dimension, so the total mass stays 1
+    cfg = h.middle_thirds_config()
+    cfg["s"] = math.log(2) / math.log(3) + 5e-9
+    ifs = IFS.from_config(cfg)
+    assert abs(float(np.sum(ifs.letter_weights)) - 1.0) <= 1e-15
+    assert ifs.dim_s == similarity_dimension(ifs.ratios)
+
+
 def test_compose_four_corner(four_corner):
     ratio, shift = four_corner.compose((2, 2))
     assert ratio == pytest.approx(1.0 / 16.0)
