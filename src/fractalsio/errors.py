@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the checked readers of numbers.
 
-Every integer, radius, exponent and Lipschitz constant a public entry point
-takes is read by ``integer``, ``positive`` or ``nonnegative``: each returns
-a plain ``int`` or ``float`` or raises an ``InputError`` naming the value.
+Every integer, radius, exponent, Lipschitz constant and other real constant
+a public entry point takes is read by ``integer``, ``positive``,
+``nonnegative`` or ``real``: each returns a plain ``int`` or ``float`` or
+raises an ``InputError`` naming the value.
 Bools are never numbers here, and strings are never parsed.
 """
 
@@ -63,6 +64,11 @@ def positive(value, name: str, below: float = math.inf) -> float:
 def nonnegative(value, name: str) -> float:
     """``value`` as a ``float`` if it is a finite number >= 0."""
     return _real(value, name, "a finite number >= 0", lambda x: x >= 0.0)
+
+
+def real(value, name: str) -> float:
+    """``value`` as a ``float`` if it is a finite number."""
+    return _real(value, name, "a finite number", lambda x: True)
 
 
 @contextmanager

@@ -2,10 +2,14 @@
 
 Both spaces are groups carrying a one-parameter family of dilations and a
 homogeneous norm (gauge).  Everything downstream touches only the small
-surface defined here: ``op``, ``inv``, ``dilate``, ``norm``, ``dist`` and the
-per-coordinate homogeneity degrees.  Points are float64 arrays of shape
-``(d,)``; every operation also accepts stacked arrays of shape ``(..., d)``
-and maps over the leading axes.
+surface defined here: ``op``, ``inv``, ``dilate``, ``scale``, ``norm``,
+``dist`` and the per-coordinate homogeneity degrees.  ``scale(r)`` gives the
+per-coordinate factors of the dilation by r, as products of r (r itself, and
+r * r for the group's last coordinate), so each factor is correctly rounded;
+``dilate(r, p)`` is ``scale(r) * p``, and a caller that applies one dilation
+to many points gathers its ``scale`` row once.  Points are float64 arrays of
+shape ``(d,)``; every operation also accepts stacked arrays of shape
+``(..., d)`` and maps over the leading axes.
 """
 
 from __future__ import annotations
@@ -56,8 +60,13 @@ class Euclidean(_Geometry):
     def inv(self, p):
         return -np.asarray(p, dtype=float)
 
+    def scale(self, r):
+        """The factor r of every coordinate, shape ``r.shape + (1,)``, which
+        broadcasts against points."""
+        return np.asarray(r, dtype=float)[..., np.newaxis]
+
     def dilate(self, r, p):
-        return np.asarray(r, dtype=float)[..., np.newaxis] * np.asarray(p, dtype=float)
+        return self.scale(r) * np.asarray(p, dtype=float)
 
     def norm(self, z):
         z = np.asarray(z, dtype=float)
@@ -98,9 +107,16 @@ class Heisenberg1(_Geometry):
         # The twist term vanishes on (p, -p), so negation is the inverse.
         return -np.asarray(p, dtype=float)
 
-    def dilate(self, r, p):
+    def scale(self, r):
+        """The factors (r, r, r * r) of the three coordinates, shape ``r.shape + (3,)``."""
         r = np.asarray(r, dtype=float)
-        return r[..., np.newaxis] ** self.coord_degrees * np.asarray(p, dtype=float)
+        out = np.empty(r.shape + (3,))
+        out[..., 0] = out[..., 1] = r
+        out[..., 2] = r * r
+        return out
+
+    def dilate(self, r, p):
+        return self.scale(r) * np.asarray(p, dtype=float)
 
     def norm(self, z):
         z = np.asarray(z, dtype=float)

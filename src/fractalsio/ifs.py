@@ -5,7 +5,8 @@ geometry.  This module computes the similarity dimension, composes every
 word's map (one word, a batch, or a batch of cylinders refined by every
 suffix of one length) by one chunk fold: the word is cut into chunks of c
 letters, c the largest with N^c <= 4096, each chunk's map is read from the
-cached net of all words of its length, and the chunk maps are composed.  It
+cached net of all words of its length, and the chunk maps are composed.
+The cuts are ``IFS._chunks``, which the Monte Carlo sampler shares.  It
 also codes eventually periodic words to attractor points, and produces
 certified geometric brackets: an enclosing ball (and, for Euclidean systems,
 an enclosing box), a diameter bracket, and a separation report.
@@ -37,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, config_section, positive
+from .errors import ConfigError, InputError, config_section, integer, positive
 from .geometry import geometry_from_config
 from .symbolic import EPWord, validate_word
 
@@ -112,11 +113,10 @@ def _fixed_points(geom, ratios, shifts):
     """Fixed points of p -> shift * dilate(ratio, p), vectorized over maps.
 
     For both supported geometries the twist contribution vanishes at the
-    fixed point, giving the closed form x_j = q_j / (1 - r^(degree_j)).
+    fixed point, giving the closed form x_j = q_j / (1 - r^(degree_j)), the
+    power being the geometry's ``scale`` factor.
     """
-    r = np.asarray(ratios, dtype=float)
-    denom = 1.0 - r[..., np.newaxis] ** geom.coord_degrees
-    return np.asarray(shifts, dtype=float) / denom
+    return np.asarray(shifts, dtype=float) / (1.0 - geom.scale(ratios))
 
 
 @dataclass(frozen=True)
@@ -236,10 +236,12 @@ class IFS:
         Lexicographic order.  Depth d is built from the cached depth d - 1 by
         prepending a letter, S_{e u} = S_e o S_u, one composition per new
         depth, so each entry is the right fold of its word from the identity.
-        Cached per depth; the arrays are read-only.
+        Cached per depth (the cached depths are 0 to len(self._nets) - 1);
+        the arrays are read-only.
         """
+        depth = integer(depth, "net depth", 0)
         geom = self.geometry
-        for d in range(max(k for k in self._nets if k <= depth) + 1, depth + 1):
+        for d in range(len(self._nets), depth + 1):
             ratio, shift, weight = self._nets[d - 1]
             ratio, shift = _compose(geom, self.ratios[:, np.newaxis],
                                     self.shifts[:, np.newaxis], ratio, shift)
@@ -247,26 +249,40 @@ class IFS:
                                     np.outer(self.letter_weights, weight).ravel())
         return self._nets[depth]
 
+    def _chunks(self, idx: np.ndarray) -> list:
+        """The chunks of the rows of ``idx`` (0-based letters, shape (M, L)),
+        right to left, as ``(length, code)``: the rows are cut into chunks of
+        ``self._chunk`` letters aligned at their right end (the first chunk
+        may be shorter), and ``code`` (M,) is each row's chunk read as a
+        base-N number, its index in the ``relative_net`` of its length.
+
+        All codes come from one float product of ``idx`` with the place
+        values, which is exact: every code is an integer below 4096.
+        """
+        n, c = self.n_letters, self._chunk
+        ends = range(idx.shape[1], 0, -c)
+        place = np.zeros((idx.shape[1], len(ends)))
+        for j, end in enumerate(ends):
+            place[max(end - c, 0):end, j] = float(n) ** np.arange(min(end, c) - 1, -1, -1)
+        codes = (idx @ place).astype(np.intp)
+        return [(min(end, c), codes[:, j]) for j, end in enumerate(ends)]
+
     def _fold(self, idx: np.ndarray, depth: int):
         """Ratios (M, N^depth) and shifts (M, N^depth, dim) of S_w o S_u for each
         row w of ``idx`` (0-based, shape (M, L)) and word u of length ``depth``,
         u in lexicographic order.
 
-        w is cut into chunks of ``self._chunk`` letters aligned at its right
-        end (the first chunk may be shorter); each chunk's map is gathered
+        w is cut into chunks by ``_chunks``; each chunk's map is gathered
         from the cached ``relative_net`` of its length, the chunk maps are
         composed right to left into S_w, and S_w is composed once onto every
         S_u (at depth 0, u is empty and S_w is returned as it is).  A row's
         floats depend on its letters only, not on M.  The empty word leaves
         every row the shared depth-``depth`` net itself.
         """
-        geom, n = self.geometry, self.n_letters
-        rows, length = idx.shape
+        geom, rows = self.geometry, len(idx)
         state = None
-        for end in range(length, 0, -self._chunk):
-            start = max(end - self._chunk, 0)
-            ratio, shift, _ = self.relative_net(end - start)
-            code = idx[:, start:end] @ n ** np.arange(end - start - 1, -1, -1)
+        for length, code in self._chunks(idx):
+            ratio, shift, _ = self.relative_net(length)
             chunk = ratio[code], np.take(shift, code, axis=0)
             state = chunk if state is None else _compose(geom, *chunk, *state)
         ratio, shift, _ = self.relative_net(depth)
@@ -423,7 +439,8 @@ class IFS:
             if not isinstance(m, dict) or "r" not in m or "q" not in m:
                 raise ConfigError(f"map {i} must be a dict with 'r' and 'q'")
             with config_section(f"maps.{i}"):
-                maps.append((float(m["r"]), np.asarray(m["q"], dtype=float)))
+                maps.append((positive(m["r"], "contraction ratio", 1.0),
+                             np.asarray(m["q"], dtype=float)))
         osc = None
         if cfg.get("osc_ball") is not None:
             ob = cfg["osc_ball"]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, config_section, integer, positive
+from .errors import ConfigError, InputError, config_section, integer, positive, real
 from .geometry import Euclidean
 
 MODULUS_SCALE = 2.0
@@ -64,9 +64,12 @@ class ConstantOmega(_Smooth):
     c: float = 1.0
     kind: str = field(default="constant", init=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "c", real(self.c, "omega constant c"))
+
     def eval(self, geom, z):
         z = np.asarray(z, dtype=float)
-        return np.full(z.shape[:-1], float(self.c))
+        return np.full(z.shape[:-1], self.c)
 
     def sup_for(self, geom) -> float:
         return abs(self.c)
@@ -75,7 +78,7 @@ class ConstantOmega(_Smooth):
         return 0.0
 
     def to_config(self) -> dict:
-        return {"kind": "constant", "c": float(self.c)}
+        return {"kind": "constant", "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -275,7 +278,7 @@ def omega_from_config(cfg: dict):
     kind = cfg["kind"]
     with config_section("omega"):
         if kind == "constant":
-            return ConstantOmega(float(cfg.get("c", 1.0)))
+            return ConstantOmega(cfg.get("c", 1.0))
         if kind == "sign":
             return SignOmega()
         if kind == "riesz":

@@ -324,30 +324,46 @@ def integrate_ball_complement(ifs: IFS, f, lipschitz: float, center, eps: float,
 def mc_integrate(ifs: IFS, f, n_samples: int, seed: int):
     """Plain Monte Carlo mean of f under the natural measure.
 
-    Samples are coded points of random words, read row by row from the
-    seed's letter stream (the letters of ``sample_orbit``) and truncated at a
-    word length where the remaining displacement is below float resolution.
-    The stream is read ``_MC_BLOCK`` samples at a time, and each block is
-    composed by ``IFS.compose_batch`` and evaluated into one array of values,
-    so the working memory is one block plus 8 bytes per sample.  Each
-    sample's map is the chunk fold of its word, whose floats depend on the
-    word alone, so they do not depend on the block size.  Returns
-    ``(mean, stderr)`` with the usual ddof=1 standard error; the bracket is
-    statistical, not certified.
+    Samples are the points S_w(x0), x0 = f_1 the fixed point of S_1, of
+    random words w, read row by row from the seed's letter stream (the
+    letters of ``sample_orbit``) and truncated at a word length where the
+    remaining displacement is below float resolution.  Each word is cut into
+    chunks by ``IFS._chunks``, the cuts of ``IFS._fold``, and its chunk maps
+    are applied to points right to left: the last chunk's point is gathered
+    from the table of S_u(x0) over the ``relative_net`` of its length, built
+    once, and each earlier chunk's map S_u(p) = q_u * (scale(r_u) p) from
+    that net's shift and ``scale`` rows.  No sample's map is composed.  When
+    x0 is the origin (f_1 = 0) and the ratio products are exact (dyadic
+    ratios), the points equal those of the chunk fold S_w applied to x0 bit
+    for bit; otherwise they may differ from it in the last bits.  The stream
+    is read ``_MC_BLOCK`` samples at a time and each block is evaluated into
+    one array of values, so the working memory is one block plus 8 bytes per
+    sample; a point's floats depend on its word alone, not on the block size.
+    Returns ``(mean, stderr)`` with the usual ddof=1 standard error; the
+    bracket is statistical, not certified.
     """
     n_samples = integer(n_samples, "n_samples", 2)
     r_max = float(np.max(ifs.ratios))
     depth = min(max(int(math.ceil(math.log(1e-12) / math.log(r_max))), 4), 256)
     geom = ifs.geometry
-    x0 = ifs.fixed_point((1,))
     draw = _letter_stream(ifs, seed)
     letters = np.empty(min(n_samples, _MC_BLOCK) * depth,
                        dtype=np.min_scalar_type(ifs.n_letters - 1))
     vals = np.empty(n_samples)
+    points, maps = None, {}  # S_u(x0) of the last chunk; (shift, scale) per length
     for start in range(0, n_samples, _MC_BLOCK):
         m = min(_MC_BLOCK, n_samples - start)
-        ratio, shift = ifs.compose_batch(draw(letters[:m * depth]).reshape(m, depth))
-        pts = geom.op(shift, geom.dilate(ratio, x0))
+        (length, code), *chunks = ifs._chunks(draw(letters[:m * depth]).reshape(m, depth))
+        if points is None:
+            ratio, shift, _ = ifs.relative_net(length)
+            points = geom.op(shift, geom.dilate(ratio, ifs.letter_fixed_points[0]))
+        pts = np.take(points, code, axis=0)
+        for length, code in chunks:
+            if length not in maps:
+                ratio, shift, _ = ifs.relative_net(length)
+                maps[length] = shift, geom.scale(ratio)
+            shift, scale = maps[length]
+            pts = geom.op(np.take(shift, code, axis=0), np.take(scale, code, axis=0) * pts)
         vals[start:start + m] = _eval_f(f, pts, first=start)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))

@@ -131,6 +131,20 @@ def chunk_fold(ifs, word):
     return right_fold(ifs, ()) if out is None else out
 
 
+def chunk_points(ifs, letters, x0):
+    """S_w(x0) for each row w of the 1-based ``letters`` (shape (M, L)), its
+    chunk maps applied to the point right to left: the rows are cut into
+    chunks of ``CHUNK`` letters aligned at their right end, and each chunk's
+    map is the right fold of its letters, one letter at a time."""
+    geom = ifs.geometry
+    c = CHUNK[ifs.n_letters]
+    pts = np.broadcast_to(np.asarray(x0, dtype=float), (len(letters), geom.dim))
+    for end in range(letters.shape[1], 0, -c):
+        ratio, shift = right_fold(ifs, letters[:, max(end - c, 0):end].T)
+        pts = geom.op(shift, geom.dilate(ratio, pts))
+    return pts
+
+
 def letter_cuts(weights):
     """The integer cut points round(2^32 (w_1 + ... + w_j)), j < N, from the
     running sums of the weights in Python floats."""

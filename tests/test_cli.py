@@ -308,6 +308,7 @@ def test_malformed_param_exits_one(mt_config, capsys, command, override, key):
 
 @pytest.mark.parametrize("override, section", [
     ('maps.0.r="x"', "'maps.0'"),
+    ('maps.0.r="0.3333"', "'maps.0'"),
     ('maps.0.q=["a"]', "'maps.0'"),
     ("maps=5", "'maps'"),
     ('s="x"', "'s'"),

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import _helpers as h
-from fractalsio import (IFS, Euclidean, FractalsioError, InputError,
+from fractalsio import (IFS, ConstantOmega, Euclidean, FractalsioError, InputError,
                         PolynomialOverNorm, RieszComponent, ball_cylinder_gap, criterion,
                         integrate_ball_complement, mc_integrate, omega_from_config,
                         pv_trace, region_cells, sample_orbit, truncated)
-from fractalsio.errors import integer, nonnegative, positive
+from fractalsio.errors import integer, nonnegative, positive, real
 
 
 def _coord(pts):
@@ -45,6 +45,11 @@ MALFORMED = {
     "config poly_over_norm exponent 1.5": lambda mt, osc: omega_from_config(
         {"kind": "poly_over_norm", "coeffs": [[1.0, [1.5]]], "degree": 1}),
     "sample_orbit seed 1.5": lambda mt, osc: sample_orbit(mt, 10, seed=1.5),
+    "relative_net depth -1": lambda mt, osc: mt.relative_net(-1),
+    "relative_net depth 2.5": lambda mt, osc: mt.relative_net(2.5),
+    "constant omega c 'x'": lambda mt, osc: ConstantOmega("x"),
+    "config constant omega c '2'": lambda mt, osc: omega_from_config(
+        {"kind": "constant", "c": "2"}),
 }
 
 
@@ -76,6 +81,18 @@ def test_float_readers_refuse(value):
         positive(value, "eps")
     with pytest.raises(InputError, match="^lip must be a finite number >= 0"):
         nonnegative(value, "lip")
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, math.nan, math.inf, 10 ** 400])
+def test_real_refuses(value):
+    with pytest.raises(InputError, match="^c must be a finite number, got"):
+        real(value, "c")
+
+
+def test_real_accepts_finite_numbers():
+    for value in (-2.5, 0, np.float32(0.5), np.int64(-3)):
+        got = real(value, "c")
+        assert type(got) is float and got == float(value)
 
 
 def test_float_readers_bounds():

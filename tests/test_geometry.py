@@ -95,6 +95,20 @@ def test_batch_shapes():
     assert g.dilate(rs, pts).shape == (7, 3)
 
 
+def test_heisenberg_dilate_is_exact_products():
+    # the t factor is r * r, correctly rounded, and not a float pow; the
+    # ratios of thirds include products where numpy's pow rounds otherwise
+    g = Heisenberg1()
+    rng = np.random.default_rng(3)
+    r = np.concatenate([np.cumprod(np.full(30, 1.0 / 3.0)), rng.uniform(0.01, 1.0, 200)])
+    pts = rng.standard_normal((len(r), 3))
+    expected = np.stack([r * pts[:, 0], r * pts[:, 1], (r * r) * pts[:, 2]], axis=-1)
+    np.testing.assert_array_equal(g.dilate(r, pts), expected)
+    np.testing.assert_array_equal(g.scale(r), np.stack([r, r, r * r], axis=-1))
+    e = Euclidean(2)
+    np.testing.assert_array_equal(e.dilate(r, pts[:, :2]), r[:, np.newaxis] * pts[:, :2])
+
+
 def test_check_point_rejects_bad_input():
     g = Euclidean(2)
     with pytest.raises(InputError):

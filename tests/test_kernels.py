@@ -173,6 +173,13 @@ def test_cell_err_bound_charges_jumps():
     assert out.tolist() == [2.0 / 0.5, kern.lipschitz_on(0.5) * 0.1]
 
 
+@pytest.mark.parametrize("c", ["x", math.nan, True, None])
+def test_constant_omega_refuses_non_numbers(c):
+    # refused by the constructor, not later by the kernel that evaluates it
+    with pytest.raises(InputError, match="^omega constant c must be a finite number"):
+        ConstantOmega(c)
+
+
 def test_pole_sup():
     kern = HomogeneousKernel(E1, 0.5, ConstantOmega(3.0))
     assert kern.pole_sup(0.25) == pytest.approx(3.0 / 0.25 ** 0.5)

@@ -321,6 +321,30 @@ def test_mc_integrate_blocks_match_one_fold(heis_twisted, four_corner):
             float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)))
 
 
+def test_mc_integrate_applies_chunk_maps_to_points():
+    # middle thirds with its maps swapped: x0 = f_1, about 1, is off the origin, so
+    # composing each sample's map first and applying it to x0 rounds
+    # differently; the sampler applies the chunk maps to points right to left
+    cfg = h.middle_thirds_config()
+    cfg["maps"].reverse()
+    ifs = h.make_ifs(cfg)
+    x0 = ifs.letter_fixed_points[0]
+    assert x0[0] == pytest.approx(1.0)
+    n = 2 * measure._MC_BLOCK + 1234
+    depth = min(max(math.ceil(math.log(1e-12) / math.log(max(ifs.ratios))), 4), 256)
+    letters = h.philox_letters(ifs.letter_weights, n * depth, 7).reshape(n, depth)
+    pts = h.chunk_points(ifs, letters, x0)
+    ratio, shift = ifs.compose_batch(letters - 1)
+    assert np.any(pts != ifs.geometry.op(shift, ifs.geometry.dilate(ratio, x0)))
+
+    def f(p):
+        return p[:, 0] ** 2
+
+    vals = f(pts)
+    assert mc_integrate(ifs, f, n, seed=7) == (
+        float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)))
+
+
 def test_mc_integrate_memory_is_one_block(heis_twisted):
     # 200k samples of 26 letters: the unblocked sampler held ~100 MB of
     # letters and fold temporaries at once
