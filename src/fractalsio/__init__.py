@@ -12,7 +12,7 @@ from .errors import (ConfigError, EvaluationError, FractalsioError, InputError,
 from .geometry import Euclidean, Heisenberg1, geometry_from_config
 from .symbolic import EPWord, validate_word
 from .ifs import IFS, SeparationReport, similarity_dimension
-from .measure import (CellBlock, QuadratureResult, cells_for_words, complement_base_words, export_net_csv,
+from .measure import (CellBlock, QuadratureResult, cells_for_words, complement_base_words,
                       integrate, integrate_ball_complement, integrate_cells,
                       integrate_complement, integrate_cylinder, mc_integrate,
                       net, pairwise_sum, region_cells)
@@ -34,7 +34,7 @@ __all__ = [
     "EPWord", "validate_word",
     "IFS", "SeparationReport", "similarity_dimension",
     "CellBlock", "QuadratureResult", "cells_for_words",
-    "complement_base_words", "export_net_csv", "integrate",
+    "complement_base_words", "integrate",
     "integrate_ball_complement", "integrate_cells", "integrate_complement",
     "integrate_cylinder", "mc_integrate", "net", "pairwise_sum",
     "region_cells",

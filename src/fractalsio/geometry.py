@@ -3,13 +3,14 @@
 Both spaces are groups carrying a one-parameter family of dilations and a
 homogeneous norm (gauge).  Everything downstream touches only the small
 surface defined here: ``op``, ``inv``, ``dilate``, ``scale``, ``norm``,
-``dist`` and the per-coordinate homogeneity degrees.  ``scale(r)`` gives the
-per-coordinate factors of the dilation by r, as products of r (r itself, and
-r * r for the group's last coordinate), so each factor is correctly rounded;
-``dilate(r, p)`` is ``scale(r) * p``, and a caller that applies one dilation
-to many points gathers its ``scale`` row once.  Points are float64 arrays of
-shape ``(d,)``; every operation also accepts stacked arrays of shape
-``(..., d)`` and maps over the leading axes.
+``dist``, ``box`` and the per-coordinate homogeneity degrees.  ``scale(r)``
+gives the per-coordinate factors of the dilation by r, as products of r (r
+itself, and r * r for the group's last coordinate), so each factor is
+correctly rounded; ``dilate(r, p)`` is ``scale(r) * p``, and a caller that
+applies one dilation to many points gathers its ``scale`` row once.
+``box(z, d)`` bounds the displacements z * u, ||u|| <= d, across a cell.
+Points are float64 arrays of shape ``(d,)``; every operation also accepts
+stacked arrays of shape ``(..., d)`` and maps over the leading axes.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ class Euclidean(_Geometry):
     def dilate(self, r, p):
         return self.scale(r) * np.asarray(p, dtype=float)
 
+    def box(self, z, d):
+        """Half-widths of a box around z holding z + u for every |u| <= d: d."""
+        return np.broadcast_to(np.asarray(d, dtype=float)[..., np.newaxis], np.shape(z))
+
     def norm(self, z):
         z = np.asarray(z, dtype=float)
         return np.sqrt(np.sum(z * z, axis=-1))
@@ -117,6 +122,14 @@ class Heisenberg1(_Geometry):
 
     def dilate(self, r, p):
         return self.scale(r) * np.asarray(p, dtype=float)
+
+    def box(self, z, d):
+        """Half-widths of a box around z holding z * u for every ||u|| <= d:
+        such u have |u_1|, |u_2| <= d and |u_3| <= d^2, and z * u moves t by
+        u_3 + (z_1 u_2 - z_2 u_1) / 2."""
+        d = np.asarray(d, dtype=float)
+        t = d * (d + 0.5 * (np.abs(z[..., 0]) + np.abs(z[..., 1])))
+        return np.stack([d, d, t], axis=-1)
 
     def norm(self, z):
         z = np.asarray(z, dtype=float)

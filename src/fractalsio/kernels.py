@@ -2,27 +2,15 @@
 
 The displacement is z = x - y in Euclidean geometry and z = x^{-1} * y in
 group geometry (replacing Omega(z) by Omega(z^{-1}) converts between the two
-orientations).  Omega is 0-homogeneous: it only sees the direction of z, and
-each family carries two constants for its restriction to the gauge sphere, a
-sup bound and a Lipschitz bound.  Those give the certified kernel modulus
-
-    |k(x, y) - k(x, y')| <= L(delta) d(y, y'),
-    L(delta) = 2 (s sup + lip) / delta^(s+1),
-
-valid when y, y' stay at distance >= delta from the pole x; the factor 2
-covers the renormalization |u/|u| - v/|v|| <= 2 |u - v| / delta.  Euclidean
-constants (and the first two group Riesz components) are derived; remaining
-group-geometry constants are sampled bounds with a safety margin and assume
-the compared points are no farther from each other than from the pole, which
-holds for quadrature cells resolved below their pole distance.
-
-A family whose Omega jumps says where: ``jumps(geom, z, radius)`` marks the
-displacements z whose ball of that radius meets the jump set, or is None when
-no evaluated cell can meet it.  The sign family jumps across z_1 = 0; the first
-coordinate is additive in both geometries, so a cell B(x_v, d_v) meets it
-exactly when |z_1(x_v)| <= d_v.  In one dimension that set is the pole, which
-every evaluated cell is certified away from.  ``cell_err_bound`` charges a
-marked cell the full oscillation 2 sup / delta^s instead of L(delta) d.
+orientations).  Omega is 0-homogeneous: it only sees the direction of z.
+Each family has ``sup_for``, a bound on |Omega|, and ``osc(geom, z, d, lo,
+norm)``, a bound on |Omega(z') - Omega(z)| over the displacements z' of a
+cell of radius d around a node at displacement z.  They lie in the box
+``geom.box(z, d)``, with lo <= ||z'|| <= norm + d (norm = ||z||, lo the
+cell's certified pole distance), and each family bounds Omega over that box
+by interval reasoning (Moore, Kearfott and Cloud, *Introduction to Interval
+Analysis*, SIAM 2009), capped at 2 sup, so no constant is sampled and no
+jump needs a mark of its own.
 """
 
 from __future__ import annotations
@@ -34,10 +22,6 @@ import numpy as np
 
 from .errors import ConfigError, InputError, config_section, integer, positive, real
 from .geometry import Euclidean
-
-MODULUS_SCALE = 2.0
-PHI_DERIV_BOUND = 2.2  # max |phi'| for the bump profile is about 2.1704
-
 
 def bump_profile(t):
     """The standard smooth bump phi(t) = exp(1 - 1/(1 - t^2)) on |t| < 1, else 0."""
@@ -51,14 +35,8 @@ def bump_profile(t):
     return out
 
 
-class _Smooth:
-    def jumps(self, geom, z, radius):
-        """None: Omega is Lipschitz on the whole sphere."""
-        return None
-
-
 @dataclass(frozen=True)
-class ConstantOmega(_Smooth):
+class ConstantOmega:
     """Omega(z) = c."""
 
     c: float = 1.0
@@ -74,7 +52,7 @@ class ConstantOmega(_Smooth):
     def sup_for(self, geom) -> float:
         return abs(self.c)
 
-    def lip_for(self, geom) -> float:
+    def osc(self, geom, z, d, lo, norm):
         return 0.0
 
     def to_config(self) -> dict:
@@ -94,18 +72,17 @@ class SignOmega:
     def sup_for(self, geom) -> float:
         return 1.0
 
-    def lip_for(self, geom) -> float:
-        return 1.0  # 0 off the jump, which ``jumps`` marks
-
-    def jumps(self, geom, z, radius):
-        return None if geom.dim == 1 else np.abs(z[..., 0]) <= radius
+    def osc(self, geom, z, d, lo, norm):
+        z1 = z[..., 0]
+        meets = np.abs(z1) <= d  # the box's z_1 range reaches the jump
+        return meets * (1.0 + (z1 != 0.0)) if meets.any() else 0.0
 
     def to_config(self) -> dict:
         return {"kind": "sign"}
 
 
 @dataclass(frozen=True)
-class RieszComponent(_Smooth):
+class RieszComponent:
     """Omega(z) = z_axis / ||z||^degree(axis), the axis-th Riesz direction.
 
     ``axis`` is 1-based.  The homogeneity degree of the coordinate comes from
@@ -135,18 +112,22 @@ class RieszComponent(_Smooth):
         self._degree(geom)
         return 1.0
 
-    def lip_for(self, geom) -> float:
-        deg = self._degree(geom)
-        if deg == 1.0:
-            return 1.0
-        return 6.0  # sampled bound for the degree-2 group coordinate
+    def osc(self, geom, z, d, lo, norm):
+        # z_i moves by its half-width h_i; | ||z'||^-deg - norm^-deg | <= deg d / (lo^deg norm)
+        deg, i = self._degree(geom), self.axis - 1
+        step = np.abs(z[..., i]) / norm
+        step *= d
+        step *= deg
+        step += geom.box(z, d)[..., i]
+        step /= lo ** deg
+        return np.minimum(step, 2.0, out=step)
 
     def to_config(self) -> dict:
         return {"kind": "riesz", "axis": self.axis}
 
 
 @dataclass(frozen=True)
-class PolynomialOverNorm(_Smooth):
+class PolynomialOverNorm:
     """Omega(z) = P(z) / ||z||^degree for a weighted-homogeneous polynomial P.
 
     ``coeffs`` is a list of monomials [c, [e_1, ..., e_d]]; each must have
@@ -160,7 +141,8 @@ class PolynomialOverNorm(_Smooth):
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(
-            (float(c), tuple(integer(e, "monomial exponent", 0) for e in exps))
+            (real(c, "monomial coefficient"),
+             tuple(integer(e, "monomial exponent", 0) for e in exps))
             for c, exps in self.coeffs))
         object.__setattr__(self, "degree", integer(self.degree, "polynomial degree", 1))
 
@@ -194,12 +176,15 @@ class PolynomialOverNorm(_Smooth):
         self._check_dim(geom)
         return float(sum(abs(c) for c, _ in self.coeffs))
 
-    def lip_for(self, geom) -> float:
-        a = self.sup_for(geom)
-        base = 2.0 * self.degree * a
-        if float(np.max(geom.coord_degrees)) > 1.0:
-            return 3.0 * base  # sampled margin for group geometry
-        return base
+    def osc(self, geom, z, d, lo, norm):
+        # as for a Riesz component, with |P(z') - P(z)| <= Q(|z| + h) - Q(|z|)
+        # over the box and |P(z)| <= Q(|z|), Q the polynomial with coefficients |c|
+        a = np.abs(z)
+        b = a + geom.box(z, d)
+        near = sum(abs(c) * np.prod(a ** np.array(e), axis=-1) for c, e in self.coeffs)
+        far = sum(abs(c) * np.prod(b ** np.array(e), axis=-1) for c, e in self.coeffs)
+        step = far - near + near * (self.degree * d / norm)
+        return np.minimum(step / lo ** self.degree, 2.0 * self.sup_for(geom))
 
     def to_config(self) -> dict:
         return {"kind": "poly_over_norm",
@@ -244,27 +229,26 @@ class PerturbedOmega:
                 f"geometry needs {geom.dim}"
             )
 
-    def bump(self, geom, z):
-        """The bump alone, eps * phi(theta_line / rho)."""
+    def _bump_at(self, cos):
+        """The bump at angle arccos(cos) to the direction line; it rises with cos."""
+        return self.eps * bump_profile(np.arccos(np.clip(cos, 0.0, 1.0)) / self.rho)
+
+    def eval(self, geom, z):
         self._require_euclidean(geom)
         z = np.asarray(z, dtype=float)
         u = z / geom.norm(z)[..., np.newaxis]
-        c = np.abs(np.sum(u * np.asarray(self.direction), axis=-1))
-        theta = np.arccos(np.clip(c, 0.0, 1.0))
-        return self.eps * bump_profile(theta / self.rho)
-
-    def eval(self, geom, z):
-        return self.base.eval(geom, z) + self.bump(geom, z)
+        cos = np.abs(np.sum(u * np.asarray(self.direction), axis=-1))
+        return self.base.eval(geom, z) + self._bump_at(cos)
 
     def sup_for(self, geom) -> float:
         return self.base.sup_for(geom) + self.eps
 
-    def lip_for(self, geom) -> float:
-        extra = self.eps * PHI_DERIV_BOUND * (math.pi / 2.0) / self.rho
-        return self.base.lip_for(geom) + extra
-
-    def jumps(self, geom, z, radius):
-        return self.base.jumps(geom, z, radius)
+    def osc(self, geom, z, d, lo, norm):
+        # |z' . e| / ||z'|| lies in [(ze - d) / (norm + d), (ze + d) / lo], e unit
+        ze = np.abs(np.sum(z * np.asarray(self.direction), axis=-1))
+        spread = self._bump_at((ze + d) / lo) - self._bump_at((ze - d) / (norm + d))
+        return np.minimum(self.base.osc(geom, z, d, lo, norm) + spread,
+                          2.0 * self.sup_for(geom))
 
     def to_config(self) -> dict:
         return {"kind": "perturbed", "base": self.base.to_config(),
@@ -300,14 +284,13 @@ def omega_from_config(cfg: dict):
 
 
 class HomogeneousKernel:
-    """A kernel Omega(z)/d^s bound to a geometry, with certified moduli."""
+    """A kernel Omega(z)/d^s bound to a geometry, with certified per-cell bounds."""
 
     def __init__(self, geometry, s: float, omega):
         self.geometry = geometry
         self.s = positive(s, "kernel exponent s")
         self.omega = omega
         self.omega_sup = float(omega.sup_for(geometry))
-        self.omega_lip = float(omega.lip_for(geometry))
 
     def displacement(self, x, y):
         """z with k(x, y) = Omega(z)/||z||^s: x - y, or x^{-1} * y in a group."""
@@ -332,24 +315,33 @@ class HomogeneousKernel:
             raise InputError("kernel evaluated at its pole")
         return self.omega.eval(geom, z) / d ** self.s, d
 
-    def lipschitz_on(self, delta):
-        """Certified Lipschitz constant for y -> k(x, y) at distance >= delta."""
-        delta = np.asarray(delta, dtype=float)
-        if np.any(delta <= 0.0):
-            raise InputError("pole distance delta must be positive")
-        scale = MODULUS_SCALE * (self.s * self.omega_sup + self.omega_lip)
-        out = scale / delta ** (self.s + 1.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+    def cell_err_bound(self, z, norm, delta, diams, omega_z, inv_s, floored=False):
+        """Per-cell bounds err_v >= |k(x, y) - Omega(z_v) P_v| over each cell v.
 
-    def cell_err_bound(self, delta, diams, z):
-        """Per-cell oscillation bounds of y -> k(x, y): L(delta_v) d_v, or
-        2 sup / delta_v^s where ``omega.jumps`` marks the node displacement."""
-        err = self.lipschitz_on(delta) * np.asarray(diams, dtype=float)
-        jump = self.omega.jumps(self.geometry, z, diams)
-        return err if jump is None else np.where(
-            jump, 2.0 * self.omega_sup / delta ** self.s, err)
+        Cell v lies in the ball of radius d_v (``diams``) around its node at
+        displacement z_v from the pole x; ``norm`` is ||z_v||, ``omega_z``
+        Omega(z_v), ``inv_s`` P_v = ||z_v||^-s, and ``delta`` a certified
+        delta_v > 0 with delta_v <= ||z'|| <= ||z_v|| + d_v over the cell.  By
+        the product rule, err_v = osc_v delta_v^-s + |Omega(z_v)| (delta_v^-s
+        - P_v) + rho sup delta_v^-s, the middle term being the larger side by
+        convexity of t^-s unless delta_v is ``floored`` above ||z_v|| - d_v;
+        then it is max(delta_v^-s - P_v, P_v - (||z_v|| + d_v)^-s).  The
+        margin, rho = 2^-40 = 8192u (u = 2^-53), covers rounding after z_v,
+        ||z_v|| and delta_v, taken as exact as in the pole test: each term is
+        within a few dozen u sup delta_v^-s (|Omega| <= sup, osc_v <= 2 sup,
+        each pow within 2u), or 2^D u sup delta_v^-s for a degree D < 12.
+        """
+        osc = self.omega.osc(self.geometry, z, diams, delta, norm)
+        osc += 2.0 ** -40 * self.omega_sup
+        near = delta ** -self.s
+        err = near - inv_s
+        if floored:
+            np.maximum(err, inv_s - (norm + diams) ** -self.s, out=err)
+        err *= omega_z
+        np.abs(err, out=err)
+        near *= osc
+        err += near
+        return err
 
     def pole_sup(self, eps: float) -> float:
         """Sup bound for |k(x, .)| outside the ball of radius eps around x."""

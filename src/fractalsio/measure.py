@@ -18,7 +18,7 @@ it folds each base from chunks gathered from the relative nets
 onto the m-letter net by broadcasting, so no cell is ever spelled out as a
 word.  A ``CellBlock`` keeps only the (base words, depth) segments it was
 built from; ``CellBlock.letters`` unravels them into one row of letters per
-cell, for the witness rule, CSV labels and error messages.  The empty word
+cell, for the witness rule and error messages.  The empty word
 has no contraction to take a fixed point of, so its cell is represented by
 the fixed point of S_1.
 
@@ -138,10 +138,6 @@ def _cell_bracket(weights, values, errs, depth: int) -> QuadratureResult:
                             depth, len(weights))
 
 
-def _word_label(word) -> str:
-    return ".".join(str(a) for a in word if a)  # 0 pads a letter row
-
-
 def _check_budget(count: int):
     if count > IFS.DEFAULT_CELL_CAP:
         raise ResourceLimitError(f"refinement would need {count} cells, "
@@ -212,7 +208,8 @@ def _eval_f(f, points, cells=None, first=0):
                               f"{len(points)} points, expected ({len(points)},)")
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))
-        where = _word_label(cells.letters()[i]) if cells is not None else f"index {first + i}"
+        where = (".".join(str(a) for a in cells.letters()[i] if a)  # 0 pads a row
+                 if cells is not None else f"index {first + i}")
         raise EvaluationError(f"integrand returned a non-finite value on cell {where}")
     return vals
 
@@ -369,12 +366,3 @@ def mc_integrate(ifs: IFS, f, n_samples: int, seed: int):
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
     return mean, stderr
 
-
-def export_net_csv(cells: CellBlock, f, path: str):
-    """Write cells and integrand values as CSV columns cell,word,weight,diameter,fvalue."""
-    vals = _eval_f(f, cells.points, cells)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cell,word,weight,diameter,fvalue\n")
-        for i, row in enumerate(cells.letters()):
-            fh.write(f"{i},{_word_label(row)},{cells.weights[i]:.17g},"
-                     f"{cells.diams[i]:.17g},{vals[i]:.17g}\n")

@@ -1,12 +1,12 @@
 """Singular-integral drivers, assembled from one kernel-cell bracket.
 
 ``_bracket`` is the one place k(pole, .) is integrated: over a slice of
-cells, value = sum_v w_v k(pole, x_v) and err = sum_v w_v L(delta_v) d_v,
-with L the kernel's certified modulus and delta_v = d(pole, x_v) - d_v the
-certified pole distance (valid because the quadrature bound only compares
-points within one cell).  Both sums, like every bracket here, are taken by
-``measure._cell_bracket``.  A slice with a cell not certified away from the
-pole gets value 0 and an infinite err, and every sum containing it is
+cells, value = sum_v w_v k(pole, x_v) and err = sum_v w_v err_v, err_v the
+kernel's ``cell_err_bound`` on |k(pole, .) - k(pole, x_v)| over the cell at
+the certified pole distance delta_v = d(pole, x_v) - d_v.  Both sums, like
+every bracket here, are taken by ``measure._cell_bracket``.  A slice with a
+cell not certified away from the pole gets value 0 and an infinite err, and
+every sum containing it is
 flagged ``unresolved-pole-distance`` rather than silently wrong.
 
 Most regions are unions of annuli A_k = C_{w|k} minus C_{w|k+1} around a
@@ -45,26 +45,31 @@ def _bracket(kern: HomogeneousKernel, pole, cells, size: int, depth: int,
              floor: float = 0.0) -> list:
     """Bracketed integrals of k(pole, .) over consecutive slices of ``size`` cells.
 
-    A slice's value is sum_v w_v k(pole, x_v) and its err sum_v w_v L(delta_v)
-    d_v, with delta_v = max(d(pole, x_v) - d_v, floor) the certified distance
-    of cell v from the pole; ``floor`` is a distance the caller has already
-    certified for every cell.  A slice with a cell where delta_v <= 0 is
-    ``(0.0, inf)``, and the kernel is not evaluated on it.
+    A slice's value is sum_v w_v k(pole, x_v) and its err sum_v w_v err_v, with
+    err_v from ``kern.cell_err_bound`` at delta_v = max(d(pole, x_v) - d_v,
+    floor), the certified distance of cell v from the pole (``floor`` is one
+    the caller has certified for every cell).  Omega, ||z_v||^-s and err_v
+    are evaluated once over the block; a cell where delta_v <= 0 is not, and
+    its slice is ``(0.0, inf)``.
     """
     geom = kern.geometry
     z = kern.displacement(pole, cells.points)
     dist = geom.norm(z)
     delta = np.maximum(dist - cells.diams, floor)
-    out = []
-    for lo in range(0, cells.count, size):
-        part = slice(lo, lo + size)
-        if float(np.min(delta[part])) <= 0.0:
-            out.append(QuadratureResult(0.0, math.inf, depth, size))
-            continue
-        out.append(_cell_bracket(
-            cells.weights[part], kern.omega.eval(geom, z[part]) / dist[part] ** kern.s,
-            kern.cell_err_bound(delta[part], cells.diams[part], z[part]), depth))
-    return out
+    keep = delta > 0.0
+    live = slice(None) if keep.all() else keep  # views when every cell is kept
+    z, dist, diams, delta = z[live], dist[live], cells.diams[live], delta[live]
+    omega_z = kern.omega.eval(geom, z)
+    inv_s = dist ** -kern.s
+    err = kern.cell_err_bound(z, dist, delta, diams, omega_z, inv_s, floor > 0.0)
+    value = np.multiply(omega_z, inv_s, out=inv_s)  # shares err's pow
+    if live is keep:
+        full = np.zeros((2, cells.count))
+        full[:, keep] = value, err
+        value, err = full
+    parts = [slice(lo, lo + size) for lo in range(0, cells.count, size)]
+    return [_cell_bracket(cells.weights[p], value[p], err[p], depth) if keep[p].all()
+            else QuadratureResult(0.0, math.inf, depth, size) for p in parts]
 
 
 def _annuli(ifs: IFS, kern: HomogeneousKernel, pole, w: EPWord, stop: int,

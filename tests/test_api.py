@@ -10,7 +10,7 @@ PUBLIC = [
     "EPWord", "validate_word",
     "IFS", "SeparationReport", "similarity_dimension",
     "CellBlock", "QuadratureResult", "cells_for_words",
-    "complement_base_words", "export_net_csv", "integrate",
+    "complement_base_words", "integrate",
     "integrate_ball_complement", "integrate_cells", "integrate_complement",
     "integrate_cylinder", "mc_integrate", "net", "pairwise_sum",
     "region_cells",
@@ -40,6 +40,7 @@ REMOVED = [
     ("fractalsio", "OrbitSample"), ("fractalsio.measure", "ModulusSpec"),
     ("fractalsio.ifs", "Similarity"), ("fractalsio.ergodic", "OrbitSample"),
     ("fractalsio.sio", "pairwise_sum"),  # every bracket is summed in measure
+    ("fractalsio", "export_net_csv"), ("fractalsio.measure", "export_net_csv"),
 ]
 
 

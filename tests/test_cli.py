@@ -316,6 +316,7 @@ def test_malformed_param_exits_one(mt_config, capsys, command, override, key):
     ('kernel.s="x"', "'kernel'"),
     ('kernel.omega={"kind": "riesz", "axis": "a"}', "'omega'"),
     ('kernel.omega={"kind": "poly_over_norm", "coeffs": 5, "degree": 1}', "'omega'"),
+    ('kernel.omega={"kind": "poly_over_norm", "coeffs": [[NaN, [1]]], "degree": 1}', "'omega'"),
     ('kernel.omega={"kind": "perturbed", "base": {"kind": "sign"}, '
      '"direction": "ab", "rho": 0.5, "eps": 0.1}', "'omega'"),
 ])

@@ -50,6 +50,10 @@ MALFORMED = {
     "constant omega c 'x'": lambda mt, osc: ConstantOmega("x"),
     "config constant omega c '2'": lambda mt, osc: omega_from_config(
         {"kind": "constant", "c": "2"}),
+    "poly_over_norm coefficient nan": lambda mt, osc: PolynomialOverNorm(((math.nan, (1,)),), 1),
+    "poly_over_norm coefficient 'x'": lambda mt, osc: PolynomialOverNorm((("x", (1,)),), 1),
+    "config poly_over_norm coefficient '2'": lambda mt, osc: omega_from_config(
+        {"kind": "poly_over_norm", "coeffs": [["2", [1]]], "degree": 1}),
 }
 
 

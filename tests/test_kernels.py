@@ -6,7 +6,8 @@ import pytest
 import _helpers as h
 from fractalsio import (ConstantOmega, Euclidean, Heisenberg1, HomogeneousKernel,
                         InputError, PerturbedOmega, PolynomialOverNorm,
-                        RieszComponent, SignOmega, bump_profile, omega_from_config)
+                        RieszComponent, SignOmega, bump_profile, complement_base_words,
+                        omega_from_config, region_cells)
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
@@ -70,26 +71,6 @@ def test_omega_sup_bound(geom, omega):
     assert np.all(vals <= omega.sup_for(geom) + 1e-12)
 
 
-@pytest.mark.parametrize("geom,omega", _omega_battery())
-def test_omega_sphere_lipschitz_sampled(geom, omega):
-    rng = np.random.default_rng(29)
-    pts = h.random_points(rng, geom.dim, 3000)
-    pts = geom.dilate(1.0 / geom.norm(pts), pts)
-    a, b = pts[:1500], pts[1500:3000]
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    va = omega.eval(geom, a)
-    vb = omega.eval(geom, b)
-    # compare against the gauge distance used by the kernel modulus
-    d = np.array([geom.dist(p, q) for p, q in zip(a, b)])
-    lip = omega.lip_for(geom)
-    mask = d > 1e-9
-    if isinstance(omega, SignOmega):
-        # discontinuous at the origin hyperplane: restrict to one side
-        mask &= (a[:, 0] * b[:, 0]) > 0
-    assert np.all(np.abs(va - vb)[mask] <= 1.01 * lip * d[mask] + 1e-12)
-
-
 def test_scaling_identity(middle_thirds, four_corner, heis_cantor):
     # k(S_v x, S_v y) * (prod r)^s = k(x, y)
     for ifs, omega in ((middle_thirds, SignOmega()),
@@ -118,59 +99,96 @@ def test_translation_invariance_euclidean():
                                                         rel=1e-12)
 
 
-def test_modulus_monotone():
-    kern = h.sign_kernel(h.make_ifs(h.middle_thirds_config()))
-    assert kern.lipschitz_on(0.2) > kern.lipschitz_on(0.4)
-    with pytest.raises(InputError):
-        kern.lipschitz_on(0.0)
+# families beyond the battery: sign and the cap bump off the line, in both geometries
+_OSC_EXTRA = [
+    (E2, SignOmega()),
+    (HG, SignOmega()),
+    (E2, PerturbedOmega(SignOmega(), (1.0, 0.0), 0.5, 0.1)),
+    (E2, PerturbedOmega(RieszComponent(2), (0.6, 0.8), 1.2, 0.3)),
+]
 
 
-def test_finite_difference_respects_modulus(middle_thirds):
-    kern = h.sign_kernel(middle_thirds)
-    rng = np.random.default_rng(41)
-    x = np.array([-1.0])
-    base = np.array([0.5])
-    for _ in range(300):
-        step = rng.uniform(-0.05, 0.05, size=1)
-        y1 = base + step
-        y2 = base
-        delta = min(kern.geometry.dist(x, y1), kern.geometry.dist(x, y2))
-        bound = kern.lipschitz_on(delta) * kern.geometry.dist(y1, y2)
-        diff = abs(kern.eval(x, y1) - kern.eval(x, y2))
-        assert diff <= 1.01 * bound + 1e-12
+def _cell_terms(kern, pole, nodes, diams, floor=0.0):
+    """(value_v, err_v) of each cell, as ``sio._bracket`` forms them."""
+    z = kern.displacement(pole, nodes)
+    dist = kern.geometry.norm(z)
+    delta = np.maximum(dist - diams, floor)
+    assert np.all(delta > 0.0)
+    omega_z = kern.omega.eval(kern.geometry, z)
+    inv_s = dist ** -kern.s
+    err = kern.cell_err_bound(z, dist, delta, diams, omega_z, inv_s, np.any(floor > 0.0))
+    return omega_z * inv_s, err
 
 
-def test_cell_err_bound_shapes(middle_thirds):
-    kern = h.sign_kernel(middle_thirds)
-    deltas = np.array([0.5, 1.0])
-    diams = np.array([0.1, 0.2])
-    out = kern.cell_err_bound(deltas, diams, np.array([[0.5], [1.0]]))
-    assert out.shape == (2,)
-    assert np.all(out > 0)
+def _ball_samples(rng, geom, nodes, diams, k):
+    """k points of each cell's ball B(x_v, d_v), a quarter of them on its edge:
+    x_v + u in Euclidean space and x_v * u in the group, ||u|| <= d_v."""
+    u = rng.standard_normal((len(nodes), k, geom.dim))
+    radius = diams[:, None] * np.where(rng.random((len(nodes), k)) < 0.25, 1.0,
+                                       rng.random((len(nodes), k)))
+    u = geom.dilate(radius * (1.0 - 1e-12) / geom.norm(u), u)
+    return geom.op(nodes[:, None], u)
 
 
-def test_jump_sets():
-    # sign jumps where a displacement ball meets z_1 = 0, in both geometries;
-    # in one dimension that set is the pole, and smooth families have none
-    z2 = np.array([[0.05, 1.0], [-0.5, 1.0], [0.0, 0.0]])
-    z3 = np.array([[0.05, 1.0, 2.0], [-0.5, 1.0, 2.0]])
-    r = np.array([0.1, 0.1, 0.1])
-    bumped = PerturbedOmega(SignOmega(), (1.0, 0.0), 0.5, 0.1)
-    for geom, z, want in [(E2, z2, [True, False, True]), (HG, z3, [True, False])]:
-        assert SignOmega().jumps(geom, z, r[:len(z)]).tolist() == want
-    assert bumped.jumps(E2, z2, r).tolist() == [True, False, True]
-    assert SignOmega().jumps(E1, z2[:, :1], r) is None
-    for geom, omega in _omega_battery():
-        if not isinstance(omega, SignOmega):
-            assert omega.jumps(geom, np.ones((1, geom.dim)), r[:1]) is None
+@pytest.mark.parametrize("geom,omega", _omega_battery() + _OSC_EXTRA)
+def test_cell_err_bound_holds_in_cell_balls(geom, omega):
+    # |k(pole, y) - value_v| <= err_v at many y in each random cell's ball, for
+    # cells far from and near the pole, cells whose ball straddles z_1 = 0
+    # (some with z_1 = 0 at the node, off the line), and cells whose pole
+    # distance is floored
+    rng = np.random.default_rng(53)
+    kern = HomogeneousKernel(geom, 0.8, omega)
+    pole = rng.standard_normal(geom.dim)
+    m = 300
+    z = h.random_points(rng, geom.dim, m)[:m]
+    z = geom.dilate(rng.uniform(0.05, 2.0, len(z)) / geom.norm(z), z)
+    diams = geom.norm(z) * rng.uniform(0.001, 0.7, len(z))
+    z[: m // 3, 0] = diams[: m // 3] * rng.uniform(-1.0, 1.0, m // 3)
+    if geom.dim > 1:
+        z[: m // 15, 0] = 0.0
+    nodes = pole - z if isinstance(geom, Euclidean) else geom.op(pole, z)
+    dist = geom.norm(kern.displacement(pole, nodes))
+    ys = _ball_samples(rng, geom, nodes, diams, 64)
+    k = kern.eval(pole, ys.reshape(-1, geom.dim)).reshape(ys.shape[:2])
+    straddle = np.abs(kern.displacement(pole, nodes)[:, 0]) <= diams
+
+    live = dist - diams > 0.0
+    assert geom.dim == 1 or np.count_nonzero(straddle & live) > m // 5
+    value, err = _cell_terms(kern, pole, nodes[live], diams[live])
+    assert np.all(np.abs(k[live] - value[:, None]) <= err[:, None])
+
+    # a floor between max(||z_v|| - d_v, 0) and ||z_v||, which the samples kept
+    # respect; in one dimension only a floor lets a cell straddle the pole
+    lo = np.maximum(dist - diams, 0.0)
+    floor = lo + (dist - lo) * rng.uniform(0.05, 1.0, len(dist))
+    assert np.count_nonzero(straddle) > m // 5
+    value, err = _cell_terms(kern, pole, nodes, diams, floor)
+    held = geom.norm(kern.displacement(pole, ys)) >= floor[:, None]
+    assert np.all((np.abs(k - value[:, None]) <= err[:, None]) | ~held)
 
 
-def test_cell_err_bound_charges_jumps():
-    # a cell meeting the jump is charged 2 sup / delta^s, the others L(delta) d
-    kern = HomogeneousKernel(E2, 1.0, SignOmega())
-    delta, diams = np.array([0.5, 0.5]), np.array([0.1, 0.1])
-    out = kern.cell_err_bound(delta, diams, np.array([[0.05, 0.6], [0.6, 0.05]]))
-    assert out.tolist() == [2.0 / 0.5, kern.lipschitz_on(0.5) * 0.1]
+@pytest.mark.parametrize("fixture,omega,s", [
+    ("middle_thirds", SignOmega(), 0.63),
+    ("four_corner", SignOmega(), 1.0),
+    ("four_corner", RieszComponent(1), 1.0),
+    ("heis_twisted", RieszComponent(3), 0.9),
+    ("heis_twisted", SignOmega(), 0.9),
+    ("heis_quarter", PolynomialOverNorm(((1.0, (1, 1, 0)), (-0.5, (0, 0, 1))), 2), 0.8),
+])
+def test_cell_bracket_holds_at_subcell_nodes(request, fixture, omega, s):
+    # each depth-2 cell around the periodic point of (1,) brackets k at the
+    # nodes of all its depth-6 subcells, which lie in the cell
+    ifs = request.getfixturevalue(fixture)
+    kern = HomogeneousKernel(ifs.geometry, s, omega)
+    pole = ifs.fixed_point((1,))
+    bases = complement_base_words((1,), ifs.n_letters)
+    cells, sub = region_cells(ifs, bases, 2), region_cells(ifs, bases, 6)
+    dist = ifs.geometry.norm(kern.displacement(pole, cells.points))
+    live = dist - cells.diams > 0.0
+    assert np.count_nonzero(live) > cells.count // 2
+    value, err = _cell_terms(kern, pole, cells.points[live], cells.diams[live])
+    k = kern.eval(pole, sub.points).reshape(cells.count, -1)[live]
+    assert np.all(np.abs(k - value[:, None]) <= err[:, None])
 
 
 @pytest.mark.parametrize("c", ["x", math.nan, True, None])

@@ -308,17 +308,25 @@ def _mc_points(ifs, n, seed):
     return geom.op(shift, geom.dilate(ratio, ifs.fixed_point((1,))))
 
 
-def test_mc_integrate_blocks_match_one_fold(heis_twisted, four_corner):
-    # two full blocks and a partial one give the unblocked floats exactly
+def test_mc_integrate_blocks_match_one_fold(heis_twisted, four_corner, heis_cantor):
+    # two full blocks and a partial one: the integrand sees, bit for bit, the
+    # chunk maps of each sample's word applied right to left to f_1
     n = 2 * measure._MC_BLOCK + 1234
+    seen = []
 
     def f(pts):
+        seen.append(pts.copy())
         return pts[:, 0] * pts[:, 1] + pts[:, -1] ** 2
 
-    for ifs in (heis_twisted, four_corner):
-        vals = f(_mc_points(ifs, n, 99))
-        assert mc_integrate(ifs, f, n, seed=99) == (
-            float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)))
+    for ifs in (heis_twisted, four_corner, heis_cantor):
+        seen.clear()
+        got = mc_integrate(ifs, f, n, seed=99)
+        depth = min(max(math.ceil(math.log(1e-12) / math.log(max(ifs.ratios))), 4), 256)
+        letters = h.philox_letters(ifs.letter_weights, n * depth, 99).reshape(n, depth)
+        pts = h.chunk_points(ifs, letters, ifs.letter_fixed_points[0])
+        np.testing.assert_array_equal(np.concatenate(seen), pts)
+        vals = f(pts)
+        assert got == (float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)))
 
 
 def test_mc_integrate_applies_chunk_maps_to_points():
@@ -426,13 +434,3 @@ def test_letters_unravel_segments(middle_thirds, four_corner):
     np.testing.assert_array_equal(cells.letters(), [[2, 1, 0], [2, 2, 0],
                                                     [1, 1, 1], [1, 1, 2]])
     assert net(four_corner, 0).letters().shape == (1, 0)
-
-
-def test_export_net_csv(tmp_path, middle_thirds):
-    from fractalsio import export_net_csv
-    cells = net(middle_thirds, 2)
-    out = tmp_path / "cells.csv"
-    export_net_csv(cells, _coord, str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "cell,word,weight,diameter,fvalue"
-    assert len(lines) == 1 + cells.count
