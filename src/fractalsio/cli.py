@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, FractalsioError, integer, nonnegative, positive
+from .errors import ConfigError, FractalsioError, integer, nonnegative, positive, real
 from .ergodic import _block_statistics, birkhoff_frequency, hitting_times
 from .ifs import IFS
 from .kernels import HomogeneousKernel
@@ -169,11 +169,20 @@ def _monomial(ifs: IFS, desc: dict):
 
     exps = _field(desc, "exponents", read_exponents,
                   f"a list of {geom.dim} nonnegative integers")
-    coeff = _field(desc, "coeff", float, "a number", 1.0)
+    coeff = _field(desc, "coeff", lambda raw: real(raw, "coeff"), "a finite number", 1.0)
+    powers = [(j, int(e)) for j, e in enumerate(exps) if e]
 
     def f(pts):
+        # one integer power per column: an array of exponents would send every
+        # column through numpy's vectorised pow, which is slower and does not
+        # round x ** 2 as x * x
         pts = np.asarray(pts, dtype=float)
-        return coeff * np.prod(pts ** exps, axis=-1)
+        if not powers:
+            return np.full(pts.shape[:-1], coeff)
+        out = pts[..., powers[0][0]] ** powers[0][1]
+        for j, e in powers[1:]:
+            out = out * pts[..., j] ** e
+        return coeff * out
 
     if "lipschitz" in desc:
         lip = _field(desc, "lipschitz", lambda raw: nonnegative(raw, "lipschitz"),
@@ -209,7 +218,7 @@ def _integrand(ifs: IFS, desc) -> tuple:
     if kind == "monomial":
         f, lip = _monomial(ifs, desc)
     elif kind == "constant":
-        c = _field(desc, "value", float, "a number", 1.0)
+        c = _field(desc, "value", lambda raw: real(raw, "value"), "a finite number", 1.0)
         f, lip = (lambda pts: np.full(np.asarray(pts).shape[:-1], c)), 0.0
     else:
         raise ConfigError(f"unknown integrand kind {kind!r}")

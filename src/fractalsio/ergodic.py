@@ -12,7 +12,8 @@ unread values between draws, so a run is reproducible bit for bit from the
 seed alone and gives the same letters on every platform, independent of
 call order and of how the stream is split, and it holds only one block of
 values at a time.  Block frequencies and hitting times come from one scan
-over the stream, one block of letters at a time.
+over the stream, one block of letters at a time: a frequency only counts
+each block's hits, and only hitting times list their positions.
 """
 
 from __future__ import annotations
@@ -92,8 +93,11 @@ def _block_statistics(ifs: IFS, target, count: int, n_steps: int):
 
 
 def _scan(ifs: IFS, target, n_steps: int, seed: int):
-    """Start positions (0-based) of ``target`` among the first ``n_steps``
-    starts of the seed's letter stream, yielded one array per block.
+    """Where ``target`` starts among the first ``n_steps`` starts of the
+    seed's letter stream, yielded per block as ``(start, hits)``: ``hits``
+    is a boolean mask over the block's starts, the first of them at the
+    0-based position ``start``.  Counting needs only the masks; positions
+    are ``start + flatnonzero(hits)``.
 
     The stream is read ``_BLOCK`` letters at a time and the last
     len(target) - 1 letters of a block are carried into the next, so hits
@@ -114,7 +118,7 @@ def _scan(ifs: IFS, target, n_steps: int, seed: int):
         hits = np.ones(m, dtype=bool)
         for j, a in enumerate(target):
             hits &= window[j:j + m] == a - 1
-        yield start + np.flatnonzero(hits)
+        yield start, hits
 
 
 def birkhoff_frequency(ifs: IFS, target, n_steps: int, seed: int):
@@ -127,7 +131,7 @@ def birkhoff_frequency(ifs: IFS, target, n_steps: int, seed: int):
     longer than one letter because adjacent windows overlap.  An empty
     target occurs at every position, so its frequency is 1.
     """
-    count = sum(len(hits) for hits in _scan(ifs, target, n_steps, seed))
+    count = sum(np.count_nonzero(hits) for _, hits in _scan(ifs, target, n_steps, seed))
     return _block_statistics(ifs, target, count, n_steps)
 
 
@@ -137,4 +141,5 @@ def hitting_times(ifs: IFS, target, n_steps: int, seed: int):
     The orbit is the one ``birkhoff_frequency`` scans for the same seed, so
     len(times) / n_steps is its frequency.
     """
-    return np.concatenate(list(_scan(ifs, target, n_steps, seed))).tolist()
+    return np.concatenate([start + np.flatnonzero(hits)
+                           for start, hits in _scan(ifs, target, n_steps, seed)]).tolist()

@@ -189,6 +189,7 @@ class IFS:
         self._chunk = 1
         while self.n_letters ** (self._chunk + 1) <= _CHUNK_NET:
             self._chunk += 1
+        self._places = {}  # row length -> the place matrix of ``_chunks``
 
         self.osc_ball = None
         if osc_ball is not None:
@@ -256,14 +257,19 @@ class IFS:
         may be shorter), and ``code`` (M,) is each row's chunk read as a
         base-N number, its index in the ``relative_net`` of its length.
 
-        All codes come from one float product of ``idx`` with the place
-        values, which is exact: every code is an integer below 4096.
+        All codes come from one product of ``idx`` with the float32 matrix
+        of place values, built once per row length and kept.  The product is
+        exact: every code and every partial sum is an integer below 4096,
+        far below 2^24.
         """
         n, c = self.n_letters, self._chunk
         ends = range(idx.shape[1], 0, -c)
-        place = np.zeros((idx.shape[1], len(ends)))
-        for j, end in enumerate(ends):
-            place[max(end - c, 0):end, j] = float(n) ** np.arange(min(end, c) - 1, -1, -1)
+        place = self._places.get(idx.shape[1])
+        if place is None:
+            place = np.zeros((idx.shape[1], len(ends)), dtype=np.float32)
+            for j, end in enumerate(ends):
+                place[max(end - c, 0):end, j] = float(n) ** np.arange(min(end, c) - 1, -1, -1)
+            self._places[idx.shape[1]] = place
         codes = (idx @ place).astype(np.intp)
         return [(min(end, c), codes[:, j]) for j, end in enumerate(ends)]
 

@@ -325,8 +325,9 @@ def mc_integrate(ifs: IFS, f, n_samples: int, seed: int):
     random words w, read row by row from the seed's letter stream (the
     letters of ``sample_orbit``) and truncated at a word length where the
     remaining displacement is below float resolution.  Each word is cut into
-    chunks by ``IFS._chunks``, the cuts of ``IFS._fold``, and its chunk maps
-    are applied to points right to left: the last chunk's point is gathered
+    chunks by ``IFS._chunks``, the cuts of ``IFS._fold``, whose codes come
+    from one product with the place matrix that the IFS keeps for this word
+    length, and its chunk maps are applied to points right to left: the last chunk's point is gathered
     from the table of S_u(x0) over the ``relative_net`` of its length, built
     once, and each earlier chunk's map S_u(p) = q_u * (scale(r_u) p) from
     that net's shift and ``scale`` rows.  No sample's map is composed.  When

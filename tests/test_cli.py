@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 import _helpers as h
-from fractalsio.cli import main
+from fractalsio import region_cells
+from fractalsio.cli import _integrand, main
 
 
 @pytest.fixture
@@ -109,6 +111,37 @@ def test_integrate_mc(mt_config, capsys):
     assert abs(out["value"] - 0.5) <= 4 * out["stderr"]
     assert out["seed"] == 3
     assert out["config"]["params"]["seed"] == 3
+
+
+@pytest.mark.parametrize("exponents, coeff", [
+    ([0, 0, 0], 2.5), ([1, 0, 0], 1.0), ([2, 1, 0], -1.7), ([0, 3, 2], 2.5),
+    ([3, 3, 3], 0.3), ([0, 0], -1.7), ([2, 3], 2.5), ([0, 1], 1.0), ([3, 2], 0.3),
+])
+def test_monomial_is_the_per_point_product(heis_twisted, four_corner, exponents, coeff):
+    # on non-dyadic points (the nodes of the twisted Heisenberg set's depth-6
+    # cells, random points in the plane), the value at each point is coeff
+    # times the product, in coordinate order, of its x_j ** e_j over e_j > 0,
+    # each power taken on that one coordinate alone; squares are x_j * x_j
+    if len(exponents) == 3:
+        ifs, pts = heis_twisted, region_cells(heis_twisted, [()], 6).points
+    else:
+        ifs, pts = four_corner, np.random.default_rng(61).standard_normal((700, 2))
+    f, _ = _integrand(ifs, {"kind": "monomial", "exponents": exponents,
+                            "coeff": coeff, "lipschitz": 1.0})
+    vals = f(pts)
+    assert vals.shape == (len(pts),)
+    for p, v in zip(pts, vals):
+        factors = [(p[j:j + 1] ** e)[0] for j, e in enumerate(exponents) if e]
+        ref = coeff
+        if factors:
+            prod = factors[0]
+            for x in factors[1:]:
+                prod = prod * x
+            ref = coeff * prod
+        assert v == ref
+        for j, e in enumerate(exponents):
+            if e == 2:
+                assert (p[j:j + 1] ** 2)[0] == p[j] * p[j]
 
 
 def test_pv_trace_csv(mt_config, tmp_path):
@@ -336,6 +369,9 @@ def test_malformed_config_section_exits_one(mt_config, capsys, override, section
     ({"kind": "monomial", "exponents": [1], "lipschitz": -1.0}, "lipschitz"),
     ({"kind": "constant", "value": [1.0]}, "value"),
     ({"kind": "monomial", "exponents": [1], "lipschitz": float("inf")}, "lipschitz"),
+    ({"kind": "monomial", "exponents": [1], "coeff": "2"}, "coeff"),
+    ({"kind": "monomial", "exponents": [1], "coeff": float("nan")}, "coeff"),
+    ({"kind": "constant", "value": "3"}, "value"),
 ])
 def test_malformed_integrand_field_exits_one(mt_config, capsys, integrand, key):
     assert main(["integrate", "--config", mt_config, "--override", "params.depth=3",

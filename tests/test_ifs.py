@@ -154,6 +154,31 @@ def test_word_floats_do_not_depend_on_the_batch(heis_twisted):
         np.testing.assert_array_equal(shift[at], alone_shift)
 
 
+def test_chunk_codes_read_each_chunk_in_base_n():
+    # fresh systems of 2, 3 and 4 letters keep one place matrix per row
+    # length; every length from 1 to 3c + 1, asked for twice in a shuffled
+    # order and as either letter dtype, gives each chunk's base-N reading
+    rng = np.random.default_rng(71)
+    for cfg in (h.middle_thirds_config(), h.heis_twisted_config(), h.four_corner_config()):
+        ifs = h.make_ifs(cfg)
+        n, c = ifs.n_letters, h.CHUNK[ifs.n_letters]
+        lengths = list(range(1, 3 * c + 2)) * 2
+        rng.shuffle(lengths)
+        for k, length in enumerate(lengths):
+            idx = rng.integers(0, n, size=(6, length))
+            got = ifs._chunks(idx.astype(np.uint8 if k % 2 else np.int64))
+            want = []
+            for end in range(length, 0, -c):
+                piece = idx[:, max(end - c, 0):end]
+                codes = [0] * len(idx)
+                for i, row in enumerate(piece):
+                    for a in row:
+                        codes[i] = codes[i] * n + int(a)
+                want.append((piece.shape[1], codes))
+            assert [(size, code.tolist()) for size, code in got] == want
+        assert sorted(ifs._places) == list(range(1, 3 * c + 2))
+
+
 def test_relative_net_is_the_right_fold_of_each_word(heis_twisted):
     # each depth is one composition onto the cached depth below; a fresh
     # system asked for depth 3 first builds the same floats

@@ -105,6 +105,10 @@ _OSC_EXTRA = [
     (HG, SignOmega()),
     (E2, PerturbedOmega(SignOmega(), (1.0, 0.0), 0.5, 0.1)),
     (E2, PerturbedOmega(RieszComponent(2), (0.6, 0.8), 1.2, 0.3)),
+    # t / ||z||^2: near z_2 = 0 with z_1^2 near |z_3|, z * (u_1, 0, 0) leaves
+    # P(z) = t almost as it is while the gauge moves, a change only the norm
+    # term of ``osc`` covers
+    (HG, PolynomialOverNorm(coeffs=((1.0, (0, 0, 1)),), degree=2)),
 ]
 
 
