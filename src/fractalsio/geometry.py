@@ -3,14 +3,18 @@
 Both spaces are groups carrying a one-parameter family of dilations and a
 homogeneous norm (gauge).  Everything downstream touches only the small
 surface defined here: ``op``, ``inv``, ``dilate``, ``scale``, ``norm``,
-``dist``, ``box`` and the per-coordinate homogeneity degrees.  ``scale(r)``
-gives the per-coordinate factors of the dilation by r, as products of r (r
-itself, and r * r for the group's last coordinate), so each factor is
-correctly rounded; ``dilate(r, p)`` is ``scale(r) * p``, and a caller that
-applies one dilation to many points gathers its ``scale`` row once.
-``box(z, d)`` bounds the displacements z * u, ||u|| <= d, across a cell.
-Points are float64 arrays of shape ``(d,)``; every operation also accepts
-stacked arrays of shape ``(..., d)`` and maps over the leading axes.
+``dist``, ``box``, ``displacement_box`` and the per-coordinate homogeneity
+degrees.  ``scale(r)`` gives the per-coordinate factors of the dilation by
+r, as products of r (r itself, and r * r for the group's last coordinate),
+so each factor is correctly rounded; ``dilate(r, p)`` is ``scale(r) * p``,
+and a caller that applies one dilation to many points gathers its ``scale``
+row once.  ``box(z, d)`` bounds the displacements z * u, ||u|| <= d, across
+a cell, and ``displacement_box(a, ha, b, hb)`` the displacements b'^{-1} * a'
+between two coordinate boxes a +- ha and b +- hb.  Both gauges are monotone
+in the absolute value of each coordinate, so over a box z +- H the gauge lies
+between ``norm(max(|z| - H, 0))`` and ``norm(|z| + H)``.  Points are float64
+arrays of shape ``(d,)``; every operation also accepts stacked arrays of
+shape ``(..., d)`` and maps over the leading axes.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from .errors import ConfigError, InputError, integer
 
 
 class _Geometry:
-    """What both geometries share: the identity, point checks and equality."""
+    """What both geometries share: the identity, point checks, equality and
+    the coordinatewise part of ``displacement_box``."""
 
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -44,6 +49,21 @@ class _Geometry:
 
     def __hash__(self):
         return hash((self.kind, self.dim))
+
+    def displacement_box(self, a, ha, b, hb):
+        """(z, H) with a' - b' in z +- H for every a' in the box a +- ha and b'
+        in b +- hb: z = a - b and H = ha + hb, the Euclidean rule (half-widths
+        are arrays whose last axis is the dimension).  Both are filled column
+        by column at the common shape, since numpy broadcasting a short last
+        axis against many rows is several times slower than a whole column."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        ha, hb = np.asarray(ha, dtype=float), np.asarray(hb, dtype=float)
+        shape = np.broadcast(a, b, ha, hb).shape
+        z, half = np.empty(shape), np.empty(shape)
+        for j in range(self.dim):
+            np.subtract(a[..., j], b[..., j], out=z[..., j])
+            np.add(ha[..., j], hb[..., j], out=half[..., j])
+        return z, half
 
 
 class Euclidean(_Geometry):
@@ -74,8 +94,13 @@ class Euclidean(_Geometry):
         return np.broadcast_to(np.asarray(d, dtype=float)[..., np.newaxis], np.shape(z))
 
     def norm(self, z):
+        """The l2 norm, its squares added column by column in coordinate order:
+        on a short last axis that is much faster than a reduction over it."""
         z = np.asarray(z, dtype=float)
-        return np.sqrt(np.sum(z * z, axis=-1))
+        out = z[..., 0] * z[..., 0]
+        for j in range(1, self.dim):
+            out += z[..., j] * z[..., j]
+        return np.sqrt(out, out=out) if out.ndim else np.sqrt(out)
 
     def dist(self, p, q):
         return self.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))
@@ -130,6 +155,23 @@ class Heisenberg1(_Geometry):
         d = np.asarray(d, dtype=float)
         t = d * (d + 0.5 * (np.abs(z[..., 0]) + np.abs(z[..., 1])))
         return np.stack([d, d, t], axis=-1)
+
+    def displacement_box(self, a, ha, b, hb):
+        """(z, H) with b'^{-1} * a' in z +- H for every a' in the box a +- ha and
+        b' in b +- hb (half-widths are arrays with a last axis of 3): z =
+        b^{-1} * a and H = ha + hb, widened in t by the twist.  With a' = a + u
+        and b' = b + v, the t of b'^{-1} * a' is that of b^{-1} * a plus u_t -
+        v_t + (b'_y a'_x - b_y a_x - b'_x a'_y + b_x a_y) / 2, and |b'_y a'_x -
+        b_y a_x| = |b_y u_x + v_y a_x + v_y u_x| <= (|b_y| + hb_y) ha_x + |a_x|
+        hb_y, likewise for the other product."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        ha, hb = np.asarray(ha, dtype=float), np.asarray(hb, dtype=float)
+        z, half = super().displacement_box(a, ha, b, hb)
+        z[..., 2] += 0.5 * (b[..., 1] * a[..., 0] - b[..., 0] * a[..., 1])
+        twist = (np.abs(b[..., 0]) + hb[..., 0]) * ha[..., 1] + np.abs(a[..., 1]) * hb[..., 0]
+        twist += (np.abs(b[..., 1]) + hb[..., 1]) * ha[..., 0] + np.abs(a[..., 0]) * hb[..., 1]
+        half[..., 2] += 0.5 * twist
+        return z, half
 
     def norm(self, z):
         z = np.asarray(z, dtype=float)

@@ -8,24 +8,29 @@ letters, c the largest with N^c <= 4096, each chunk's map is read from the
 cached net of all words of its length, and the chunk maps are composed.
 The cuts are ``IFS._chunks``, which the Monte Carlo sampler shares.  It
 also codes eventually periodic words to attractor points, and produces
-certified geometric brackets: an enclosing ball (and, for Euclidean systems,
-an enclosing box), a diameter bracket, and a separation report.
+certified geometric brackets: an enclosing ball, an invariant coordinate
+box, a diameter bracket, and a separation report.
 
 Both brackets come from one branch-and-bound search over pairs of cylinders,
 ``_pair_bracket``.  A cylinder C_v is enclosed in S_v(E) and witnessed from
 inside by the images S_v(f_i) of every letter's fixed point, all attractor
-points.  For a Euclidean system E is the box spanned by the letters' fixed
-points and S_v(E) is again a box, so a pair's box-to-box distance bounds its
-gap from below and its farthest-corner distance bounds its diameter from
-above.  For a Heisenberg system E is the ball B(c, R), since left translation
-twists the third coordinate and a box is not mapped to a box; the
-ball-center distance, shrunk or widened by both radii, gives the bounds.
-The separation gap minimises over pairs from distinct first-level branches,
-the diameter maximises over all pairs, and each step splits both sides of
-one pair per bucket of tied keys in one broadcast.  Keys equal up to rounding
-tie and the deeper pair goes first, so the search follows one extremal pair
-to depth instead of every tied pair breadth-first.  Reported intervals are
-widened by a 1e-12 relative slack to absorb float rounding.
+points.  E = c +- h is the box of ``attractor_box``, which every map sends
+into itself (Hutchinson 1981): in Euclidean coordinates, and in the group's
+(x, y), it spans the letters' fixed points, each map being a homothety
+there; the group's t range follows from the twist the maps add over that
+(x, y) box.  Every map is affine in coordinates, so S_v(E) is again a box,
+centred at S_v(c); left translation by q_v widens its t by the twist, which
+``geometry.displacement_box`` bounds.  The same rule bounds the gauge of the
+displacements between two boxes, from below for a pair's gap and from above
+for its diameter.  The separation gap minimises over pairs from distinct
+first-level branches, the diameter maximises over all pairs, and each step
+splits both sides of one pair per bucket of tied keys in one broadcast.
+Keys equal up to rounding tie and the deeper pair goes first, so the search
+follows one extremal pair to depth instead of every tied pair
+breadth-first.  Reported intervals are widened by a 1e-12 relative slack to
+absorb float rounding.  The gap bracket is kept per system, and the drivers
+decide separation from it alone; the diameter search runs only for
+``check_separation``'s verdict and for cylinder diameter bounds.
 """
 
 from __future__ import annotations
@@ -182,7 +187,9 @@ class IFS:
         self.letter_fixed_points = _fixed_points(geometry, self.ratios, self.shifts)
 
         self._bound = None
+        self._box = None
         self._diam = None
+        self._gap = None
         self._sep = None
         self._nets = {0: _frozen(np.ones(1), geometry.identity()[np.newaxis],
                                  np.ones(1))}
@@ -354,18 +361,36 @@ class IFS:
         return self._bound
 
     def attractor_box(self):
-        """A coordinate box (lo, hi) that every map sends into itself; Euclidean only.
+        """A coordinate box (lo, hi) that every map sends into itself, hence
+        holding the attractor (Hutchinson 1981).
 
-        Each map is the homothety r_i p + q_i = r_i p + (1 - r_i) f_i about its
-        fixed point f_i, so it sends the box spanned by the letters' fixed
-        points into itself.  The box is widened by a float slack relative to
-        the largest coordinate.
+        In Euclidean coordinates, and in the group's (x, y), each map is the
+        homothety r_i p + (1 - r_i) f_i about its fixed point f_i, so it sends
+        the box spanned by the letters' fixed points into itself.  In the
+        group, S_i moves t to q_t + r_i^2 t + r_i (q_x y - q_y x) / 2, which
+        over the (x, y) box c +- h lies in m_i + r_i^2 t +- w_i with m_i = q_t
+        + r_i (q_x c_y - q_y c_x) / 2 and w_i = r_i (|q_x| h_y + |q_y| h_x) / 2;
+        so every map sends t in [min_i (m_i - w_i) / (1 - r_i^2), max_i (m_i +
+        w_i) / (1 - r_i^2)] into that range.  Float slack relative to the
+        largest coordinate widens the fixed points' span before t is derived
+        from it, and then t; each map keeps the widened box, with a margin of
+        at least (1 - r_i) times the slack for rounding.  The box is kept.
         """
-        if self.geometry.kind != "euclidean":
-            raise InputError("a coordinate box holds only Euclidean attractors")
-        fp = self.letter_fixed_points
-        pad = _FLOAT_SLACK * float(np.max(np.abs(fp)))
-        return fp.min(axis=0) - pad, fp.max(axis=0) + pad
+        if self._box is None:
+            fp = self.letter_fixed_points
+            pad = _FLOAT_SLACK * float(np.max(np.abs(fp)))
+            lo, hi = fp.min(axis=0) - pad, fp.max(axis=0) + pad
+            if self.geometry.kind == "heisenberg1":
+                c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                q, r = self.shifts, self.ratios
+                m = q[:, 2] + 0.5 * r * (q[:, 0] * c[1] - q[:, 1] * c[0])
+                w = 0.5 * r * (np.abs(q[:, 0]) * h[1] + np.abs(q[:, 1]) * h[0])
+                t_lo = float(np.min((m - w) / (1.0 - r * r)))
+                t_hi = float(np.max((m + w) / (1.0 - r * r)))
+                pad = _FLOAT_SLACK * max(abs(t_lo), abs(t_hi))
+                lo[2], hi[2] = t_lo - pad, t_hi + pad
+            self._box = _frozen(lo, hi)
+        return self._box
 
     def diam_bracket(self):
         """Certified interval [lo, hi] containing the attractor diameter."""
@@ -378,6 +403,14 @@ class IFS:
     def cylinder_diam_hi(self, word) -> float:
         """Certified upper bound on the diameter of the cylinder of ``word``."""
         return self.word_ratio(word) * self.diam_bracket()[1]
+
+    def _gap_bracket(self) -> _Bracket:
+        """The bracket of the least distance between first-level cylinders of
+        distinct letters, from one pair search kept per system."""
+        if self._gap is None:
+            pairs = itertools.combinations(range(self.n_letters), 2)
+            self._gap = _pair_bracket(self, pairs, +1, _SEP_DEPTH)
+        return self._gap
 
     def check_separation(self) -> SeparationReport:
         """Classify the overlap structure of the first-level cylinders.
@@ -392,12 +425,11 @@ class IFS:
         the gap bracket reaches the diameter bracket (so exact ties resolve);
         ``Separated`` when the gap is certified smaller; otherwise, as after
         a search stopped by ``_MAX_NODES``, ``SeparatedUnknownStrength``.
-        The search runs once per system and its report is kept.
+        The gap bracket is ``_gap_bracket``'s, and the report is kept.
         """
         if self._sep is not None:
             return self._sep
-        pairs = itertools.combinations(range(self.n_letters), 2)
-        gap = _pair_bracket(self, pairs, +1, _SEP_DEPTH)
+        gap = self._gap_bracket()
         dlo, dhi = self.diam_bracket()
         rmax = float(np.max(self.ratios))
         md_lo, md_hi = rmax * dlo, rmax * dhi
@@ -477,23 +509,25 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth) -> _Bracket:
     the two cylinders of a pair, over all pairs of words extending the
     0-based letter pairs ``first_pairs``.
 
-    Cylinder C_v is enclosed in S_v(E), where E holds the attractor: the box
-    of ``IFS.attractor_box`` for Euclidean systems, the ball of
-    ``IFS.attractor_bound`` for Heisenberg ones (left translation twists the
-    third coordinate, so a coordinate box is not mapped to a box).  A pair's
-    key is the distance between its two enclosures, nearest for a gap and
-    farthest for a diameter, and its witness is the nearest (or farthest) of
-    the n^2 distances between the images S_u(f_i) and S_v(f_j) of the
-    letters' fixed points, all attractor points.  A cylinder is a row
-    (ratio, shift, enclosure center, n images), the center and images being
-    one map of the stacked anchors [c, f_1 ... f_n]; a heap entry names a
-    pair by its array of pair rows and its row.  Keys and the best witness
-    are kept as sign * distance, so both searches pop the smallest key;
-    entries that cannot beat the witness are dropped.  Keys in one bucket of
-    width ``_FLOAT_SLACK * r0`` tie, and a tie pops the deeper pair first,
-    then the older one: many pairs of a self-similar set share the extreme
-    distance up to rounding, and refining one of them to depth moves the
-    witness where breadth-first order would not.  Each step pops at most
+    Cylinder C_v is enclosed in the coordinate box S_v(E), E = c +- h the
+    box of ``IFS.attractor_box``.  S_v = q * dilate(r, .) is affine in
+    coordinates, so S_v(E) is centred at S_v(c), and as the displacements
+    (q^{-1})^{-1} * e' from the point q^{-1} to the box dilate(r, E) it has
+    the half-widths of ``geometry.displacement_box``: r h, and in the group
+    (r h_x, r h_y, r^2 h_t + r (|q_x| h_y + |q_y| h_x) / 2).  A pair's key is
+    the gauge bound of ``displacement_box`` between its two boxes,
+    norm(max(|z| - H, 0)) for a gap and norm(|z| + H) for a diameter, and
+    its witness is the nearest (or farthest) of the n^2 distances between
+    the images S_u(f_i) and S_v(f_j) of the letters' fixed points, all
+    attractor points.  A cylinder is a row (ratio, shift, box center,
+    half-widths, n images), stored once when the cylinder is made; a heap
+    entry names a pair by its array of pair rows and its row.  Keys and the
+    best witness are kept as sign * distance, so both searches pop the
+    smallest key; entries that cannot beat the witness are dropped.  Keys in
+    one bucket of width ``_FLOAT_SLACK * r0`` tie, r0 = ||h||, and a tie pops
+    the deeper pair first, then the older one: many pairs of a self-similar
+    set share the extreme distance up to rounding, and refining one of them
+    to depth moves the witness where breadth-first order would not.  Each step pops at most
     one entry per bucket, in heap order, and splits both sides of every
     popped pair with every map at once (n^2 children); once the witness is
     exact, the pairs that must be split are those with keys below it by more
@@ -504,21 +538,12 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth) -> _Bracket:
     ``exhausted``.  ``overlap`` marks a zero witness distance in a gap search.
     """
     geom = ifs.geometry
-    c0, r0 = ifs.attractor_bound()
+    lo, hi = ifs.attractor_box()
+    c0, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    r0 = float(geom.norm(half))
     d, n = geom.dim, ifs.n_letters
-    shift, center, images = slice(1, 1 + d), slice(1 + d, 1 + 2 * d), slice(1 + 2 * d, None)
-    if geom.kind == "euclidean":
-        lo, hi = ifs.attractor_box()
-        c0, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-        def reach(u, v):
-            side = (np.abs(u[:, center] - v[:, center])
-                    - sign * np.multiply.outer(u[:, 0] + v[:, 0], half))
-            return geom.norm(np.maximum(side, 0.0))
-    else:
-        def reach(u, v):
-            return (geom.dist(u[:, center], v[:, center])
-                    - sign * r0 * u[:, 0] - sign * r0 * v[:, 0])
+    shift, center, halves, images = (slice(1, 1 + d), slice(1 + d, 1 + 2 * d),
+                                     slice(1 + 2 * d, 1 + 3 * d), slice(1 + 3 * d, None))
     anchors = np.vstack([c0, ifs.letter_fixed_points])
     # r0 is 0 only on a one-point attractor, where every key is 0
     width = _FLOAT_SLACK * r0 or 1.0
@@ -526,16 +551,20 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth) -> _Bracket:
     best, nodes, exhausted = math.inf, 0, False
 
     def cylinders(ratio, shifts):
-        points = geom.op(shifts[..., np.newaxis, :],
-                         geom.dilate(ratio[..., np.newaxis], anchors))
-        return np.concatenate([ratio[..., np.newaxis], shifts,
+        scaled = geom.dilate(ratio[..., np.newaxis], anchors)
+        box = geom.displacement_box(scaled[..., 0, :], geom.scale(ratio) * half,
+                                    geom.inv(shifts), np.zeros(d))
+        points = geom.op(shifts[..., np.newaxis, :], scaled[..., 1:, :])
+        return np.concatenate([ratio[..., np.newaxis], shifts, *box,
                                points.reshape(ratio.shape + (-1,))], axis=-1)
 
     def push(pairs, depth):
         nonlocal best, nodes
         u, v = pairs[:, 0], pairs[:, 1]
         nodes += len(pairs)
-        keys = sign * np.maximum(reach(u, v), 0.0)
+        z, spread = geom.displacement_box(u[:, center], u[:, halves],
+                                          v[:, center], v[:, halves])
+        keys = sign * geom.norm(np.maximum(np.abs(z) - sign * spread, 0.0))
         ui = u[:, images].reshape(-1, n, 1, d)
         vi = v[:, images].reshape(-1, 1, n, d)
         best = min(best, float(np.min(sign * geom.dist(ui, vi))))

@@ -315,10 +315,10 @@ class HomogeneousKernel:
             raise InputError("kernel evaluated at its pole")
         return self.omega.eval(geom, z) / d ** self.s, d
 
-    def cell_err_bound(self, z, norm, delta, diams, omega_z, inv_s, floored=False):
+    def cell_err_bound(self, z, norm, delta, radii, omega_z, inv_s, floored=False):
         """Per-cell bounds err_v >= |k(x, y) - Omega(z_v) P_v| over each cell v.
 
-        Cell v lies in the ball of radius d_v (``diams``) around its node at
+        Cell v lies in the ball of radius d_v (``radii``) around its node at
         displacement z_v from the pole x; ``norm`` is ||z_v||, ``omega_z``
         Omega(z_v), ``inv_s`` P_v = ||z_v||^-s, and ``delta`` a certified
         delta_v > 0 with delta_v <= ||z'|| <= ||z_v|| + d_v over the cell.  By
@@ -331,12 +331,12 @@ class HomogeneousKernel:
         within a few dozen u sup delta_v^-s (|Omega| <= sup, osc_v <= 2 sup,
         each pow within 2u), or 2^D u sup delta_v^-s for a degree D < 12.
         """
-        osc = self.omega.osc(self.geometry, z, diams, delta, norm)
+        osc = self.omega.osc(self.geometry, z, radii, delta, norm)
         osc += 2.0 ** -40 * self.omega_sup
         near = delta ** -self.s
         err = near - inv_s
         if floored:
-            np.maximum(err, inv_s - (norm + diams) ** -self.s, out=err)
+            np.maximum(err, inv_s - (norm + radii) ** -self.s, out=err)
         err *= omega_z
         np.abs(err, out=err)
         near *= osc

@@ -2,8 +2,13 @@
 
 The natural measure of an N-map system gives the cylinder C_v the weight
 prod_j r_{v_j}^s.  A cell is a cylinder together with a representative point
-(the fixed point of S_v, which lies inside it) and a certified diameter
-bound.  For an integrand f with modulus of continuity omega_f,
+x_v (the fixed point of S_v, which lies inside it) and a certified radius
+d_v >= sup_{y in C_v} d(x_v, y).  S_v fixes x_v and scales distances by r_v,
+so sup_{y in C_v} d(x_v, y) = r_v sup_{y in K} d(x_v, y) <= r_v rho(x_v),
+where K is the attractor and rho(p) the gauge bound ``norm(|z| + H)`` of
+``geometry.displacement_box`` between the point p and the invariant box E of
+``IFS.attractor_box``; d_v is r_v rho(x_v).  For an integrand f with modulus
+of continuity omega_f,
 
     | int_R f dmu  -  sum_v mu(C_v) f(x_v) |  <=  sum_v mu(C_v) omega_f(d_v)
 
@@ -23,8 +28,9 @@ has no contraction to take a fixed point of, so its cell is represented by
 the fixed point of S_1.
 
 Ball shells eps <= d(center, .) <= outer are split by ``_ball_cells`` (also
-used by ``sio``), which tracks the active cells as letter rows and certified
-distance ranges, split by masks.  This module knows nothing of kernels.
+used by ``sio``), which tracks the active cells as letter rows, maps and
+certified distance ranges, split by masks.  This module knows nothing of
+kernels.
 
 Every bracket, here and in ``sio``, is summed by ``_cell_bracket``: value
 sum_v w_v f_v and err sum_v w_v e_v, each by ``pairwise_sum``, numpy's
@@ -44,7 +50,7 @@ import numpy as np
 from .ergodic import _letter_stream
 from .errors import (EvaluationError, InputError, ResourceLimitError, integer,
                      nonnegative, positive)
-from .ifs import IFS, _fixed_points
+from .ifs import IFS, _compose, _fixed_points
 from .symbolic import validate_word
 
 _MC_BLOCK = 1 << 12  # Monte Carlo samples composed per block
@@ -102,7 +108,7 @@ class CellBlock:
 
     weights: np.ndarray
     points: np.ndarray
-    diams: np.ndarray
+    radii: np.ndarray
     segments: list
     n_letters: int
 
@@ -144,12 +150,34 @@ def _check_budget(count: int):
                                  f"over the budget {IFS.DEFAULT_CELL_CAP}")
 
 
+def _nodes(ifs: IFS, ratio, shift):
+    """Each cell's node x_v, the fixed point of S_v, and its radius r_v rho(x_v).
+
+    rho(p) is the upper gauge bound ``norm(|z| + H)`` over the displacements
+    from the box E = c +- h of ``IFS.attractor_box`` to p, so the radius
+    bounds r_v sup_{y in K} d(x_v, y), the distance from x_v to any point of
+    the cylinder.  The empty word (ratio 1) has no contraction to take a
+    fixed point of; its node is f_1 and its radius rho(f_1).
+    """
+    geom = ifs.geometry
+    root = ratio == 1.0  # the empty word, whose fixed-point formula divides by 0
+    points = _fixed_points(geom, np.where(root, 0.0, ratio), shift)
+    points[root] = ifs.letter_fixed_points[0]
+    lo, hi = ifs.attractor_box()
+    z, half = geom.displacement_box(points, np.zeros(geom.dim), 0.5 * (lo + hi),
+                                    0.5 * (hi - lo))
+    z = np.abs(z, out=z)
+    z += half
+    return points, ratio * geom.norm(z)
+
+
 def _cell_block(ifs: IFS, segments) -> CellBlock:
     """The cells of each ``(bases, depth)`` segment, in order.
 
     The maps of the cells below the bases are ``IFS._fold`` of the bases
     onto the depth-``depth`` words: each cell's map is S_b o S_u, the chunk
     fold of its base b composed once with the net entry of its suffix u.
+    Each cell's node and radius r_v rho(x_v) come from ``_nodes``.
     """
     geom = ifs.geometry
     parts = [(np.empty(0), np.empty((0, geom.dim)), np.empty(0))]
@@ -159,11 +187,7 @@ def _cell_block(ifs: IFS, segments) -> CellBlock:
                           ifs.relative_net(depth)[2])
         parts.append((ratio.ravel(), shift.reshape(-1, geom.dim), weight.ravel()))
     ratio, shift, weight = map(np.concatenate, zip(*parts))
-    root = ratio == 1.0  # the empty word, whose fixed-point formula divides by 0
-    points = _fixed_points(geom, np.where(root, 0.0, ratio), shift)
-    points[root] = ifs.letter_fixed_points[0]
-    return CellBlock(weight, points, ratio * ifs.diam_bracket()[1], segments,
-                     ifs.n_letters)
+    return CellBlock(weight, *_nodes(ifs, ratio, shift), segments, ifs.n_letters)
 
 
 def _word_segments(ifs: IFS, words, depth: int) -> list:
@@ -221,7 +245,7 @@ def integrate_cells(cells: CellBlock, f, lipschitz: float) -> QuadratureResult:
     if cells.count == 0:
         return QuadratureResult(0.0, 0.0, 0, 0)
     return _cell_bracket(cells.weights, _eval_f(f, cells.points, cells),
-                         lipschitz * cells.diams, cells.depth)
+                         lipschitz * cells.radii, cells.depth)
 
 
 def integrate(ifs: IFS, f, lipschitz: float, depth: int) -> QuadratureResult:
@@ -260,11 +284,13 @@ def integrate_complement(ifs: IFS, f, lipschitz: float, excluded,
 def _ball_cells(ifs: IFS, center, eps: float, depth: int, outer: float = math.inf):
     """The cells of the attractor in the shell eps <= d(center, .) <= outer.
 
-    Each active cell carries [lo, hi], its certified distance to the center,
-    narrowed by d(center, x_v) -+ d_v at each level and inherited by its
-    children.  Cells inside the shell are kept, refined to word length
-    ``depth``, cells outside it dropped, and the others split until that
-    length.  Returns the kept cells, the straddlers left then, and their lo.
+    Each active cell carries its map (r_v, q_v) and [lo, hi], its certified
+    distance to the center, narrowed by d(center, x_v) -+ d_v at each level
+    and inherited by its children; the next level's maps are one
+    composition of the split cells' maps with the letter maps.  Cells inside
+    the shell are kept, refined to word length ``depth``, cells outside it
+    dropped, and the others split until that length.  Returns the kept
+    cells, the straddlers left then, and their lo.
     """
     geom = ifs.geometry
     center = geom.check_point(np.asarray(center, dtype=float))
@@ -275,13 +301,14 @@ def _ball_cells(ifs: IFS, center, eps: float, depth: int, outer: float = math.in
 
     n = ifs.n_letters
     letters = np.zeros((1, 0), dtype=np.int64)  # words of the active cells
+    ratio, shift = np.ones(1), geom.identity()[np.newaxis]  # their maps
     lo, hi = 0.0, math.inf  # their certified distances to the center
     segments, n_kept = [], 0
     for level in range(depth + 1):
-        cells = _cell_block(ifs, [(letters, 0)])
-        dist = geom.dist(cells.points, center)
-        lo = np.maximum(lo, dist - cells.diams)
-        hi = np.minimum(hi, dist + cells.diams)
+        points, radii = _nodes(ifs, ratio, shift)
+        dist = geom.dist(points, center)
+        lo = np.maximum(lo, dist - radii)
+        hi = np.minimum(hi, dist + radii)
         kept = (lo >= eps) & (hi <= outer)
         split = ~kept & (hi > eps) & (lo < outer)
         m = depth - level
@@ -296,6 +323,9 @@ def _ball_cells(ifs: IFS, center, eps: float, depth: int, outer: float = math.in
             break
         letters = np.column_stack((np.repeat(letters, n, axis=0),
                                    np.tile(np.arange(1, n + 1), len(letters))))
+        ratio, shift = _compose(geom, ratio[split, np.newaxis], shift[split, np.newaxis],
+                                ifs.ratios, ifs.shifts)
+        ratio, shift = ratio.ravel(), shift.reshape(-1, geom.dim)
         lo, hi = np.repeat(lo, n), np.repeat(hi, n)
     return _cell_block(ifs, segments), _cell_block(ifs, [(letters, 0)]), lo
 
@@ -314,7 +344,7 @@ def integrate_ball_complement(ifs: IFS, f, lipschitz: float, center, eps: float,
     if straddlers.count:
         svals = np.abs(_eval_f(f, straddlers.points, straddlers))
         err += _cell_bracket(straddlers.weights, 0.0,
-                             svals + lipschitz * straddlers.diams, depth).err
+                             svals + lipschitz * straddlers.radii, depth).err
     return QuadratureResult(quad.value, err, depth, kept.count + straddlers.count)
 
 

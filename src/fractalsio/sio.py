@@ -55,13 +55,13 @@ def _bracket(kern: HomogeneousKernel, pole, cells, size: int, depth: int,
     geom = kern.geometry
     z = kern.displacement(pole, cells.points)
     dist = geom.norm(z)
-    delta = np.maximum(dist - cells.diams, floor)
+    delta = np.maximum(dist - cells.radii, floor)
     keep = delta > 0.0
     live = slice(None) if keep.all() else keep  # views when every cell is kept
-    z, dist, diams, delta = z[live], dist[live], cells.diams[live], delta[live]
+    z, dist, radii, delta = z[live], dist[live], cells.radii[live], delta[live]
     omega_z = kern.omega.eval(geom, z)
     inv_s = dist ** -kern.s
-    err = kern.cell_err_bound(z, dist, delta, diams, omega_z, inv_s, floor > 0.0)
+    err = kern.cell_err_bound(z, dist, delta, radii, omega_z, inv_s, floor > 0.0)
     value = np.multiply(omega_z, inv_s, out=inv_s)  # shares err's pow
     if live is keep:
         full = np.zeros((2, cells.count))
@@ -97,10 +97,15 @@ def _pole_flag(quad: QuadratureResult) -> str:
 
 def _separation(ifs: IFS):
     """The separation flag ("" when the gap is certified positive) and the
-    node count and budget state of the search behind it."""
-    rep = ifs.check_separation()
-    flag = "" if rep.certified_positive_gap() else SEP_FLAG + rep.status
-    return flag, {"nodes": rep.nodes, "budget_exhausted": rep.budget_exhausted}
+    node count and budget state of the search behind it.
+
+    The gap is certified positive when its bracket shows no shared point
+    and a positive lower end; only a flagged system runs ``check_separation``
+    (and its diameter search), for the verdict the flag names."""
+    gap = ifs._gap_bracket()
+    flag = ("" if not gap.overlap and gap.lo > 0.0
+            else SEP_FLAG + ifs.check_separation().status)
+    return flag, {"nodes": gap.nodes, "budget_exhausted": gap.exhausted}
 
 
 def _join_flags(*flags) -> str:

@@ -70,13 +70,24 @@ def heis_twisted_config():
 
 def heis_quarter_config():
     # three Heisenberg similarities with ratio 1/4 and non-collinear shifts:
-    # the benchmark set, whose ball enclosures close on the gap 1/2 only
-    # after about a thousand pair nodes
+    # the benchmark set, whose box enclosures close on the gap 1/2 in three
+    # pair nodes (balls took about a thousand)
     return {
         "geometry": {"kind": "heisenberg1"},
         "maps": [{"r": 0.25, "q": [0.0, 0.0, 0.0]},
                  {"r": 0.25, "q": [0.75, 0.0, 0.0]},
                  {"r": 0.25, "q": [0.0, 0.75, 0.0]}],
+    }
+
+
+def tilted_config():
+    # three planar maps of ratio 0.3 with no shared edge direction: the box
+    # search needs 102 pair nodes to close on the gap
+    return {
+        "geometry": {"kind": "euclidean", "dim": 2},
+        "maps": [{"r": 0.3, "q": [0.0, 0.0]},
+                 {"r": 0.3, "q": [0.7, 0.35]},
+                 {"r": 0.3, "q": [0.2, 0.7]}],
     }
 
 

@@ -212,15 +212,35 @@ def test_attractor_bound_contains_samples(four_corner):
     assert np.all(d <= radius + 1e-12)
 
 
-def test_euclidean_box_contains_attractor(four_corner, middle_thirds, heis_cantor):
+def _check_invariant_box(ifs, rng):
+    """Deep fixed points lie in the box, and every map sends its corners into
+    it (each map is affine in coordinates, so that holds the whole image)."""
+    geom = ifs.geometry
+    lo, hi = ifs.attractor_box()
+    words = rng.integers(0, ifs.n_letters, size=(200, 9))
+    pts = np.stack([ifs.fixed_point(w + 1) for w in words])
+    assert np.all((lo <= pts) & (pts <= hi))
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    for ratio, shift in zip(ifs.ratios, ifs.shifts):
+        images = geom.op(shift, geom.dilate(ratio, corners))
+        assert np.all((lo <= images) & (images <= hi))
+
+
+def test_euclidean_box_contains_attractor(four_corner, middle_thirds):
     rng = np.random.default_rng(3)
     for ifs in (four_corner, middle_thirds):
-        lo, hi = ifs.attractor_box()
-        words = rng.integers(0, ifs.n_letters, size=(200, 9))
-        pts = np.stack([ifs.fixed_point(w + 1) for w in words])
-        assert np.all((lo <= pts) & (pts <= hi))
-    with pytest.raises(InputError):
-        heis_cantor.attractor_box()
+        _check_invariant_box(ifs, rng)
+
+
+def test_heisenberg_box_contains_attractor(heis_cantor, heis_twisted, heis_quarter):
+    rng = np.random.default_rng(3)
+    for ifs in (heis_cantor, heis_twisted, heis_quarter):
+        _check_invariant_box(ifs, rng)
+    # the benchmark set: (x, y) spans the unit square, and t = (m_i +- w_i) /
+    # (1 - r_i^2) with m_2 = w_2 = 3/64 and m_3 = -w_3 = -3/64 gives +-0.1
+    lo, hi = heis_quarter.attractor_box()
+    np.testing.assert_allclose(lo, [0.0, 0.0, -0.1], rtol=0.0, atol=2e-12)
+    np.testing.assert_allclose(hi, [1.0, 1.0, 0.1], rtol=0.0, atol=2e-12)
 
 
 def test_diam_bracket_middle_thirds(middle_thirds):
@@ -283,7 +303,17 @@ def test_four_corner_separation_converges(four_corner):
     assert rep.gap_hi - rep.gap_lo <= 1e-6
 
 
-def _capped_separation(monkeypatch, nodes, config=h.heis_quarter_config):
+def test_heisenberg_separation_converges(heis_quarter):
+    # the benchmark set: its boxes meet the gap 1/2 along whole x-edges, as
+    # four-corner's do
+    rep = heis_quarter.check_separation()
+    assert rep.budget_exhausted is False
+    assert rep.nodes <= 20
+    assert rep.gap_lo <= 0.5 <= rep.gap_hi
+    assert rep.gap_hi - rep.gap_lo <= 1e-6 * 0.5
+
+
+def _capped_separation(monkeypatch, nodes, config=h.tilted_config):
     """``check_separation()`` of a fresh system with the pair-search budget
     cut to ``nodes``.  Fixtures are shared and cache their verdicts, and the
     diameter search shares the budget, so the system is built anew and its
@@ -307,8 +337,9 @@ def test_separation_budget_reported(middle_thirds, monkeypatch):
 
 
 def test_exhausted_search_is_not_strongly_separated(middle_thirds, monkeypatch):
-    # gap 1/2 against child diameter 0.359: after four nodes the gap bracket
-    # [0.245, 0.5] still straddles the diameter, so the strength is open
+    # gap 0.3488 against child diameter 0.3354, a search of 102 nodes: capped
+    # at four nodes the gap bracket [0.3027, 0.3488] still straddles the
+    # diameter, so the strength is open
     rep = _capped_separation(monkeypatch, 4)
     assert rep.budget_exhausted
     assert rep.gap_lo < rep.maxdiam_lo <= rep.gap_hi
@@ -330,7 +361,7 @@ def test_pair_brackets_contain_net_reference(name, request, monkeypatch):
     # cell points lie on the attractor
     ifs = request.getfixturevalue(name)
     cells = net(ifs, 5)
-    d = float(np.max(cells.diams))
+    d = float(np.max(cells.radii))
     dist = ifs.geometry.dist(cells.points[:, np.newaxis], cells.points[np.newaxis])
     branch = cells.letters()[:, 0]
     min_pts = float(np.min(dist[branch[:, np.newaxis] != branch[np.newaxis]]))

@@ -112,23 +112,23 @@ _OSC_EXTRA = [
 ]
 
 
-def _cell_terms(kern, pole, nodes, diams, floor=0.0):
+def _cell_terms(kern, pole, nodes, radii, floor=0.0):
     """(value_v, err_v) of each cell, as ``sio._bracket`` forms them."""
     z = kern.displacement(pole, nodes)
     dist = kern.geometry.norm(z)
-    delta = np.maximum(dist - diams, floor)
+    delta = np.maximum(dist - radii, floor)
     assert np.all(delta > 0.0)
     omega_z = kern.omega.eval(kern.geometry, z)
     inv_s = dist ** -kern.s
-    err = kern.cell_err_bound(z, dist, delta, diams, omega_z, inv_s, np.any(floor > 0.0))
+    err = kern.cell_err_bound(z, dist, delta, radii, omega_z, inv_s, np.any(floor > 0.0))
     return omega_z * inv_s, err
 
 
-def _ball_samples(rng, geom, nodes, diams, k):
+def _ball_samples(rng, geom, nodes, radii, k):
     """k points of each cell's ball B(x_v, d_v), a quarter of them on its edge:
     x_v + u in Euclidean space and x_v * u in the group, ||u|| <= d_v."""
     u = rng.standard_normal((len(nodes), k, geom.dim))
-    radius = diams[:, None] * np.where(rng.random((len(nodes), k)) < 0.25, 1.0,
+    radius = radii[:, None] * np.where(rng.random((len(nodes), k)) < 0.25, 1.0,
                                        rng.random((len(nodes), k)))
     u = geom.dilate(radius * (1.0 - 1e-12) / geom.norm(u), u)
     return geom.op(nodes[:, None], u)
@@ -146,27 +146,27 @@ def test_cell_err_bound_holds_in_cell_balls(geom, omega):
     m = 300
     z = h.random_points(rng, geom.dim, m)[:m]
     z = geom.dilate(rng.uniform(0.05, 2.0, len(z)) / geom.norm(z), z)
-    diams = geom.norm(z) * rng.uniform(0.001, 0.7, len(z))
-    z[: m // 3, 0] = diams[: m // 3] * rng.uniform(-1.0, 1.0, m // 3)
+    radii = geom.norm(z) * rng.uniform(0.001, 0.7, len(z))
+    z[: m // 3, 0] = radii[: m // 3] * rng.uniform(-1.0, 1.0, m // 3)
     if geom.dim > 1:
         z[: m // 15, 0] = 0.0
     nodes = pole - z if isinstance(geom, Euclidean) else geom.op(pole, z)
     dist = geom.norm(kern.displacement(pole, nodes))
-    ys = _ball_samples(rng, geom, nodes, diams, 64)
+    ys = _ball_samples(rng, geom, nodes, radii, 64)
     k = kern.eval(pole, ys.reshape(-1, geom.dim)).reshape(ys.shape[:2])
-    straddle = np.abs(kern.displacement(pole, nodes)[:, 0]) <= diams
+    straddle = np.abs(kern.displacement(pole, nodes)[:, 0]) <= radii
 
-    live = dist - diams > 0.0
+    live = dist - radii > 0.0
     assert geom.dim == 1 or np.count_nonzero(straddle & live) > m // 5
-    value, err = _cell_terms(kern, pole, nodes[live], diams[live])
+    value, err = _cell_terms(kern, pole, nodes[live], radii[live])
     assert np.all(np.abs(k[live] - value[:, None]) <= err[:, None])
 
     # a floor between max(||z_v|| - d_v, 0) and ||z_v||, which the samples kept
     # respect; in one dimension only a floor lets a cell straddle the pole
-    lo = np.maximum(dist - diams, 0.0)
+    lo = np.maximum(dist - radii, 0.0)
     floor = lo + (dist - lo) * rng.uniform(0.05, 1.0, len(dist))
     assert np.count_nonzero(straddle) > m // 5
-    value, err = _cell_terms(kern, pole, nodes, diams, floor)
+    value, err = _cell_terms(kern, pole, nodes, radii, floor)
     held = geom.norm(kern.displacement(pole, ys)) >= floor[:, None]
     assert np.all((np.abs(k - value[:, None]) <= err[:, None]) | ~held)
 
@@ -188,9 +188,9 @@ def test_cell_bracket_holds_at_subcell_nodes(request, fixture, omega, s):
     bases = complement_base_words((1,), ifs.n_letters)
     cells, sub = region_cells(ifs, bases, 2), region_cells(ifs, bases, 6)
     dist = ifs.geometry.norm(kern.displacement(pole, cells.points))
-    live = dist - cells.diams > 0.0
+    live = dist - cells.radii > 0.0
     assert np.count_nonzero(live) > cells.count // 2
-    value, err = _cell_terms(kern, pole, cells.points[live], cells.diams[live])
+    value, err = _cell_terms(kern, pole, cells.points[live], cells.radii[live])
     k = kern.eval(pole, sub.points).reshape(cells.count, -1)[live]
     assert np.all(np.abs(k - value[:, None]) <= err[:, None])
 

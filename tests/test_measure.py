@@ -77,16 +77,32 @@ def test_net_weights_sum_to_one(middle_thirds, four_corner):
         assert pairwise_sum(cells.weights) == pytest.approx(1.0, abs=1e-12)
 
 
+def _reference_radius(ifs, ratio, p):
+    """ratio * rho(p), rho(p) the gauge of |c^{-1} p| + H over the attractor
+    box c +- h, H = h widened in t by (|p_y| h_x + |p_x| h_y) / 2 in the group,
+    with the group law written out."""
+    lo, hi = ifs.attractor_box()
+    c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if ifs.geometry.kind != "heisenberg1":
+        return ratio * math.sqrt(sum((np.abs(p - c) + hw) ** 2))
+    x, y = abs(p[0] - c[0]) + hw[0], abs(p[1] - c[1]) + hw[1]
+    t = abs(p[2] - c[2] + 0.5 * (c[1] * p[0] - c[0] * p[1]))
+    t += hw[2] + 0.5 * (abs(p[1]) * hw[0] + abs(p[0]) * hw[1])
+    # the fourth root of an array, as the library takes it: numpy's vectorised
+    # pow rounds some values differently from the scalar one
+    return ratio * float((np.array([(x ** 2 + y ** 2) ** 2 + t ** 2]) ** 0.25)[0])
+
+
 def _reference_cells(ifs, words):
-    """Weights, fixed points and diameter bounds of S_w, one word at a time.
+    """Weights, fixed points and radii of S_w, one word at a time.
 
     Each S_w is built by appending one map at a time, S_v o S_a, with the
     group law written out; the empty word is represented by the fixed point
-    of S_1.
+    of S_1.  A cell's radius is r_w rho(x_w), from ``_reference_radius``.
     """
     twisted = ifs.geometry.kind == "heisenberg1"
     degrees = np.array([1.0, 1.0, 2.0]) if twisted else 1.0
-    weights, points, diams = [], [], []
+    weights, points, radii = [], [], []
     for w in words:
         ratio, shift, weight = 1.0, np.zeros(ifs.geometry.dim), 1.0
         for a in w:
@@ -105,8 +121,8 @@ def _reference_cells(ifs, words):
             r1, q1 = ifs.ratios[0], ifs.shifts[0]
             points.append(q1 / (1.0 - r1 ** degrees))
         weights.append(weight)
-        diams.append(ratio * ifs.diam_bracket()[1])
-    return np.array(weights), np.array(points), np.array(diams)
+        radii.append(_reference_radius(ifs, ratio, points[-1]))
+    return np.array(weights), np.array(points), np.array(radii)
 
 
 REFERENCE_DEPTH = {"middle_thirds": 7, "four_corner": 4, "heis_twisted": 5}
@@ -124,13 +140,47 @@ def test_cells_match_reference(request, name):
     cases.append((cells_for_words(ifs, mixed), mixed, 0))
     for cells, heads, d in cases:
         words = [b + u for b in heads for u in itertools.product(letters, repeat=d)]
-        weights, points, diams = _reference_cells(ifs, words)
+        weights, points, radii = _reference_cells(ifs, words)
         assert cells.count == len(words)
         assert cells.depth == max(len(w) for w in words)
         assert h.cell_words(cells) == words
         np.testing.assert_allclose(cells.points, points, rtol=0.0, atol=4e-16)
         np.testing.assert_allclose(cells.weights, weights, rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(cells.diams, diams, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(cells.radii, radii, rtol=1e-15, atol=0.0)
+
+
+def _nodes_within_radii(ifs, cells, extra):
+    """Every node of the ``extra``-letter subcells of each cell lies within
+    that cell's radius."""
+    fine = region_cells(ifs, h.cell_words(cells), extra)
+    fine_points = fine.points.reshape(cells.count, ifs.n_letters ** extra, -1)
+    d = ifs.geometry.dist(fine_points, cells.points[:, np.newaxis])
+    assert np.all(d <= cells.radii[:, np.newaxis])
+
+
+@pytest.mark.parametrize("name", ["middle_thirds", "four_corner", "heis_twisted",
+                                  "heis_quarter"])
+def test_cell_radius_holds_subcell_nodes(name, request):
+    # the radius r_v rho(x_v) bounds the distance from the node to every
+    # point of the cylinder: nodes of the depth-7 subcells of each depth-2
+    # cell, and of the depth-5 cells under the root
+    ifs = request.getfixturevalue(name)
+    _nodes_within_radii(ifs, net(ifs, 2), 5)
+    _nodes_within_radii(ifs, net(ifs, 0), 5)
+
+
+@pytest.mark.parametrize("name, center, eps, outer", [
+    ("four_corner", [0.3, 0.4], 0.2, 0.6),
+    ("heis_quarter", [0.2, 0.1, 0.0], 0.25, 0.6),
+])
+def test_ball_cell_radii_hold_subcell_nodes(name, center, eps, outer, request):
+    # the kept and straddling cells of one shell, whose maps the splitter
+    # composed level by level
+    ifs = request.getfixturevalue(name)
+    kept, straddlers, _ = measure._ball_cells(ifs, np.array(center), eps, 3, outer)
+    assert kept.count and straddlers.count
+    for cells in (kept, straddlers):
+        _nodes_within_radii(ifs, cells, 3)
 
 
 def test_moment_oracles(middle_thirds):
@@ -260,7 +310,6 @@ def test_region_cells_gather_long_suffixes(heis_twisted):
     # map is the chunk fold of its base composed once onto its suffix's map
     ifs = heis_twisted
     geom = ifs.geometry
-    dhi = ifs.diam_bracket()[1]
     rng = np.random.default_rng(4)
     for bases in (list(itertools.product((1, 2, 3), repeat=2)),
                   [tuple(int(a) for a in w) for w in rng.integers(1, 4, size=(4, 16))]):
@@ -276,9 +325,9 @@ def test_region_cells_gather_long_suffixes(heis_twisted):
                     weight = ifs.letter_weights[a - 1] * weight
                 weight = np.prod(ifs.letter_weights[np.array(b) - 1]) * weight
                 assert words[i] == b + u
-                np.testing.assert_array_equal(
-                    cells.points[i], shift / (1.0 - ratio ** geom.coord_degrees))
-                assert cells.diams[i] == ratio * dhi
+                point = shift / (1.0 - ratio ** geom.coord_degrees)
+                np.testing.assert_array_equal(cells.points[i], point)
+                assert cells.radii[i] == _reference_radius(ifs, ratio, point)
                 assert cells.weights[i] == weight
                 i += 1
 

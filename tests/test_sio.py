@@ -9,7 +9,7 @@ import fractalsio.sio as sio
 from fractalsio import (IFS, ConfigError, EPWord, HomogeneousKernel, InputError,
                         RieszComponent, SignOmega, WitnessIntegrand,
                         ball_cylinder_gap, complement_base_words, criterion,
-                        divergence_certificate, maximal_symbolic, net,
+                        divergence_certificate, integrate, maximal_symbolic, net,
                         pv_trace, region_cells, truncated)
 
 ETA_LO, ETA_HI = -0.6458, -0.5  # frozen analytic bracket for the sign kernel
@@ -210,6 +210,28 @@ def test_driver_reports_show_separation_search(middle_thirds, four_corner):
                div.as_dict()["criterion"]]
     for report in reports:
         assert report["separation_search"] == want
+
+
+def test_drivers_decide_separation_from_the_gap_alone(monkeypatch):
+    # cells and certified separation need no diameter search; a flagged
+    # system names the verdict of check_separation, which does run it
+    def no_diameter(self):
+        raise AssertionError("diameter search run")
+
+    ifs = h.make_ifs(h.heis_quarter_config())
+    kern = HomogeneousKernel(ifs.geometry, ifs.dim_s, RieszComponent(1))
+    with monkeypatch.context() as patch:
+        patch.setattr(IFS, "diam_bracket", no_diameter)
+        trace = pv_trace(ifs, kern, h.word1(), 2, 2)
+        truncated(ifs, kern, [0.5, 0.5, 0.0], 0.2, 3)
+        integrate(ifs, lambda pts: pts[:, 0], 1.0, 3)
+    assert trace.separation == ""
+    assert trace.separation_search == {"nodes": 3, "budget_exhausted": False}
+    overlapping = IFS.from_config({
+        "geometry": {"kind": "euclidean", "dim": 1},
+        "maps": [{"r": 0.6, "q": [0.0]}, {"r": 0.6, "q": [0.4]}]})
+    rep = criterion(overlapping, h.sign_kernel(overlapping), (1,), 3)
+    assert rep.separation == "separation:Inconclusive"
 
 
 def test_truncated_zero_far_away(middle_thirds):
