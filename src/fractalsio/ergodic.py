@@ -18,6 +18,8 @@ each block's hits, and only hitting times list their positions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import integer
@@ -84,11 +86,24 @@ def sample_orbit(ifs: IFS, n: int, seed: int) -> np.ndarray:
 
 def _block_statistics(ifs: IFS, target, count: int, n_steps: int):
     """(frequency, expected, stderr) of ``count`` hits of ``target`` in
-    ``n_steps`` start positions; see ``birkhoff_frequency``."""
+    ``n_steps`` start positions; see ``birkhoff_frequency``.
+
+    Windows at lags d >= m = len(target) share no letter and are
+    independent.  At a lag d < m both windows hold the target exactly when
+    it has period d (target[d:] == target[:m - d]), with probability
+    p pi_d, pi_d the weight of its last d letters.  So the count has variance
+    about n p [(1 - p) + 2 sum_{d<m} (1[period d] pi_d - p)], whose square
+    root over n is the stderr; for one letter it is the binomial value.
+    """
+    target = validate_word(target, n_letters=ifs.n_letters)
     expected = ifs.word_weight(target)
     freq = float(count) / float(n_steps)
-    factor = 2.0 if len(target) > 1 else 1.0
-    stderr = factor * float(np.sqrt(expected * (1.0 - expected) / n_steps))
+    m = len(target)
+    spread = 1.0 - expected
+    for d in range(1, m):
+        overlap = ifs.word_weight(target[m - d:]) if target[d:] == target[:m - d] else 0.0
+        spread += 2.0 * (overlap - expected)
+    stderr = math.sqrt(max(expected * spread, 0.0) / n_steps)
     return freq, expected, stderr
 
 
@@ -127,9 +142,9 @@ def birkhoff_frequency(ifs: IFS, target, n_steps: int, seed: int):
     Scans the n_steps start positions of the first n_steps + len(target) - 1
     letters of the seed's stream, the letters of ``sample_orbit``.  Returns
     (frequency, expected, stderr) where expected is the product of the
-    letter weights and stderr the binomial i.i.d. value, doubled for blocks
-    longer than one letter because adjacent windows overlap.  An empty
-    target occurs at every position, so its frequency is 1.
+    letter weights and stderr that of the count of overlapping windows, from
+    the exact variance in ``_block_statistics``.  An empty target occurs at
+    every position, so its frequency is 1.
     """
     count = sum(np.count_nonzero(hits) for _, hits in _scan(ifs, target, n_steps, seed))
     return _block_statistics(ifs, target, count, n_steps)

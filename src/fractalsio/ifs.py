@@ -191,12 +191,14 @@ class IFS:
         self._diam = None
         self._gap = None
         self._sep = None
+        self._moments = None  # measure.moments, filled when first asked for
         self._nets = {0: _frozen(np.ones(1), geometry.identity()[np.newaxis],
                                  np.ones(1))}
         self._chunk = 1
         while self.n_letters ** (self._chunk + 1) <= _CHUNK_NET:
             self._chunk += 1
-        self._places = {}  # row length -> the place matrix of ``_chunks``
+        self._place = (float(self.n_letters) ** np.arange(self._chunk - 1, -1, -1)
+                       ).astype(np.float32)  # place values of a chunk's letters
 
         self.osc_ball = None
         if osc_ball is not None:
@@ -264,21 +266,24 @@ class IFS:
         may be shorter), and ``code`` (M,) is each row's chunk read as a
         base-N number, its index in the ``relative_net`` of its length.
 
-        All codes come from one product of ``idx`` with the float32 matrix
-        of place values, built once per row length and kept.  The product is
-        exact: every code and every partial sum is an integer below 4096,
-        far below 2^24.
+        Each row is left-padded with zeros to a multiple of c letters, which
+        leaves every code unchanged, and read chunk-major as rows of c
+        letters; all codes come from one product of those rows with the
+        float32 vector of the c place values.  The product is exact: every
+        code and every partial sum is an integer below 4096, far below 2^24.
         """
-        n, c = self.n_letters, self._chunk
-        ends = range(idx.shape[1], 0, -c)
-        place = self._places.get(idx.shape[1])
-        if place is None:
-            place = np.zeros((idx.shape[1], len(ends)), dtype=np.float32)
-            for j, end in enumerate(ends):
-                place[max(end - c, 0):end, j] = float(n) ** np.arange(min(end, c) - 1, -1, -1)
-            self._places[idx.shape[1]] = place
-        codes = (idx @ place).astype(np.intp)
-        return [(min(end, c), codes[:, j]) for j, end in enumerate(ends)]
+        c = self._chunk
+        rows, length = idx.shape
+        pad = -length % c
+        if pad:
+            padded = np.zeros((rows, length + pad), dtype=idx.dtype)
+            padded[:, pad:] = idx
+            idx = padded
+        width = (length + pad) // c
+        codes = (idx.reshape(rows * width, c) @ self._place).astype(np.intp)
+        codes, last = codes.reshape(rows, width), width - 1
+        return [(min(end, c), codes[:, last - j])
+                for j, end in enumerate(range(length, 0, -c))]
 
     def _fold(self, idx: np.ndarray, depth: int):
         """Ratios (M, N^depth) and shifts (M, N^depth, dim) of S_w o S_u for each

@@ -3,9 +3,11 @@
 The displacement is z = x - y in Euclidean geometry and z = x^{-1} * y in
 group geometry (replacing Omega(z) by Omega(z^{-1}) converts between the two
 orientations).  Omega is 0-homogeneous: it only sees the direction of z.
-Each family has ``sup_for``, a bound on |Omega|, and ``osc(geom, z, d, lo,
-norm)``, a bound on |Omega(z') - Omega(z)| over the displacements z' of a
-cell of radius d around a node at displacement z.  They lie in the box
+Each family has ``eval(geom, z, norm)``, Omega at the displacements z (a
+caller that holds their gauges passes them as ``norm``), ``sup_for``, a
+bound on |Omega|, and ``osc(geom, z, d, lo, norm)``, a bound on |Omega(z') -
+Omega(z)| over the displacements z' of a cell of radius d around a node at
+displacement z.  They lie in the box
 ``geom.box(z, d)``, with lo <= ||z'|| <= norm + d (norm = ||z||, lo the
 cell's certified pole distance), and each family bounds Omega over that box
 by interval reasoning (Moore, Kearfott and Cloud, *Introduction to Interval
@@ -45,7 +47,7 @@ class ConstantOmega:
     def __post_init__(self):
         object.__setattr__(self, "c", real(self.c, "omega constant c"))
 
-    def eval(self, geom, z):
+    def eval(self, geom, z, norm=None):
         z = np.asarray(z, dtype=float)
         return np.full(z.shape[:-1], self.c)
 
@@ -65,7 +67,7 @@ class SignOmega:
 
     kind: str = field(default="sign", init=False)
 
-    def eval(self, geom, z):
+    def eval(self, geom, z, norm=None):
         z = np.asarray(z, dtype=float)
         return np.sign(z[..., 0])
 
@@ -103,10 +105,11 @@ class RieszComponent:
             )
         return float(geom.coord_degrees[self.axis - 1])
 
-    def eval(self, geom, z):
+    def eval(self, geom, z, norm=None):
         z = np.asarray(z, dtype=float)
         deg = self._degree(geom)
-        return z[..., self.axis - 1] / geom.norm(z) ** deg
+        norm = geom.norm(z) if norm is None else norm
+        return z[..., self.axis - 1] / norm ** deg
 
     def sup_for(self, geom) -> float:
         self._degree(geom)
@@ -160,7 +163,7 @@ class PolynomialOverNorm:
                     f"expected {self.degree}"
                 )
 
-    def eval(self, geom, z):
+    def eval(self, geom, z, norm=None):
         self._check_dim(geom)
         z = np.asarray(z, dtype=float)
         total = np.zeros(z.shape[:-1])
@@ -170,7 +173,8 @@ class PolynomialOverNorm:
                 if e:
                     term = term * z[..., j] ** e
             total = total + term
-        return total / geom.norm(z) ** float(self.degree)
+        norm = geom.norm(z) if norm is None else norm
+        return total / norm ** float(self.degree)
 
     def sup_for(self, geom) -> float:
         self._check_dim(geom)
@@ -233,12 +237,13 @@ class PerturbedOmega:
         """The bump at angle arccos(cos) to the direction line; it rises with cos."""
         return self.eps * bump_profile(np.arccos(np.clip(cos, 0.0, 1.0)) / self.rho)
 
-    def eval(self, geom, z):
+    def eval(self, geom, z, norm=None):
         self._require_euclidean(geom)
         z = np.asarray(z, dtype=float)
-        u = z / geom.norm(z)[..., np.newaxis]
+        norm = geom.norm(z) if norm is None else norm
+        u = z / norm[..., np.newaxis]
         cos = np.abs(np.sum(u * np.asarray(self.direction), axis=-1))
-        return self.base.eval(geom, z) + self._bump_at(cos)
+        return self.base.eval(geom, z, norm) + self._bump_at(cos)
 
     def sup_for(self, geom) -> float:
         return self.base.sup_for(geom) + self.eps
@@ -313,7 +318,7 @@ class HomogeneousKernel:
         d = geom.norm(z)
         if np.any(d == 0.0):
             raise InputError("kernel evaluated at its pole")
-        return self.omega.eval(geom, z) / d ** self.s, d
+        return self.omega.eval(geom, z, d) / d ** self.s, d
 
     def cell_err_bound(self, z, norm, delta, radii, omega_z, inv_s, floored=False):
         """Per-cell bounds err_v >= |k(x, y) - Omega(z_v) P_v| over each cell v.

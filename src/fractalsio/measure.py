@@ -34,15 +34,19 @@ kernels.
 
 Every bracket, here and in ``sio``, is summed by ``_cell_bracket``: value
 sum_v w_v f_v and err sum_v w_v e_v, each by ``pairwise_sum``, numpy's
-pairwise reduction, deterministic for a given numpy build, with the rounding
-bound stated there.  An integrand's modulus is its Lipschitz constant L,
+pairwise reduction, deterministic for a given numpy build, and the err also
+carries the rounding bound stated there.  ``moments`` gives the central
+moments of a measure on the line from self-similarity, for ``sio``'s
+expansions.  An integrand's modulus is its Lipschitz constant L,
 omega(d) = L d, passed as a float.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +54,7 @@ import numpy as np
 from .ergodic import _letter_stream
 from .errors import (EvaluationError, InputError, ResourceLimitError, integer,
                      nonnegative, positive)
-from .ifs import IFS, _compose, _fixed_points
+from .ifs import IFS, _compose, _fixed_points, _frozen
 from .symbolic import validate_word
 
 _MC_BLOCK = 1 << 12  # Monte Carlo samples composed per block
@@ -137,11 +141,119 @@ class CellBlock:
         return out
 
 
+_U = 2.0 ** -53  # the unit roundoff of a float
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): k roundings of relative error u
+    compound to at most gamma_k."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _on_grid(terms, bound: float) -> bool:
+    """Whether every term is a multiple of 2^(e - 52), 2^e > ``bound``: then
+    every sum of terms within 2 ``bound`` of zero is a float, so no addition
+    of a pairwise sum rounds."""
+    scale = 2.0 ** (52 - math.frexp(bound)[1])
+    head = terms[:8] * scale  # most sums fail here, before the full pass
+    if not np.array_equal(np.floor(head), head):
+        return False
+    scaled = terms * scale
+    return bool(np.array_equal(np.floor(scaled), scaled))
+
+
 def _cell_bracket(weights, values, errs, depth: int) -> QuadratureResult:
     """The bracket sum_v w_v values_v +- sum_v w_v errs_v over ``len(weights)``
-    cells; ``values`` and ``errs`` are arrays or scalars broadcast to them."""
-    return QuadratureResult(pairwise_sum(weights * values), pairwise_sum(weights * errs),
-                            depth, len(weights))
+    cells; ``values`` and ``errs`` are arrays or scalars broadcast to them.
+
+    Both sums are ``pairwise_sum``s of the float products, so each is within
+    gamma_k of the sum of the absolute products, k = ceil(log2 n) + 24.  The
+    err therefore also carries gamma_{k+2} (sum_v |w_v values_v| + sum_v w_v
+    errs_v), the two extra roundings covering the float sum of the absolute
+    products and this bound's own.  When both sets of products lie on a grid
+    fine enough that no partial sum rounds (``_on_grid``), the sums are
+    exact and that term is 0.
+    """
+    terms, charges = weights * values, weights * errs
+    value, err = pairwise_sum(terms), pairwise_sum(charges)
+    size = pairwise_sum(np.abs(terms)) + err
+    if not (_on_grid(terms, size) and _on_grid(charges, size)):
+        err += _gamma((len(weights) - 1).bit_length() + 26) * size
+    return QuadratureResult(value, err, depth, len(weights))
+
+
+@functools.lru_cache(maxsize=None)
+def _pascal(order: int):
+    """C(n, k) for k < n <= ``order`` (0 elsewhere) as floats, exact for order
+    <= 56, and the index table n - k (0 where k >= n); both read-only, as
+    every caller shares them."""
+    out = np.zeros((order + 1, order + 1))
+    for n in range(1, order + 1):
+        out[n, :n] = [math.comb(n, k) for k in range(n)]
+    m = np.arange(order + 1)
+    return _frozen(out, np.subtract.outer(m, m).clip(0))
+
+
+def moments(ifs: IFS, order: int):
+    """``(c, mu, bound)``: the central moments mu_j = int (y - c)^j dmu(y),
+    j <= ``order``, of the natural measure of a system on the line, about the
+    centre c of ``IFS.attractor_box``, and bounds bound_j >= |mu_j - mu[j]|
+    on their float values.
+
+    The measure is self-similar, int g dmu = sum_i p_i int g(S_i y) dmu(y),
+    and S_i y - c = r_i (y - c) + d_i with d_i = S_i(c) - c, so (Strichartz,
+    "Evaluating integrals using self-similarity", 2000)
+
+        mu_n (1 - sum_i p_i r_i^n) = sum_i p_i sum_{k<n} C(n, k) r_i^k d_i^(n-k) mu_k,
+
+    a triangular recursion from mu_0 = 1 whose divisor is positive for n >= 1.
+    The letter weights p_i are the measure's, as for every cell weight.  It
+    runs in floats and carries a running absolute bound:
+    - d_i is computed within e_i = gamma_3 (|q_i| + 2|c|), so |d_i^m - float
+      d_i^m| <= m e_i (|d_i| + e_i)^(m - 1) =: e_i(m), before rounding;
+    - each of the N n terms of the right side is a product of pows (within
+      2u each), the exact C(n, k), p_i and mu_k, summed over i and then over
+      k, so the float sum is within gamma_{2n+N+8} of the sum A_n of their
+      absolute values, plus the propagated sum_i p_i sum_k C(n, k) r_i^k
+      [e_i(n - k) (|mu_k| + bound_k) + |d_i|^(n-k) bound_k];
+    - the divisor is within 2 gamma_{n+N+3}, and the quotient rounds once.
+    Cached on the IFS when first asked for, up to the highest order asked.
+    """
+    order = integer(order, "moment order", 0)
+    if ifs._moments is None or len(ifs._moments[1]) <= order:
+        geom = ifs.geometry
+        if geom.kind != "euclidean" or geom.dim != 1:
+            raise InputError("moments are derived for systems on the line")
+        lo, hi = ifs.attractor_box()
+        c = 0.5 * (lo[0] + hi[0])
+        r, p, q = ifs.ratios, ifs.letter_weights, ifs.shifts[:, 0]
+        d = q + r * c - c
+        e = _gamma(3) * (np.abs(q) + 2.0 * abs(c))
+        pascal, nk = _pascal(order)
+        m = np.arange(order + 1)
+        up = np.abs(d)
+        powers = np.power.outer(np.stack([d, up, up + e]), m)
+        powers[2, :, 1:] = m[1:] * e[:, np.newaxis] * powers[2, :, :-1]  # e_i(m)
+        powers[2, :, 0] = 0.0
+        rk = np.power.outer(r, m)
+        # T[n, k] = C(n, k) sum_i p_i r_i^k x_i^(n-k) for each row x of powers
+        signed, absolute, moved = (pascal * ((p[:, np.newaxis] * rk)[:, np.newaxis]
+                                             * powers[:, :, nk]).sum(axis=1)).tolist()
+        den = (1.0 - p @ rk).tolist()
+        mu, size, bound = [1.0], [1.0], [0.0]
+        for n in range(1, order + 1):
+            num = sum(map(operator.mul, signed[n], mu))
+            spread = (sum(map(operator.mul, moved[n], map(operator.add, size, bound)))
+                      + sum(map(operator.mul, absolute[n], bound))
+                      + _gamma(2 * n + len(r) + 8) * sum(map(operator.mul, absolute[n], size)))
+            spread *= 1.0 + _gamma(3 * n)
+            slack = 2.0 * _gamma(n + len(r) + 3)
+            mu.append(num / den[n])
+            size.append(abs(mu[-1]))
+            bound.append((spread + size[-1] * slack) / (den[n] - slack) + 2.0 * _U * size[-1])
+        ifs._moments = (c, np.array(mu), np.array(bound))
+    c, mu, bound = ifs._moments
+    return c, mu[:order + 1], bound[:order + 1]
 
 
 def _check_budget(count: int):
@@ -356,9 +468,10 @@ def mc_integrate(ifs: IFS, f, n_samples: int, seed: int):
     letters of ``sample_orbit``) and truncated at a word length where the
     remaining displacement is below float resolution.  Each word is cut into
     chunks by ``IFS._chunks``, the cuts of ``IFS._fold``, whose codes come
-    from one product with the place matrix that the IFS keeps for this word
-    length, and its chunk maps are applied to points right to left: the last chunk's point is gathered
-    from the table of S_u(x0) over the ``relative_net`` of its length, built
+    from one product with the IFS's vector of chunk place values, and its
+    chunk maps are applied to points right to left: the last chunk's point
+    is gathered from the table of S_u(x0) over the ``relative_net`` of its
+    length, built
     once, and each earlier chunk's map S_u(p) = q_u * (scale(r_u) p) from
     that net's shift and ``scale`` rows.  No sample's map is composed.  When
     x0 is the origin (f_1 = 0) and the ratio products are exact (dyadic

@@ -1,25 +1,38 @@
-"""Singular-integral drivers, assembled from one kernel-cell bracket.
+"""Singular-integral drivers, assembled from kernel-cell brackets.
 
-``_bracket`` is the one place k(pole, .) is integrated: over a slice of
-cells, value = sum_v w_v k(pole, x_v) and err = sum_v w_v err_v, err_v the
-kernel's ``cell_err_bound`` on |k(pole, .) - k(pole, x_v)| over the cell at
-the certified pole distance delta_v = d(pole, x_v) - d_v.  Both sums, like
-every bracket here, are taken by ``measure._cell_bracket``.  A slice with a
-cell not certified away from the pole gets value 0 and an infinite err, and
-every sum containing it is
-flagged ``unresolved-pole-distance`` rather than silently wrong.
+``_bracket`` is the first-order rule for k(pole, .): over a block of cells,
+value = sum_v w_v k(pole, x_v) and err = sum_v w_v err_v, err_v the kernel's
+``cell_err_bound`` on |k(pole, .) - k(pole, x_v)| over the cell at the
+certified pole distance delta_v = d(pole, x_v) - d_v.  On the line,
+``_line_annuli`` integrates each cell instead by an expansion about its box
+centre from the exact moments of the measure, with a certified remainder.
+Both sums of every bracket here are taken by ``measure._cell_bracket``.  A
+bracket with a cell not certified away from the pole gets value 0 and an
+infinite err, and every sum containing it is flagged
+``unresolved-pole-distance`` rather than silently wrong.
 
 Most regions are unions of annuli A_k = C_{w|k} minus C_{w|k+1} around a
 coded pole pi(w): F_k over C minus C_{w|k} sums A_j for j < k, the
 periodic-point integral over C minus C_w sums the first |w| annuli of w
 repeated, a divergence block sums one period's annuli, and the cylinder term
 of the ball comparison and the maximal sums T(m, n) sum consecutive annuli.
-``_annuli`` builds their cells in one block and brackets each annulus as a
-slice.  ``truncated`` and the ball term of the comparison bracket the cells
-``measure._ball_cells`` keeps in a shell around the pole as one slice, their
-certified pole distance floored by the inner radius.  Results are also
-flagged when the system's separation cannot be certified, since cylinder
-weights presume essentially disjoint branches.
+``_annuli`` brackets them in the shifted frame.  Let u = w|k, a = w_{k+1}
+and v = sigma^k w.  Then C_u minus C_{ua} = S_u(C minus C_a), the measure on
+C_u is p_u (S_u)_* mu, and k(S_u x, S_u y) = r_u^-s k(x, y): Omega is
+0-homogeneous, the maps do not rotate, and in the group (S_u x)^-1 (S_u y)
+= delta_{r_u}(x^-1 y).  So
+
+    A_k = p_u r_u^-s int_{C minus C_a} k(pi(v), y) dmu(y),
+
+a unit-scale annulus at the shifted pole times a factor that is 1 when s is
+the similarity dimension, up to its rounding, which goes into err.  An
+eventually periodic w has at most |pre| + p distinct shifts, each bracketed
+once, and no displacement is formed at scale r^k.  ``truncated`` and the
+ball term of the comparison bracket the cells ``measure._ball_cells`` keeps
+in a shell around the pole as one block, their certified pole distance
+floored by the inner radius.  Results are also flagged when the system's
+separation cannot be certified, since cylinder weights presume essentially
+disjoint branches.
 """
 
 from __future__ import annotations
@@ -30,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, integer, positive
-from .ifs import IFS
+from .ifs import IFS, _fixed_points
 from .kernels import HomogeneousKernel
-from .measure import (QuadratureResult, _ball_cells, _cell_bracket,
-                      complement_base_words, region_cells)
+from .measure import (_U, QuadratureResult, _ball_cells, _cell_bracket, _gamma,
+                      moments, region_cells)
 from .symbolic import EPWord, validate_word
 
 SEP_FLAG = "separation:"
@@ -41,49 +54,228 @@ POLE_FLAG = "unresolved-pole-distance"
 PV_CSV_HEADER = "k,F_value,F_err,A_value,A_err,flag"
 
 
-def _bracket(kern: HomogeneousKernel, pole, cells, size: int, depth: int,
-             floor: float = 0.0) -> list:
-    """Bracketed integrals of k(pole, .) over consecutive slices of ``size`` cells.
+def _bracket(kern: HomogeneousKernel, pole, cells, depth: int,
+             floor: float = 0.0) -> QuadratureResult:
+    """The first-order bracket of k(pole, .) over ``cells``.
 
-    A slice's value is sum_v w_v k(pole, x_v) and its err sum_v w_v err_v, with
+    The value is sum_v w_v k(pole, x_v) and the err sum_v w_v err_v, with
     err_v from ``kern.cell_err_bound`` at delta_v = max(d(pole, x_v) - d_v,
     floor), the certified distance of cell v from the pole (``floor`` is one
     the caller has certified for every cell).  Omega, ||z_v||^-s and err_v
-    are evaluated once over the block; a cell where delta_v <= 0 is not, and
-    its slice is ``(0.0, inf)``.
+    are evaluated once over the block.  When some cell has delta_v <= 0 the
+    bracket is ``(0.0, inf)``.
     """
     geom = kern.geometry
     z = kern.displacement(pole, cells.points)
     dist = geom.norm(z)
     delta = np.maximum(dist - cells.radii, floor)
-    keep = delta > 0.0
-    live = slice(None) if keep.all() else keep  # views when every cell is kept
-    z, dist, radii, delta = z[live], dist[live], cells.radii[live], delta[live]
-    omega_z = kern.omega.eval(geom, z)
+    if not (delta > 0.0).all():
+        return QuadratureResult(0.0, math.inf, depth, cells.count)
+    omega_z = kern.omega.eval(geom, z, dist)
     inv_s = dist ** -kern.s
-    err = kern.cell_err_bound(z, dist, delta, radii, omega_z, inv_s, floor > 0.0)
+    err = kern.cell_err_bound(z, dist, delta, cells.radii, omega_z, inv_s, floor > 0.0)
     value = np.multiply(omega_z, inv_s, out=inv_s)  # shares err's pow
-    if live is keep:
-        full = np.zeros((2, cells.count))
-        full[:, keep] = value, err
-        value, err = full
-    parts = [slice(lo, lo + size) for lo in range(0, cells.count, size)]
-    return [_cell_bracket(cells.weights[p], value[p], err[p], depth) if keep[p].all()
-            else QuadratureResult(0.0, math.inf, depth, size) for p in parts]
+    return _cell_bracket(cells.weights, value, err, depth)
 
 
-def _annuli(ifs: IFS, kern: HomogeneousKernel, pole, w: EPWord, stop: int,
-            depth: int, start: int = 0) -> list:
-    """Bracketed integrals of k(pole, .) over A_k for start <= k < stop.
+def _annuli(ifs: IFS, kern: HomogeneousKernel, w: EPWord, stop: int, depth: int,
+            start: int = 0) -> list:
+    """Bracketed integrals of k(pi(w), .) over A_k for start <= k < stop.
 
-    The siblings of C_{w|k+1} are refined by ``depth`` letters and built in
-    one cell block in annulus order, so A_k is a contiguous slice of
-    (n - 1) n^depth cells.
+    A_k = p_u r_u^-s U_j, u = w|k, with U_j the unit-scale annulus of the
+    distinct shift j of k (``_shift_poles``): an eventually periodic word has
+    at most |pre| + p of them, each bracketed once, by ``_line_annuli`` on the
+    line and by ``_bracket`` over C minus C_a refined ``depth`` letters
+    elsewhere (the cells built once per letter a).  The factor is the float
+    product of g_i = p_i r_i^-s over u, within gamma_{4k} of the exact one
+    (a pow and a product per letter, a product per step), so A_k carries
+    f err_j + gamma_{4k+4} f (|value_j| + err_j).  A result counts the cells
+    actually evaluated: a row that reuses an earlier row's unit annulus counts
+    none.
     """
-    n = ifs.n_letters
-    bases = complement_base_words(w.prefix(stop), n)[start * (n - 1):]
-    return _bracket(kern, pole, region_cells(ifs, bases, depth),
-                    (n - 1) * n ** depth, depth)
+    depth = integer(depth, "refinement depth", 0)
+    pre, p = len(w.pre), len(w.period)
+    rotations = [w.period[i:] + w.period[:i] for i in range(p)]
+    keys = [k if k < pre else pre + rotations.index(rotations[(k - pre) % p])
+            for k in range(start, stop)]
+    shifts = sorted(set(keys))
+    poles, pole_err = _shift_poles(ifs, w, shifts)
+    word = w.prefix(stop)
+    letters = [word[j] for j in shifts]
+    geom = ifs.geometry
+    if geom.kind == "euclidean" and geom.dim == 1:
+        units = _line_annuli(ifs, kern, poles[:, 0], pole_err, letters, depth)
+    else:
+        n = ifs.n_letters
+        cells = {a: region_cells(ifs, [(e,) for e in range(1, n + 1) if e != a], depth)
+                 for a in set(letters)}
+        units = [_bracket(kern, pole, cells[a], depth) for pole, a in zip(poles, letters)]
+    units = dict(zip(shifts, units))
+    g = ifs.letter_weights * ifs.ratios ** -kern.s
+    f = math.prod(g[np.array(word[:start], dtype=np.intp) - 1].tolist())
+    out, seen = [], set()
+    for k, j in zip(range(start, stop), keys):
+        unit = units[j]
+        count = 0 if j in seen else unit.cells
+        seen.add(j)
+        if k:
+            extra = _gamma(4 * k + 4) * f * (abs(unit.value) + unit.err)
+            unit = QuadratureResult(f * unit.value, f * unit.err + extra, unit.depth)
+        out.append(QuadratureResult(unit.value, unit.err, unit.depth, count))
+        f *= float(g[word[k] - 1])
+    return out
+
+
+def _shift_poles(ifs: IFS, w: EPWord, shifts) -> tuple:
+    """The poles pi(sigma^j w) for the shifts j in ``shifts``, each from its own
+    shifted word, and on the line bounds on their rounding (0 elsewhere).
+
+    A shift j >= |pre| is a rotation of the period, and its pole is the fixed
+    point of the rotation's map, so S_pre's rounding never enters it; an
+    earlier shift's pole is S_{w_{j+1}} of the next one.  On the line the
+    fixed point x of S = S_rot, r_S its ratio, satisfies x - pi = (x - S(x)) /
+    (1 - r_S), and S(x) applied letter by letter, y -> r_i y + q_i, is within
+    u sum (|r_i y| + |r_i y + q_i|) of its float, later letters only
+    contracting earlier errors; one letter map takes a bound e to r e + u
+    (|r y| + |r y + q|).
+    """
+    geom = ifs.geometry
+    pre, p = len(w.pre), len(w.period)
+    rot = np.array([w.period[i:] + w.period[:i] for i in range(p)]) - 1
+    ratio, shift = ifs._fold(rot, 0)
+    fixed = _fixed_points(geom, ratio[:, 0], shift[:, 0])
+    err = np.zeros(p)
+    line = geom.kind == "euclidean" and geom.dim == 1
+    if line:
+        x = y = fixed[:, 0]
+        size = np.zeros(p)
+        for col in range(p - 1, -1, -1):
+            step = ifs.ratios[rot[:, col]] * y
+            y = step + ifs.shifts[rot[:, col], 0]
+            size += np.abs(step) + np.abs(y)
+        err = ((np.abs(x - y) + _U * size) * (1.0 + _gamma(4))
+               / (1.0 - ratio[:, 0] * (1.0 + _gamma(p + 2))))
+    poles = {pre + i: (fixed[i], err[i]) for i in range(p)}
+    for j in range(pre - 1, min(shifts) - 1, -1):
+        (x, e), a = poles[j + 1], w.pre[j] - 1
+        step = geom.dilate(ifs.ratios[a], x)
+        y = geom.op(ifs.shifts[a], step)
+        poles[j] = y, ((ifs.ratios[a] * e + _U * float(abs(step[0]) + abs(y[0])))
+                       * (1.0 + _gamma(2)) if line else 0.0)
+    pts, errs = zip(*(poles[j] for j in shifts))
+    return np.array(pts), np.array(errs)
+
+
+_LINE_ORDER = 11  # the odd order M of ``_line_annuli``'s expansions
+
+
+def _line_annuli(ifs: IFS, kern: HomogeneousKernel, poles, pole_err, letters,
+                 cap: int) -> list:
+    """The unit-scale annuli int_{C minus C_a} k(xi, .) dmu on the line, one
+    per pole xi (``poles``, within ``pole_err``) and its letter a, by
+    expansions of order M = ``_LINE_ORDER`` about each cell's box centre.
+
+    At level l the cells are the words of length l + 1 not starting with a,
+    all poles at once as one (poles x cells) array.  Cell v has the box
+    m_v +- r_v h, m_v = S_v(c), with c +- h the box E of ``attractor_box`` and
+    mu_j the central moments of ``measure.moments``.  Let D_v = |m_v - xi|,
+    sigma_v = sign(m_v - xi), and delta_v a certified lower bound on the
+    distance from xi to the box.  On the cell k(xi, y) = Omega(-sigma_v)
+    (D_v + sigma_v t)^-s with t = y - m_v = r_v (S_v^-1 y - c), so
+
+        int_{C_v} k(xi, .) dmu = w_v Omega(-sigma_v) D_v^-s sum_{j<=M}
+            C(-s, j) (sigma_v r_v / D_v)^j mu_j + R_v,
+
+    and for odd M, t^(M+1) >= 0 and the Lagrange remainder gives |R_v| <= w_v
+    |Omega(-sigma_v)| |C(-s, M+1)| r_v^(M+1) mu_{M+1} delta_v^(-s-M-1).  The
+    sum is taken by Horner's rule in x = sigma_v r_v / D_v.
+
+    Rounding.  The net's r_v is within gamma_{l+1}, so r_v <= up_v = float
+    r_v (1 + gamma_{l+3}); its shift is within 2 (l + 1) u X (X = max |E|,
+    which with 0 bounds every partial shift), so m_v is within e_m =
+    gamma_{3l+6} X, and w_v within gamma_{l+1}.  With the pole's e_xi,
+    delta_v = (D_v (1 - 2u) - up_v h - e_xi - e_m)(1 - 4u), which its own
+    roundings cannot lift.  A cell is clear of the pole when delta_v > 2^20
+    (e_xi + e_m); then D_v and x are within the relative eps = gamma_{l+4} +
+    (e_xi + e_m) / delta_v <= gamma_{l+4} + 2^-20.  As |C(-s, j)| are the
+    coefficients of (1 - q)^-s, the absolute Horner sum is at most (1 - q)^-s
+    with q = r_v h / D_v, and D_v^-s (1 - q)^-s <= delta_v^-s; its derivative
+    term is at most s q / (1 - q) <= s up_v h / delta_v times that.  So
+    Horner's rounding (gamma_{2M}), the coefficients' (gamma_{2M+1}, and beta
+    = max_j bound_j / h^j from the moments), the pow and the products
+    (gamma_4), w_v's (gamma_{l+2}) and the error eps of D_v and x add at most
+
+        |Omega| delta_v^-s (gamma_{4M+l+10} + beta + 2 s eps (1 + up_v h / delta_v))
+
+    per cell, the factor 2 covering second-order terms.  Each err_v, this and
+    the remainder with up_v for r_v, is raised by gamma_{4M+32} for its own
+    rounding, and ``_cell_bracket`` adds the rounding of the sums.
+
+    Each pole stops at the first level where every cell is clear of it and
+    every remainder is at most its cell's rounding term, which holds once
+    up_v / delta_v <= ((gamma_{4M+8} + beta) / (|C(-s, M+1)| mu_{M+1}))^(1/(M+1));
+    ``cap`` (the job's depth) is the last level.  An annulus with a cell not
+    clear of the pole at the cap is not certified: (0, inf), flagged as by
+    ``_bracket``.  A result's cells and depth are those of its last level.
+    """
+    n, order = ifs.n_letters, _LINE_ORDER
+    c, mu, mu_err = moments(ifs, order + 1)
+    lo, hi = ifs.attractor_box()
+    h = max(hi[0] - c, c - lo[0]) * (1.0 + 2.0 * _U)
+    X = max(abs(lo[0]), abs(hi[0]))
+    s = kern.s
+    binom = np.cumprod(np.concatenate(([1.0], (-s - np.arange(order + 1))
+                                       / np.arange(1, order + 2))))
+    coef = binom[:-1] * mu[:-1]
+    tail = abs(binom[-1]) * (mu[-1] + mu_err[-1])
+    beta = float(np.max(mu_err / h ** np.arange(order + 2)))
+    # a cell's remainder is at most its rounding term once up_v / delta_v <= this
+    ratio_max = ((_gamma(4 * order + 8) + beta) / tail) ** (1.0 / (order + 1)) \
+        if tail > 0.0 else math.inf
+    left, right = kern.omega.eval(kern.geometry, np.array([[-1.0], [1.0]]))
+    xi = np.asarray(poles, dtype=float)
+    first = np.asarray(letters) - 1
+    out = [None] * len(xi)
+    live = np.arange(len(xi))
+    for level in range(cap + 1):
+        ratio, shift, weight = ifs.relative_net(level + 1)
+        size = n ** level
+        cols = np.arange((n - 1) * size)
+        idx = cols + size * (cols >= size * first[live, np.newaxis])  # C minus C_a
+        r = ratio[idx]
+        up = r * (1.0 + _gamma(level + 3))
+        dz = r * c + shift[idx, 0] - xi[live, np.newaxis]
+        dist = np.abs(dz)
+        slack = pole_err[live, np.newaxis] + _gamma(3 * level + 6) * X
+        delta = (dist * (1.0 - 2.0 * _U) - up * h - slack) * (1.0 - 4.0 * _U)
+        clear = delta > 2.0 ** 20 * slack
+        done = (np.where(clear, up, math.inf) <= ratio_max * delta).all(axis=1)
+        if level == cap:
+            done[:] = True
+        for i in np.flatnonzero(done & ~clear.all(axis=1)):
+            out[live[i]] = QuadratureResult(0.0, math.inf, level, len(cols))
+        rows = np.flatnonzero(done & clear.all(axis=1))
+        if len(rows):
+            r, up, dz, dist, slack, delta = (a[rows] for a in (r, up, dz, dist, slack, delta))
+            x = np.copysign(r, dz) / dist
+            poly = np.full(x.shape, coef[order])
+            for j in range(order - 1, -1, -1):
+                poly *= x
+                poly += coef[j]
+            right_side = dz > 0.0
+            value = np.where(right_side, left, right) * dist ** -s * poly
+            near = np.where(right_side, abs(left), abs(right)) * delta ** -s
+            eps = _gamma(level + 4) + slack / delta
+            err = near * (_gamma(4 * order + level + 10) + beta
+                          + 2.0 * s * eps * (1.0 + up * h / delta)
+                          + tail * (up / delta) ** (order + 1))
+            err *= 1.0 + _gamma(4 * order + 32)
+            for i, w, v, e in zip(rows, weight[idx[rows]], value, err):
+                out[live[i]] = _cell_bracket(w, v, e, level)
+        live = live[~done]
+        if not len(live):
+            break
+    return out
 
 
 def _total(parts, depth: int) -> QuadratureResult:
@@ -180,7 +372,7 @@ def pv_trace(ifs: IFS, kern: HomogeneousKernel, w: EPWord, K: int,
     pole = ifs.code_point(w)
     sep_flag, sep_search = _separation(ifs)
     p = len(w.period) if w.is_periodic() else 0
-    annuli = _annuli(ifs, kern, pole, w, max(K, p), depth)
+    annuli = _annuli(ifs, kern, w, max(K, p), depth)
 
     rows = []
     for k in range(K):
@@ -234,14 +426,16 @@ def criterion(ifs: IFS, kern: HomogeneousKernel, w, depth: int) -> CriterionRepo
     return _criterion(ifs, kern, validate_word(w, n_letters=ifs.n_letters), depth)[0]
 
 
-def _criterion(ifs: IFS, kern: HomogeneousKernel, word: tuple, depth: int):
-    """``criterion`` on a validated word, and the |w| annuli whose sum is its I."""
+def _criterion(ifs: IFS, kern: HomogeneousKernel, word: tuple, depth: int,
+               periods: int = 1):
+    """``criterion`` on a validated word, and the annuli of its first
+    ``periods`` periods; the first |w| sum to its I."""
     if len(word) == 0:
         raise InputError("criterion word must be nonempty")
     xi = ifs.fixed_point(word)
     sep_flag, sep_search = _separation(ifs)
-    annuli = _annuli(ifs, kern, xi, EPWord((), word), len(word), depth)
-    quad = _total(annuli, depth)
+    annuli = _annuli(ifs, kern, EPWord((), word), periods * len(word), depth)
+    quad = _total(annuli[:len(word)], depth)
     if sep_flag:
         quad = QuadratureResult(quad.value, math.inf, quad.depth, quad.cells)
     if abs(quad.value) > quad.err:
@@ -268,7 +462,7 @@ def _shell(ifs: IFS, kern: HomogeneousKernel, x, eps: float, outer: float,
            depth: int) -> QuadratureResult:
     """Bracketed integral of k(x, .) over the shell eps <= d(x, .) <= outer.
 
-    The kept cells are one slice, their certified pole distance floored by eps
+    The kept cells are one block, their certified pole distance floored by eps
     less a rounding margin.  Straddling cells are not evaluated: each adds its
     mass times sup / max(delta_v, eps)^s, a bound for |k(x, .)| on its part of
     the shell, to ``err``, with delta_v its certified distance from x.
@@ -277,8 +471,7 @@ def _shell(ifs: IFS, kern: HomogeneousKernel, x, eps: float, outer: float,
     sup = np.where(lo > eps, kern.omega_sup / np.maximum(lo, eps) ** kern.s,
                    kern.pole_sup(eps))  # the scalar keeps truncated's floats
     rest = _cell_bracket(straddlers.weights, 0.0, sup, depth)
-    return _total(_bracket(kern, x, kept, max(kept.count, 1), depth,
-                           floor=eps * (1.0 - 1e-12)) + [rest], depth)
+    return _bracket(kern, x, kept, depth, floor=eps * (1.0 - 1e-12)) + rest
 
 
 # ---- symbolic maximal scan ---------------------------------------------------
@@ -318,10 +511,9 @@ def maximal_symbolic(ifs: IFS, kern: HomogeneousKernel, w: EPWord, max_n: int,
     if not isinstance(w, EPWord):
         raise InputError("maximal_symbolic expects an EPWord")
     max_n = integer(max_n, "max_n", 2)
-    pole = ifs.code_point(w)
     sep_flag, sep_search = _separation(ifs)
 
-    annuli = _annuli(ifs, kern, pole, w, max_n, depth)
+    annuli = _annuli(ifs, kern, w, max_n, depth)
     table = [(m, n, _total(annuli[m:n], depth))
              for m in range(max_n) for n in range(m + 1, max_n + 1)]
     best = max(table, key=lambda entry: abs(entry[2].value))  # first on ties
@@ -355,7 +547,7 @@ def ball_cylinder_gap(ifs: IFS, kern: HomogeneousKernel, w: EPWord, n: int,
     inner = n + m1 * p
     pole = ifs.code_point(w)
 
-    cyl = _total(_annuli(ifs, kern, pole, w, inner, depth, start=n), depth)
+    cyl = _total(_annuli(ifs, kern, w, inner, depth, start=n), depth)
     ball = _shell(ifs, kern, pole, radius_factor * ifs.cylinder_diam_hi(w.prefix(inner)),
                   radius_factor * ifs.cylinder_diam_hi(w.prefix(n)), inner + depth)
 
@@ -399,14 +591,14 @@ def divergence_certificate(ifs: IFS, kern: HomogeneousKernel, w, K: int,
     Refuses unless the criterion integral eta over C minus C_w is
     NonzeroCertified.  Then checks that the block increments over
     C_{w^k} minus C_{w^k+1} agree pairwise within 2 (err_k + err_j) for
-    k, j < K, and that |F_K| >= K |eta| - (K eta_err + F_err).  The first
-    block reuses the criterion's annuli, so each annulus is built once.
+    k, j < K, and that |F_K| >= K |eta| - (K eta_err + F_err).  All the
+    blocks scale the criterion's unit-scale annuli, so each is built once.
     """
     word = validate_word(w, n_letters=ifs.n_letters)
     if len(word) == 0:
         raise InputError("divergence word must be nonempty")
     K = integer(K, "K", 1)
-    crit, first = _criterion(ifs, kern, word, depth)
+    crit, annuli = _criterion(ifs, kern, word, depth, K)
     if crit.verdict != "NonzeroCertified":
         return DivergenceReport(
             word=word, K=K, status="REFUSED", criterion=crit, blocks=[],
@@ -414,7 +606,6 @@ def divergence_certificate(ifs: IFS, kern: HomogeneousKernel, w, K: int,
             reason=f"criterion verdict is {crit.verdict}, not NonzeroCertified")
 
     p = len(word)
-    annuli = first + _annuli(ifs, kern, crit.xi, EPWord((), word), K * p, depth, start=p)
     blocks = [_total(annuli[k * p:(k + 1) * p], depth) for k in range(K)]
 
     # the largest excess of a pair's gap over its allowance; 0 when none exceeds it

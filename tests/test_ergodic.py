@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import _helpers as h
-from fractalsio import (InputError, birkhoff_frequency, ergodic, hitting_times,
+from fractalsio import (IFS, InputError, birkhoff_frequency, ergodic, hitting_times,
                         sample_orbit)
 
 
@@ -92,9 +93,25 @@ def test_birkhoff_block(four_corner):
                                                 seed=5)
     assert expected == pytest.approx(1.0 / 16.0, abs=1e-12)
     assert abs(freq - expected) <= 3.0 * stderr
-    # block targets inflate stderr for window overlap
-    single = birkhoff_frequency(four_corner, (1,), 100000, seed=5)[2]
-    assert stderr > single
+    # 1 1 overlaps itself at lag 1, which inflates stderr past the binomial
+    # value for the same weight: n p [(1 - p) + 2 (p_1 - p)] with p_1 = 1/4
+    assert stderr > math.sqrt(expected * (1.0 - expected) / 100000)
+    assert stderr == pytest.approx(math.sqrt(expected * (1.0 - expected + 2.0 * (0.25 - expected))
+                                             / 100000), rel=1e-12)
+
+
+def test_birkhoff_stderr_counts_overlapping_windows():
+    # p_1 = 0.7 and the target 1^10 over 20,000 steps: 3,000 simulated runs
+    # give a standard deviation of 2.62e-3; the overlap variance gives 2.64e-3
+    # where the doubled binomial gave 2.34e-3; one letter keeps the binomial
+    ifs = IFS.from_config({"geometry": {"kind": "euclidean", "dim": 1},
+                           "maps": [{"r": 0.7, "q": [0.0]}, {"r": 0.3, "q": [0.7]}]})
+    freq, expected, stderr = ergodic._block_statistics(ifs, (1,) * 10, 565, 20000)
+    assert freq == 565 / 20000 and expected == pytest.approx(0.7 ** 10, rel=1e-12)
+    assert stderr == pytest.approx(2.64e-3, abs=5e-6)
+    p = ifs.letter_weights[0]
+    single = ergodic._block_statistics(ifs, (1,), 0, 20000)[2]
+    assert single == math.sqrt(p * (1.0 - p) / 20000)
 
 
 def test_birkhoff_empty_target(middle_thirds):

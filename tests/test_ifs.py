@@ -155,9 +155,9 @@ def test_word_floats_do_not_depend_on_the_batch(heis_twisted):
 
 
 def test_chunk_codes_read_each_chunk_in_base_n():
-    # fresh systems of 2, 3 and 4 letters keep one place matrix per row
-    # length; every length from 1 to 3c + 1, asked for twice in a shuffled
-    # order and as either letter dtype, gives each chunk's base-N reading
+    # fresh systems of 2, 3 and 4 letters keep one c-entry place vector;
+    # every length from 1 to 3c + 1, asked for twice in a shuffled order and
+    # as either letter dtype, gives each chunk's base-N reading
     rng = np.random.default_rng(71)
     for cfg in (h.middle_thirds_config(), h.heis_twisted_config(), h.four_corner_config()):
         ifs = h.make_ifs(cfg)
@@ -176,7 +176,30 @@ def test_chunk_codes_read_each_chunk_in_base_n():
                         codes[i] = codes[i] * n + int(a)
                 want.append((piece.shape[1], codes))
             assert [(size, code.tolist()) for size, code in got] == want
-        assert sorted(ifs._places) == list(range(1, 3 * c + 2))
+        np.testing.assert_array_equal(ifs._place, float(n) ** np.arange(c - 1, -1, -1))
+
+
+def _cached_bytes(ifs) -> int:
+    """The bytes of every array the system holds, in attributes, tuples and dicts."""
+    def size(x):
+        if isinstance(x, np.ndarray):
+            return x.nbytes
+        if isinstance(x, (tuple, list)):
+            return sum(size(v) for v in x)
+        if isinstance(x, dict):
+            return sum(size(v) for v in x.values())
+        return 0
+    return sum(size(v) for v in vars(ifs).values())
+
+
+def test_long_compose_keeps_nothing_of_its_length():
+    # the chunk codes of a 4,000-letter word need no matrix of its length:
+    # what a fresh system keeps after it is what it keeps after a 40-letter word
+    rng = np.random.default_rng(5)
+    short, long = (h.make_ifs(h.four_corner_config()) for _ in range(2))
+    short.compose(rng.integers(1, 5, size=40).tolist())
+    long.compose(rng.integers(1, 5, size=4000).tolist())
+    assert _cached_bytes(long) == _cached_bytes(short)
 
 
 def test_relative_net_is_the_right_fold_of_each_word(heis_twisted):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,12 +57,36 @@ def test_cell_bracket_is_two_pairwise_sums():
     assert measure._cell_bracket(empty, empty, empty, 3) == QuadratureResult(0.0, 0.0, 3, 0)
     rng = np.random.default_rng(5)
     weights, values, errs = rng.random(1003), rng.standard_normal(1003), rng.random(1003)
+    # the err adds gamma_{k+2} times the absolute sums, k = ceil(log2 n) + 24
+    gamma = 36 * 2.0 ** -53 / (1 - 36 * 2.0 ** -53)
     quad = measure._cell_bracket(weights, values, errs, 7)
-    assert quad == QuadratureResult(pairwise_sum(weights * values),
-                                    pairwise_sum(weights * errs), 7, 1003)
+    err = pairwise_sum(weights * errs)
+    assert quad == QuadratureResult(
+        pairwise_sum(weights * values),
+        err + gamma * (pairwise_sum(np.abs(weights * values)) + err), 7, 1003)
     quad = measure._cell_bracket(weights, 0.0, 0.3, 2)  # scalars broadcast
-    assert quad == QuadratureResult(pairwise_sum(weights * 0.0),
-                                    pairwise_sum(weights * 0.3), 2, 1003)
+    err = pairwise_sum(weights * 0.3)
+    assert quad == QuadratureResult(pairwise_sum(weights * 0.0), err + gamma * err, 2, 1003)
+    # dyadic products on a common grid sum exactly, and carry no rounding term
+    quad = measure._cell_bracket(np.full(1024, 2.0 ** -10), np.arange(1024.0) % 3, 0.5, 1)
+    assert quad == QuadratureResult(1023 / 1024, 0.5, 1, 1024)
+
+
+def test_cell_bracket_holds_adversarial_sums():
+    # 10^6 terms of magnitudes 2^-60 to 2^60 that cancel down to a few units:
+    # a pairwise sum is off by far more than u times the result, and the
+    # bracket still holds the correctly rounded sum math.fsum gives
+    rng = np.random.default_rng(8)
+    n = 10 ** 6
+    big = rng.standard_normal(n // 2) * 2.0 ** rng.integers(-60, 61, n // 2)
+    small = rng.standard_normal(n - 2 * len(big))
+    values = rng.permutation(np.concatenate([big, -big * (1.0 + 2.0 ** -52), small]))
+    weights = 2.0 ** -rng.integers(0, 4, n)
+    ref = math.fsum(weights * values)
+    quad = measure._cell_bracket(weights, values, 0.0, 0)
+    assert pairwise_sum(weights * values) != ref
+    assert abs(quad.value - ref) <= quad.err
+    assert quad.err <= 1e-10 * math.fsum(np.abs(weights * values))
 
 
 @pytest.mark.parametrize("lipschitz", [-1.0, math.nan, math.inf, "1", None, [1.0]])
@@ -190,6 +215,58 @@ def test_moment_oracles(middle_thirds):
     assert m1.err <= 1e-4
     m2 = integrate(middle_thirds, _coord_sq, 2.0, depth=10)
     assert h.within(0.375, m2)
+
+
+def _exact_moments(ifs, c, order):
+    """The central moments about c of the system the floats describe: every
+    ratio, shift, weight and c read as the exact rational it is."""
+    r = [Fraction(x) for x in ifs.ratios]
+    p = [Fraction(x) for x in ifs.letter_weights]
+    d = [Fraction(q) + (ri - 1) * Fraction(c) for ri, q in zip(r, ifs.shifts[:, 0])]
+    mu = [Fraction(1)]
+    for n in range(1, order + 1):
+        rhs = sum(pi * math.comb(n, k) * ri ** k * di ** (n - k) * mu[k]
+                  for pi, ri, di in zip(p, r, d) for k in range(n))
+        mu.append(rhs / (1 - sum(pi * ri ** n for pi, ri in zip(p, r))))
+    return mu
+
+
+@pytest.mark.parametrize("cfg", [
+    h.middle_thirds_config(),
+    {"geometry": {"kind": "euclidean", "dim": 1},
+     "maps": [{"r": 0.5, "q": [0.1]}, {"r": 0.3, "q": [0.7]}, {"r": 0.1, "q": [-0.2]}]},
+], ids=["middle_thirds", "three_maps"])
+def test_moments_hold_exact_values_and_a_deep_net(cfg):
+    # the float moments lie within their bounds of the exact moments of the
+    # float system, and within a depth-12 net bracket of each (y - c)^j
+    ifs = h.make_ifs(cfg)
+    assert ifs._moments is None  # nothing is computed until asked for
+    c, mu, bound = measure.moments(ifs, 12)
+    assert len(mu) == len(bound) == 13 and mu[0] == 1.0 and bound[0] == 0.0
+    lo, hi = ifs.attractor_box()
+    assert c == 0.5 * (lo[0] + hi[0])
+    exact = _exact_moments(ifs, c, 12)
+    half = 0.5 * float(hi[0] - lo[0])
+    for j in range(1, 13):
+        assert abs(Fraction(mu[j]) - exact[j]) <= Fraction(bound[j])
+        assert bound[j] <= 1e-13 * half ** j
+        quad = integrate(ifs, lambda pts, j=j: (pts[:, 0] - c) ** j,
+                         j * (1.001 * half) ** (j - 1), depth=12)
+        assert abs(quad.value - mu[j]) <= quad.err + bound[j]
+    # a lower order reads the kept table; a higher one extends it
+    again = measure.moments(ifs, 5)
+    assert again[1].tolist() == mu[:6].tolist()
+    assert len(measure.moments(ifs, 14)[1]) == 15
+
+
+def test_moments_reproduce_the_hand_value(middle_thirds):
+    # int y^2 dmu = 3/8 (test_acceptance derives it by hand) from the
+    # central moments about c = 1/2 (in floats, 1/2 - 2^-54)
+    c, mu, bound = measure.moments(h.make_ifs(h.middle_thirds_config()), 2)
+    second = mu[2] + 2.0 * c * mu[1] + c * c
+    assert abs(second - 0.375) <= bound[2] + bound[1] + 2.0 ** -52
+    with pytest.raises(InputError, match="on the line"):
+        measure.moments(h.make_ifs(h.four_corner_config()), 2)
 
 
 def test_depth_brackets_nest(middle_thirds):

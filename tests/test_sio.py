@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,13 +16,37 @@ from fractalsio import (IFS, ConfigError, EPWord, HomogeneousKernel, InputError,
 ETA_LO, ETA_HI = -0.6458, -0.5  # frozen analytic bracket for the sign kernel
 
 
-def _sign_complement(ifs, pole, excluded, depth):
-    """Midpoint sum of k(pole, y) = sign(pole - y) / |pole - y|^s over C minus
-    C_excluded, from one cell block covering the whole region."""
-    cells = region_cells(ifs, complement_base_words(excluded, ifs.n_letters),
-                         depth)
-    z = pole[0] - cells.points[:, 0]
-    return float(np.sum(cells.weights * np.sign(z) / np.abs(z) ** ifs.dim_s))
+def _cantor_annulus(s):
+    """A_0 = int_{C minus C_1} sign(0 - y) / |y|^s dmu(y) on middle thirds, the
+    annulus of the pole 0 = pi(1 1 ...), from exact raw moments: on C_2, y =
+    (2 + y') / 3, so A_0 = -(1/2) (2/3)^-s sum_j C(-s, j) 2^-j E[y^j].  The
+    moments solve E[y^n] (1 - 3^-n) = (1/2) sum_{k<n} C(n, k) 3^-k (2/3)^(n-k)
+    E[y^k] in fractions; |C(-s, j)| and E[y^j] are at most 1 for s < 1, so the
+    series cut at j = 80 is within 2^-80, and its float sum within 1e-15."""
+    third = Fraction(1, 3)
+    raw = [Fraction(1)]
+    for n in range(1, 81):
+        rhs = sum(math.comb(n, k) * third ** k * (2 * third) ** (n - k) * raw[k]
+                  for k in range(n))
+        raw.append(rhs / 2 / (1 - third ** n))
+    terms, binom = [], 1.0
+    for j in range(81):
+        terms.append(binom * 0.5 ** j * float(raw[j]))
+        binom *= (-s - j) / (j + 1)
+    return -0.5 * (2.0 / 3.0) ** -s * math.fsum(terms)
+
+
+def _count_line_poles(monkeypatch):
+    """Record the number of unit-scale annuli of every line-rule call."""
+    counts = []
+    real = sio._line_annuli
+
+    def counting(ifs, kern, poles, *args):
+        counts.append(len(poles))
+        return real(ifs, kern, poles, *args)
+
+    monkeypatch.setattr(sio, "_line_annuli", counting)
+    return counts
 
 
 def _count_cells(monkeypatch):
@@ -63,28 +88,40 @@ def test_pv_trace_eta_bracket(middle_thirds):
 
 
 def test_pv_trace_telescoping(middle_thirds):
+    # every annulus of the pole 0 is the exact A_0 and F_k sums k of them;
+    # each bracket holds its reference (1e-15 covers the float system's data)
+    # within an err of at most 1e-12 relative, from one unit annulus of 2 cells
     kern = h.sign_kernel(middle_thirds)
-    K = 5
-    w = h.word1()
-    tr = pv_trace(middle_thirds, kern, w, K, 6)
-    # F_k and A_k = F_{k+1} - F_k against whole-region complement quadratures
-    ref = [_sign_complement(middle_thirds, tr.point, w.prefix(k), 6)
-           for k in range(K + 1)]
+    tr = pv_trace(middle_thirds, kern, h.word1(), 5, 6)
+    ref = _cantor_annulus(middle_thirds.dim_s)
     for k, row in enumerate(tr.rows):
-        assert row.F.value == pytest.approx(ref[k], rel=1e-12, abs=0.0)
-        assert abs(row.A.value - (ref[k + 1] - ref[k])) <= \
-            1e-12 * (abs(ref[k + 1]) + abs(ref[k]))
-        assert row.F.cells == k * 2 ** 6
+        assert abs(row.F.value - k * ref) <= row.F.err + 1e-15
+        assert row.F.err <= 1e-12 * k * abs(ref)
+        assert abs(row.A.value - ref) <= row.A.err + 1e-15
+        assert row.A.err <= 1e-12 * abs(ref)
+        assert row.F.cells == min(k, 1) * 2
+        # a scaled row also carries the rounding of its factor p_u r_u^-s
+        assert k == 0 or row.A.err > tr.rows[0].A.err
+
+
+def test_line_rule_at_a_shallow_cap_keeps_its_remainder(middle_thirds):
+    # at depth 0 the one cell C_2 stops the refinement before its remainder
+    # falls below the rounding term; the bracket is wider and still holds
+    kern = h.sign_kernel(middle_thirds)
+    ref = _cantor_annulus(middle_thirds.dim_s)
+    quad = criterion(middle_thirds, kern, (1,), 0).result
+    assert quad.cells == 1 and 1e-12 < quad.err < 1e-8
+    assert abs(quad.value - ref) <= quad.err
+    assert abs(quad.value - ref) > 1e-12
 
 
 def test_pv_trace_final_row(middle_thirds):
     kern = h.sign_kernel(middle_thirds)
-    w = h.word1()
-    tr = pv_trace(middle_thirds, kern, w, 3, 6)
-    ref = _sign_complement(middle_thirds, tr.point, w.prefix(3), 6)
-    assert tr.f_final.value == pytest.approx(ref, rel=1e-12, abs=0.0)
-    assert tr.f_final.cells == 3 * 2 ** 6
-    assert math.isfinite(tr.f_final.err)
+    tr = pv_trace(middle_thirds, kern, h.word1(), 3, 6)
+    ref = 3 * _cantor_annulus(middle_thirds.dim_s)
+    assert abs(tr.f_final.value - ref) <= tr.f_final.err + 1e-15
+    assert tr.f_final.err <= 1e-12 * abs(ref)
+    assert tr.f_final.cells == 2
 
 
 def test_pv_trace_flagged_annulus_keeps_the_rest():
@@ -104,10 +141,16 @@ def test_pv_trace_flagged_annulus_keeps_the_rest():
         assert sio.POLE_FLAG in row.flag.split(";")
 
 
-def test_pv_trace_builds_each_annulus_once(middle_thirds, monkeypatch):
-    built = _count_cells(monkeypatch)
-    pv_trace(middle_thirds, h.sign_kernel(middle_thirds), h.word1(), 5, 6)
-    assert sum(built) == 5 * 2 ** 6
+def test_pv_trace_builds_each_annulus_once(middle_thirds, four_corner, monkeypatch):
+    # the five annuli of (1)^inf are one shifted annulus: one pole for the
+    # line rule, and off the line one cell block for the letter 1
+    poles, built = _count_line_poles(monkeypatch), _count_cells(monkeypatch)
+    tr = pv_trace(middle_thirds, h.sign_kernel(middle_thirds), h.word1(), 5, 6)
+    assert poles == [1] and built == []
+    assert tr.f_final.cells == 2
+    tr = pv_trace(four_corner, h.const_kernel(four_corner), h.word1(), 5, 3)
+    assert poles == [1] and built == [3 * 4 ** 3]
+    assert tr.f_final.cells == 3 * 4 ** 3
 
 
 def test_pv_trace_preperiodic_has_no_eta(middle_thirds):
@@ -306,14 +349,13 @@ def test_maximal_agrees_with_pv(middle_thirds):
     kern = h.sign_kernel(middle_thirds)
     w = h.word1()
     est = maximal_symbolic(middle_thirds, kern, w, 3, 6)
-    ref = [_sign_complement(middle_thirds, middle_thirds.code_point(w),
-                            w.prefix(k), 6) for k in range(4)]
-    # T(m, n) integrates C_{w|m} minus C_{w|n}, the difference of the
-    # complements of C_{w|n} and C_{w|m}; T(0, n) is the pv_trace F_n
+    ref = _cantor_annulus(middle_thirds.dim_s)
+    # T(m, n) integrates C_{w|m} minus C_{w|n}, the annuli m <= k < n, each
+    # the exact A_0 at the pole 0; T(0, n) is the pv_trace F_n
     assert len(est.table) == 6
     for m, n, q in est.table:
-        assert abs(q.value - (ref[n] - ref[m])) <= \
-            1e-12 * (abs(ref[n]) + abs(ref[m]))
+        assert abs(q.value - (n - m) * ref) <= q.err + 1e-15
+        assert q.err <= 1e-12 * (n - m) * abs(ref)
 
 
 def test_maximal_flags_uncertified_separation():
@@ -393,15 +435,16 @@ def test_divergence_pass(middle_thirds):
 
 
 def test_divergence_builds_each_annulus_once(middle_thirds, monkeypatch):
-    built = _count_cells(monkeypatch)
+    poles, built = _count_line_poles(monkeypatch), _count_cells(monkeypatch)
     rep = divergence_certificate(middle_thirds, h.sign_kernel(middle_thirds),
                                  (1,), 4, 5)
     assert rep.status == "PASS"
-    # the criterion's annulus is the first block; K p - p = 3 more for the
-    # remaining blocks and F_K
-    assert sum(built) == 4 * 2 ** 5
-    assert rep.f_final.cells == 4 * 2 ** 5
-    assert [b.cells for b in rep.blocks] == [2 ** 5] * 4
+    # every block is the criterion's annulus scaled: one unit annulus in one
+    # line-rule call, its 2 cells counted once, by the first block and F_K
+    assert poles == [1] and built == []
+    assert rep.criterion.result.cells == 2
+    assert rep.f_final.cells == 2
+    assert [b.cells for b in rep.blocks] == [2, 0, 0, 0]
 
 
 def test_divergence_constant_kernel(middle_thirds):
@@ -536,3 +579,77 @@ def test_four_corner_sign_brackets_hold_mc_reference(four_corner):
 def test_witness_requires_letter_one(middle_thirds):
     with pytest.raises(InputError):
         WitnessIntegrand(middle_thirds, (2, 1))
+
+
+@pytest.mark.parametrize("depth", [5, 7])
+@pytest.mark.parametrize("cfg, omega, word", [
+    (h.middle_thirds_config(), SignOmega(), EPWord((1, 2), (2, 1, 1))),
+    (h.four_corner_config(), RieszComponent(1), EPWord((2,), (1, 3))),
+    (h.heis_quarter_config(), RieszComponent(1), EPWord((1, 2), (3, 1, 1))),
+], ids=["middle_thirds", "four_corner", "heisenberg"])
+def test_periodic_annuli_repeat_with_the_period(cfg, omega, word, depth):
+    # with s = dim_s, A_{k+p} = A_k for k >= |pre|: each row scales the
+    # unit-scale annulus at its shifted pole.  Bracketed at scale r^k, the
+    # Heisenberg word's rows 4 and 13 missed each other from k = 13 on, the
+    # t coordinate of the displacements cancelling down to its rounding
+    ifs = h.make_ifs(cfg)
+    kern = HomogeneousKernel(ifs.geometry, ifs.dim_s, omega)
+    p = len(word.period)
+    rows = pv_trace(ifs, kern, word, 25 + p, depth).rows
+    for k in range(len(word.pre), 25):
+        a, b = rows[k].A, rows[k + p].A
+        assert math.isfinite(a.err) and h.overlap(a, b), (k, a, b)
+        assert rows[k + p].F.cells == rows[len(word.pre) + p].F.cells
+
+
+@pytest.mark.parametrize("cfg", [
+    h.middle_thirds_config(),
+    {"geometry": {"kind": "euclidean", "dim": 1},
+     "maps": [{"r": 0.3, "q": [0.1]}, {"r": 0.45, "q": [0.55]}]},
+], ids=["middle_thirds", "asymmetric"])
+def test_line_rule_meets_the_first_order_rule(cfg):
+    # every annulus the line rule brackets from moments intersects the
+    # first-order bracket of the same annulus at its own scale from 2^16
+    # cells, and is narrower, for sign, Riesz and perturbed omegas; the
+    # asymmetric measure has odd moments, which see the side of each cell
+    ifs = h.make_ifs(cfg)
+    sign = h.sign_kernel(ifs)
+    kernels = [sign, HomogeneousKernel(ifs.geometry, ifs.dim_s, RieszComponent(1)),
+               sign.perturb((1.0,), 0.5, 0.1)]
+    for word in (EPWord((), (1,)), EPWord((2,), (1, 2)), EPWord((1, 2), (2, 1, 1))):
+        count = len(word.pre) + len(word.period)
+        pole = ifs.code_point(word)
+        cells = [region_cells(ifs, complement_base_words(word.prefix(k + 1), 2)[k:], 16)
+                 for k in range(count)]
+        for kern in kernels:
+            rows = pv_trace(ifs, kern, word, count, 16).rows
+            for k, block in enumerate(cells):
+                first = sio._bracket(kern, pole, block, 16)
+                new = rows[k].A
+                assert h.overlap(new, first), (word, kern, k, new, first)
+                assert new.err < 1e-3 * first.err and new.err < 1e-12
+                assert rows[k].flag == ""
+
+
+def test_shift_poles_bound_their_rounding_on_the_line():
+    # each shifted pole lies within its bound of the exact point its word
+    # codes in the float system: for a rotation, the fixed point q / (1 - r)
+    # of the rational composition; before it, S_a of the next pole
+    ifs = h.make_ifs({"geometry": {"kind": "euclidean", "dim": 1},
+                      "maps": [{"r": 0.3, "q": [0.1]}, {"r": 0.45, "q": [0.55]}]})
+    r = [Fraction(x) for x in ifs.ratios]
+    q = [Fraction(x) for x in ifs.shifts[:, 0]]
+    word = EPWord((2, 1, 2), (1, 2, 2, 1, 2))
+    poles, errs = sio._shift_poles(ifs, word, list(range(8)))
+    exact = {}
+    for j in range(7, -1, -1):
+        if j >= 3:
+            ratio, shift = Fraction(1), Fraction(0)
+            for a in reversed(word.period[j - 3:] + word.period[:j - 3]):
+                ratio, shift = r[a - 1] * ratio, q[a - 1] + r[a - 1] * shift
+            exact[j] = shift / (1 - ratio)
+        else:
+            a = word.pre[j]
+            exact[j] = q[a - 1] + r[a - 1] * exact[j + 1]
+        assert abs(Fraction(poles[j][0]) - exact[j]) <= Fraction(errs[j]), j
+        assert 0.0 < errs[j] < 1e-14
