@@ -188,18 +188,11 @@ def _monomial(ifs: IFS, desc: dict):
         lip = _field(desc, "lipschitz", lambda raw: nonnegative(raw, "lipschitz"),
                      "a finite nonnegative number")
     elif geom.kind == "euclidean":
-        center, radius = ifs.attractor_bound()
-        bounds = np.abs(np.asarray(center, dtype=float)) + radius
-        lip = 0.0
-        for j in range(geom.dim):
-            if exps[j] == 0:
-                continue
-            term = float(exps[j]) * bounds[j] ** (exps[j] - 1)
-            for l in range(geom.dim):
-                if l != j:
-                    term *= bounds[l] ** exps[l]
-            lip += term
-        lip *= abs(coeff)
+        lo, hi = ifs.attractor_box()
+        bounds = np.maximum(np.abs(lo), np.abs(hi))  # of |x_j| over the attractor
+        # the sum over j of the bounds of |d/dx_j x^e| = e_j x^(e - 1_j)
+        lip = abs(coeff) * sum(e * math.prod(bounds[l] ** (exps[l] - (l == j))
+                                             for l in range(geom.dim)) for j, e in powers)
     else:
         raise ConfigError("provide integrand.lipschitz for group geometries "
                           "(the automatic bound is Euclidean only)")

@@ -3,16 +3,16 @@
 Both spaces are groups carrying a one-parameter family of dilations and a
 homogeneous norm (gauge).  Everything downstream touches only the small
 surface defined here: ``op``, ``inv``, ``dilate``, ``scale``, ``norm``,
-``dist``, ``box``, ``displacement_box`` and the per-coordinate homogeneity
-degrees.  ``scale(r)`` gives the per-coordinate factors of the dilation by
-r, as products of r (r itself, and r * r for the group's last coordinate),
-so each factor is correctly rounded; ``dilate(r, p)`` is ``scale(r) * p``,
-and a caller that applies one dilation to many points gathers its ``scale``
-row once.  ``box(z, d)`` bounds the displacements z * u, ||u|| <= d, across
-a cell, and ``displacement_box(a, ha, b, hb)`` the displacements b'^{-1} * a'
-between two coordinate boxes a +- ha and b +- hb.  Both gauges are monotone
-in the absolute value of each coordinate, so over a box z +- H the gauge lies
-between ``norm(max(|z| - H, 0))`` and ``norm(|z| + H)``.  Points are float64
+``dist``, ``displacement_box``, ``gauge_bounds`` and the per-coordinate
+homogeneity degrees.  ``scale(r)`` gives the per-coordinate factors of the
+dilation by r, as products of r (r itself, and r * r for the group's last
+coordinate), so each factor is correctly rounded; ``dilate(r, p)`` is
+``scale(r) * p``, and a caller that applies one dilation to many points
+gathers its ``scale`` row once.  ``displacement_box(a, ha, b, hb)`` bounds
+the displacements b'^{-1} * a' between two coordinate boxes a +- ha and b +-
+hb.  Both gauges are monotone in the absolute value of each coordinate, so
+over a box z +- H the gauge lies between ``norm(max(|z| - H, 0))`` and
+``norm(|z| + H)`` (``gauge_bounds``).  Points are float64
 arrays of shape ``(d,)``; every operation also accepts stacked arrays of
 shape ``(..., d)`` and maps over the leading axes.
 """
@@ -25,8 +25,9 @@ from .errors import ConfigError, InputError, integer
 
 
 class _Geometry:
-    """What both geometries share: the identity, point checks, equality and
-    the coordinatewise part of ``displacement_box``."""
+    """What both geometries share: the identity, point checks, equality,
+    ``inv``, ``dilate``, ``dist``, ``gauge_bounds`` and the coordinatewise
+    part of ``displacement_box``."""
 
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -49,6 +50,25 @@ class _Geometry:
 
     def __hash__(self):
         return hash((self.kind, self.dim))
+
+    def inv(self, p):
+        # in the group the twist term vanishes on (p, -p), so negation is the inverse
+        return -np.asarray(p, dtype=float)
+
+    def dilate(self, r, p):
+        return self.scale(r) * np.asarray(p, dtype=float)
+
+    def dist(self, p, q):
+        """The gauge of q^{-1} * p."""
+        return self.norm(self.op(self.inv(q), np.asarray(p, dtype=float)))
+
+    def gauge_bounds(self, z, half):
+        """(lo, hi) = (norm(max(|z| - H, 0)), norm(|z| + H)), bounds on the
+        gauge over the box z +- H."""
+        a = np.abs(z)
+        hi = self.norm(np.add(a, half, out=a))
+        np.subtract(np.abs(z, out=a), half, out=a)
+        return self.norm(np.maximum(a, 0.0, out=a)), hi
 
     def displacement_box(self, a, ha, b, hb):
         """(z, H) with a' - b' in z +- H for every a' in the box a +- ha and b'
@@ -78,20 +98,10 @@ class Euclidean(_Geometry):
     def op(self, p, q):
         return np.asarray(p, dtype=float) + np.asarray(q, dtype=float)
 
-    def inv(self, p):
-        return -np.asarray(p, dtype=float)
-
     def scale(self, r):
         """The factor r of every coordinate, shape ``r.shape + (1,)``, which
         broadcasts against points."""
         return np.asarray(r, dtype=float)[..., np.newaxis]
-
-    def dilate(self, r, p):
-        return self.scale(r) * np.asarray(p, dtype=float)
-
-    def box(self, z, d):
-        """Half-widths of a box around z holding z + u for every |u| <= d: d."""
-        return np.broadcast_to(np.asarray(d, dtype=float)[..., np.newaxis], np.shape(z))
 
     def norm(self, z):
         """The l2 norm, its squares added column by column in coordinate order:
@@ -127,15 +137,10 @@ class Heisenberg1(_Geometry):
         self.coord_degrees = np.array([1.0, 1.0, 2.0])
 
     def op(self, p, q):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
         out = p + q
         out[..., 2] += 0.5 * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
         return out
-
-    def inv(self, p):
-        # The twist term vanishes on (p, -p), so negation is the inverse.
-        return -np.asarray(p, dtype=float)
 
     def scale(self, r):
         """The factors (r, r, r * r) of the three coordinates, shape ``r.shape + (3,)``."""
@@ -145,17 +150,6 @@ class Heisenberg1(_Geometry):
         out[..., 2] = r * r
         return out
 
-    def dilate(self, r, p):
-        return self.scale(r) * np.asarray(p, dtype=float)
-
-    def box(self, z, d):
-        """Half-widths of a box around z holding z * u for every ||u|| <= d:
-        such u have |u_1|, |u_2| <= d and |u_3| <= d^2, and z * u moves t by
-        u_3 + (z_1 u_2 - z_2 u_1) / 2."""
-        d = np.asarray(d, dtype=float)
-        t = d * (d + 0.5 * (np.abs(z[..., 0]) + np.abs(z[..., 1])))
-        return np.stack([d, d, t], axis=-1)
-
     def displacement_box(self, a, ha, b, hb):
         """(z, H) with b'^{-1} * a' in z +- H for every a' in the box a +- ha and
         b' in b +- hb (half-widths are arrays with a last axis of 3): z =
@@ -163,9 +157,7 @@ class Heisenberg1(_Geometry):
         and b' = b + v, the t of b'^{-1} * a' is that of b^{-1} * a plus u_t -
         v_t + (b'_y a'_x - b_y a_x - b'_x a'_y + b_x a_y) / 2, and |b'_y a'_x -
         b_y a_x| = |b_y u_x + v_y a_x + v_y u_x| <= (|b_y| + hb_y) ha_x + |a_x|
-        hb_y, likewise for the other product."""
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        ha, hb = np.asarray(ha, dtype=float), np.asarray(hb, dtype=float)
+        hb_y, likewise for the other product; all four are arrays."""
         z, half = super().displacement_box(a, ha, b, hb)
         z[..., 2] += 0.5 * (b[..., 1] * a[..., 0] - b[..., 0] * a[..., 1])
         twist = (np.abs(b[..., 0]) + hb[..., 0]) * ha[..., 1] + np.abs(a[..., 1]) * hb[..., 0]
@@ -177,9 +169,6 @@ class Heisenberg1(_Geometry):
         z = np.asarray(z, dtype=float)
         planar = z[..., 0] ** 2 + z[..., 1] ** 2
         return (planar ** 2 + z[..., 2] ** 2) ** 0.25
-
-    def dist(self, p, q):
-        return self.norm(self.op(self.inv(q), np.asarray(p, dtype=float)))
 
     def to_config(self) -> dict:
         return {"kind": self.kind}

@@ -8,19 +8,21 @@ letters, c the largest with N^c <= 4096, each chunk's map is read from the
 cached net of all words of its length, and the chunk maps are composed.
 The cuts are ``IFS._chunks``, which the Monte Carlo sampler shares.  It
 also codes eventually periodic words to attractor points, and produces
-certified geometric brackets: an enclosing ball, an invariant coordinate
-box, a diameter bracket, and a separation report.
+certified geometric brackets: an invariant coordinate box, a diameter
+bracket, and a separation report.
 
-Both brackets come from one branch-and-bound search over pairs of cylinders,
-``_pair_bracket``.  A cylinder C_v is enclosed in S_v(E) and witnessed from
-inside by the images S_v(f_i) of every letter's fixed point, all attractor
-points.  E = c +- h is the box of ``attractor_box``, which every map sends
-into itself (Hutchinson 1981): in Euclidean coordinates, and in the group's
-(x, y), it spans the letters' fixed points, each map being a homothety
-there; the group's t range follows from the twist the maps add over that
-(x, y) box.  Every map is affine in coordinates, so S_v(E) is again a box,
-centred at S_v(c); left translation by q_v widens its t by the twist, which
-``geometry.displacement_box`` bounds.  The same rule bounds the gauge of the
+A cylinder C_v is enclosed in S_v(E).  E = c +- h is the box of
+``attractor_box``, which every map sends into itself (Hutchinson 1981): in
+Euclidean coordinates, and in the group's (x, y), it spans the letters'
+fixed points, each map being a homothety there; the group's t range follows
+from the twist the maps add over that (x, y) box.  Every map is affine in
+coordinates, so S_v(E) is again a box, centred at S_v(c); left translation
+widens its t by the twist, which ``geometry.displacement_box`` bounds.
+``cylinder_box`` gives that box as seen from a point, for the pair search
+here, the ball splitter and the kernel rule.  Both brackets come from one
+branch-and-bound search over pairs of cylinders, ``_pair_bracket``, each
+witnessed from inside by the images S_v(f_i) of every letter's fixed point,
+all attractor points.  ``displacement_box`` bounds the gauge of the
 displacements between two boxes, from below for a pair's gap and from above
 for its diameter.  The separation gap minimises over pairs from distinct
 first-level branches, the diameter maximises over all pairs, and each step
@@ -186,7 +188,6 @@ class IFS:
         self.letter_weights = self.ratios ** self.dim_s
         self.letter_fixed_points = _fixed_points(geometry, self.ratios, self.shifts)
 
-        self._bound = None
         self._box = None
         self._diam = None
         self._gap = None
@@ -355,16 +356,6 @@ class IFS:
 
     # ---- certified geometry ------------------------------------------------
 
-    def attractor_bound(self):
-        """A ball B(c, R) that every map sends into itself, hence holding the attractor."""
-        if self._bound is None:
-            geom = self.geometry
-            center = np.mean(self.letter_fixed_points, axis=0)
-            d = geom.dist(self.letter_fixed_points, center)
-            radius = float(np.max(d / (1.0 - self.ratios)))
-            self._bound = (center, radius)
-        return self._bound
-
     def attractor_box(self):
         """A coordinate box (lo, hi) that every map sends into itself, hence
         holding the attractor (Hutchinson 1981).
@@ -396,6 +387,31 @@ class IFS:
                 lo[2], hi[2] = t_lo - pad, t_hi + pad
             self._box = _frozen(lo, hi)
         return self._box
+
+    def cylinder_box(self, ratio, shift, p):
+        """(z, H) with every displacement from the point p to the box S_v(E),
+        S_v = (``ratio``, ``shift``), in z +- H, oriented like
+        ``HomogeneousKernel.displacement`` (p - y, or p^{-1} * y in the group).
+        As p^{-1} * S_v(e) = (p^{-1} * q_v) * dilate(r_v, e), these are the
+        ``geometry.displacement_box`` between dilate(r_v, c) +- scale(r_v) h
+        and the point (p^{-1} * q_v)^{-1}: z = p - S_v(c) and H = r_v h in
+        Euclidean space, and the group's t is widened by r_v (|a_x| h_y + |a_y|
+        h_x) / 2, a = p^{-1} * q_v, which grows with the displacement, not |p|.
+        """
+        geom = self.geometry
+        lo, hi = self.attractor_box()
+        scale = geom.scale(ratio)  # its last axis is 1 in Euclidean space
+        centre, half = np.empty(np.shape(shift)), np.empty(np.shape(shift))
+        for j in range(geom.dim):  # dilate(r_v, c) +- scale(r_v) h, a whole column at a time
+            np.multiply(scale[..., j % scale.shape[-1]], 0.5 * (lo[j] + hi[j]), out=centre[..., j])
+            np.multiply(scale[..., j % scale.shape[-1]], 0.5 * (hi[j] - lo[j]), out=half[..., j])
+        if geom.kind != "euclidean":
+            return geom.displacement_box(centre, half, geom.inv(geom.op(geom.inv(p), shift)),
+                                         np.zeros(geom.dim))
+        centre += shift  # S_v(c), then p - S_v(c) in place
+        for j in range(geom.dim):
+            np.subtract(p[j], centre[..., j], out=centre[..., j])
+        return centre, half
 
     def diam_bracket(self):
         """Certified interval [lo, hi] containing the attractor diameter."""
@@ -514,12 +530,11 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth) -> _Bracket:
     the two cylinders of a pair, over all pairs of words extending the
     0-based letter pairs ``first_pairs``.
 
-    Cylinder C_v is enclosed in the coordinate box S_v(E), E = c +- h the
-    box of ``IFS.attractor_box``.  S_v = q * dilate(r, .) is affine in
-    coordinates, so S_v(E) is centred at S_v(c), and as the displacements
-    (q^{-1})^{-1} * e' from the point q^{-1} to the box dilate(r, E) it has
-    the half-widths of ``geometry.displacement_box``: r h, and in the group
-    (r h_x, r h_y, r^2 h_t + r (|q_x| h_y + |q_y| h_x) / 2).  A pair's key is
+    Cylinder C_v is enclosed in its box S_v(E) as seen from the identity,
+    ``IFS.cylinder_box``: centred at S_v(c) (negated in Euclidean space),
+    with half-widths r h, and in the group (r h_x, r h_y, r^2 h_t + r (|q_x|
+    h_y + |q_y| h_x) / 2); the orientation does not change a distance
+    between two boxes.  A pair's key is
     the gauge bound of ``displacement_box`` between its two boxes,
     norm(max(|z| - H, 0)) for a gap and norm(|z| + H) for a diameter, and
     its witness is the nearest (or farthest) of the n^2 distances between
@@ -544,22 +559,19 @@ def _pair_bracket(ifs, first_pairs, sign, max_depth) -> _Bracket:
     """
     geom = ifs.geometry
     lo, hi = ifs.attractor_box()
-    c0, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    r0 = float(geom.norm(half))
+    r0 = float(geom.norm(0.5 * (hi - lo)))
     d, n = geom.dim, ifs.n_letters
     shift, center, halves, images = (slice(1, 1 + d), slice(1 + d, 1 + 2 * d),
                                      slice(1 + 2 * d, 1 + 3 * d), slice(1 + 3 * d, None))
-    anchors = np.vstack([c0, ifs.letter_fixed_points])
     # r0 is 0 only on a one-point attractor, where every key is 0
     width = _FLOAT_SLACK * r0 or 1.0
     heap, count = [], itertools.count()
     best, nodes, exhausted = math.inf, 0, False
 
     def cylinders(ratio, shifts):
-        scaled = geom.dilate(ratio[..., np.newaxis], anchors)
-        box = geom.displacement_box(scaled[..., 0, :], geom.scale(ratio) * half,
-                                    geom.inv(shifts), np.zeros(d))
-        points = geom.op(shifts[..., np.newaxis, :], scaled[..., 1:, :])
+        box = ifs.cylinder_box(ratio, shifts, geom.identity())
+        points = geom.op(shifts[..., np.newaxis, :],
+                         geom.dilate(ratio[..., np.newaxis], ifs.letter_fixed_points))
         return np.concatenate([ratio[..., np.newaxis], shifts, *box,
                                points.reshape(ratio.shape + (-1,))], axis=-1)
 

@@ -5,14 +5,14 @@ group geometry (replacing Omega(z) by Omega(z^{-1}) converts between the two
 orientations).  Omega is 0-homogeneous: it only sees the direction of z.
 Each family has ``eval(geom, z, norm)``, Omega at the displacements z (a
 caller that holds their gauges passes them as ``norm``), ``sup_for``, a
-bound on |Omega|, and ``osc(geom, z, d, lo, norm)``, a bound on |Omega(z') -
-Omega(z)| over the displacements z' of a cell of radius d around a node at
-displacement z.  They lie in the box
-``geom.box(z, d)``, with lo <= ||z'|| <= norm + d (norm = ||z||, lo the
-cell's certified pole distance), and each family bounds Omega over that box
-by interval reasoning (Moore, Kearfott and Cloud, *Introduction to Interval
-Analysis*, SIAM 2009), capped at 2 sup, so no constant is sampled and no
-jump needs a mark of its own.
+bound on |Omega|, and ``osc(geom, z, half, spread, lo, norm)``, a bound on
+|Omega(z') - Omega(z)| over the displacements z' of a cell around a node at
+displacement z.  A cell is its box: its displacements lie in z +- ``half``
+(node-centred half-widths), with lo <= ||z'|| and | ||z'|| - norm | <=
+``spread`` (norm = ||z||, lo the cell's certified pole distance), and each
+family bounds Omega over that box by interval reasoning (Moore, Kearfott and
+Cloud, *Introduction to Interval Analysis*, SIAM 2009), capped at 2 sup, so
+no constant is sampled and no jump needs a mark of its own.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class ConstantOmega:
     def sup_for(self, geom) -> float:
         return abs(self.c)
 
-    def osc(self, geom, z, d, lo, norm):
+    def osc(self, geom, z, half, spread, lo, norm):
         return 0.0
 
     def to_config(self) -> dict:
@@ -74,9 +74,9 @@ class SignOmega:
     def sup_for(self, geom) -> float:
         return 1.0
 
-    def osc(self, geom, z, d, lo, norm):
+    def osc(self, geom, z, half, spread, lo, norm):
         z1 = z[..., 0]
-        meets = np.abs(z1) <= d  # the box's z_1 range reaches the jump
+        meets = np.abs(z1) <= half[..., 0]  # the box's z_1 range reaches the jump
         return meets * (1.0 + (z1 != 0.0)) if meets.any() else 0.0
 
     def to_config(self) -> dict:
@@ -115,13 +115,14 @@ class RieszComponent:
         self._degree(geom)
         return 1.0
 
-    def osc(self, geom, z, d, lo, norm):
-        # z_i moves by its half-width h_i; | ||z'||^-deg - norm^-deg | <= deg d / (lo^deg norm)
+    def osc(self, geom, z, half, spread, lo, norm):
+        # z_i moves by its half-width; | ||z'||^-deg - norm^-deg | <= deg spread / (lo^deg norm)
         deg, i = self._degree(geom), self.axis - 1
-        step = np.abs(z[..., i]) / norm
-        step *= d
+        step = np.abs(z[..., i])
+        step /= norm
+        step *= spread
         step *= deg
-        step += geom.box(z, d)[..., i]
+        step += half[..., i]
         step /= lo ** deg
         return np.minimum(step, 2.0, out=step)
 
@@ -180,14 +181,14 @@ class PolynomialOverNorm:
         self._check_dim(geom)
         return float(sum(abs(c) for c, _ in self.coeffs))
 
-    def osc(self, geom, z, d, lo, norm):
+    def osc(self, geom, z, half, spread, lo, norm):
         # as for a Riesz component, with |P(z') - P(z)| <= Q(|z| + h) - Q(|z|)
         # over the box and |P(z)| <= Q(|z|), Q the polynomial with coefficients |c|
         a = np.abs(z)
-        b = a + geom.box(z, d)
+        b = a + half
         near = sum(abs(c) * np.prod(a ** np.array(e), axis=-1) for c, e in self.coeffs)
         far = sum(abs(c) * np.prod(b ** np.array(e), axis=-1) for c, e in self.coeffs)
-        step = far - near + near * (self.degree * d / norm)
+        step = far - near + near * (self.degree * spread / norm)
         return np.minimum(step / lo ** self.degree, 2.0 * self.sup_for(geom))
 
     def to_config(self) -> dict:
@@ -248,11 +249,14 @@ class PerturbedOmega:
     def sup_for(self, geom) -> float:
         return self.base.sup_for(geom) + self.eps
 
-    def osc(self, geom, z, d, lo, norm):
-        # |z' . e| / ||z'|| lies in [(ze - d) / (norm + d), (ze + d) / lo], e unit
-        ze = np.abs(np.sum(z * np.asarray(self.direction), axis=-1))
-        spread = self._bump_at((ze + d) / lo) - self._bump_at((ze - d) / (norm + d))
-        return np.minimum(self.base.osc(geom, z, d, lo, norm) + spread,
+    def osc(self, geom, z, half, spread, lo, norm):
+        # |z' . e| / ||z'|| lies in [(ze - m) / (norm + spread), (ze + m) / lo],
+        # e unit and m = sum_j |e_j| half_j
+        e = np.asarray(self.direction)
+        ze = np.abs(np.sum(z * e, axis=-1))
+        m = np.sum(np.abs(e) * half, axis=-1)
+        bump = self._bump_at((ze + m) / lo) - self._bump_at((ze - m) / (norm + spread))
+        return np.minimum(self.base.osc(geom, z, half, spread, lo, norm) + bump,
                           2.0 * self.sup_for(geom))
 
     def to_config(self) -> dict:
@@ -299,11 +303,10 @@ class HomogeneousKernel:
 
     def displacement(self, x, y):
         """z with k(x, y) = Omega(z)/||z||^s: x - y, or x^{-1} * y in a group."""
-        geom = self.geometry
-        if isinstance(geom, Euclidean):
-            return np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return geom.op(geom.inv(np.asarray(x, dtype=float)),
-                       np.asarray(y, dtype=float))
+        geom, none = self.geometry, np.zeros(self.geometry.dim)
+        if isinstance(geom, Euclidean):  # x - y, filled column by column
+            return geom.displacement_box(x, none, y, none)[0]
+        return geom.op(geom.inv(np.asarray(x, dtype=float)), np.asarray(y, dtype=float))
 
     def eval(self, x, y):
         """k(x, y); raises at the pole x = y."""
@@ -320,28 +323,29 @@ class HomogeneousKernel:
             raise InputError("kernel evaluated at its pole")
         return self.omega.eval(geom, z, d) / d ** self.s, d
 
-    def cell_err_bound(self, z, norm, delta, radii, omega_z, inv_s, floored=False):
+    def cell_err_bound(self, z, norm, half, lo, hi, omega_z, inv_s):
         """Per-cell bounds err_v >= |k(x, y) - Omega(z_v) P_v| over each cell v.
 
-        Cell v lies in the ball of radius d_v (``radii``) around its node at
-        displacement z_v from the pole x; ``norm`` is ||z_v||, ``omega_z``
-        Omega(z_v), ``inv_s`` P_v = ||z_v||^-s, and ``delta`` a certified
-        delta_v > 0 with delta_v <= ||z'|| <= ||z_v|| + d_v over the cell.  By
-        the product rule, err_v = osc_v delta_v^-s + |Omega(z_v)| (delta_v^-s
-        - P_v) + rho sup delta_v^-s, the middle term being the larger side by
-        convexity of t^-s unless delta_v is ``floored`` above ||z_v|| - d_v;
-        then it is max(delta_v^-s - P_v, P_v - (||z_v|| + d_v)^-s).  The
-        margin, rho = 2^-40 = 8192u (u = 2^-53), covers rounding after z_v,
-        ||z_v|| and delta_v, taken as exact as in the pole test: each term is
-        within a few dozen u sup delta_v^-s (|Omega| <= sup, osc_v <= 2 sup,
-        each pow within 2u), or 2^D u sup delta_v^-s for a degree D < 12.
+        The displacements from the pole x to cell v lie in the box z_v +-
+        ``half`` around its node's displacement z_v, with gauges in [lo_v,
+        hi_v], lo_v > 0 certified; ``norm`` is ||z_v||, ``omega_z``
+        Omega(z_v) and ``inv_s`` P_v = ||z_v||^-s.  By the product rule,
+        err_v = osc_v lo_v^-s + |Omega(z_v)| max(lo_v^-s - P_v, P_v -
+        hi_v^-s) + rho sup lo_v^-s, with osc_v the family's ``osc`` at the
+        gauge spread max(hi_v - ||z_v||, ||z_v|| - lo_v).  The margin, rho =
+        2^-40 = 8192u (u = 2^-53), covers rounding after z_v, ||z_v||, the
+        box and its gauge bounds, taken as exact as in the pole test: each
+        term is within a few dozen u sup lo_v^-s (|Omega| <= sup, osc_v <= 2
+        sup, each pow within 2u), or 2^D u sup lo_v^-s for a degree D < 12.
         """
-        osc = self.omega.osc(self.geometry, z, radii, delta, norm)
+        spread = np.subtract(hi, norm)
+        np.maximum(spread, np.subtract(norm, lo), out=spread)
+        osc = self.omega.osc(self.geometry, z, half, spread, lo, norm)
         osc += 2.0 ** -40 * self.omega_sup
-        near = delta ** -self.s
-        err = near - inv_s
-        if floored:
-            np.maximum(err, inv_s - (norm + radii) ** -self.s, out=err)
+        near = lo ** -self.s
+        err = hi ** -self.s
+        np.subtract(inv_s, err, out=err)
+        np.maximum(err, np.subtract(near, inv_s, out=spread), out=err)
         err *= omega_z
         np.abs(err, out=err)
         near *= osc

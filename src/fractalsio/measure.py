@@ -1,18 +1,15 @@
 """Quadrature against the natural measure, with certified error brackets.
 
 The natural measure of an N-map system gives the cylinder C_v the weight
-prod_j r_{v_j}^s.  A cell is a cylinder together with a representative point
-x_v (the fixed point of S_v, which lies inside it) and a certified radius
-d_v >= sup_{y in C_v} d(x_v, y).  S_v fixes x_v and scales distances by r_v,
-so sup_{y in C_v} d(x_v, y) = r_v sup_{y in K} d(x_v, y) <= r_v rho(x_v),
-where K is the attractor and rho(p) the gauge bound ``norm(|z| + H)`` of
-``geometry.displacement_box`` between the point p and the invariant box E of
-``IFS.attractor_box``; d_v is r_v rho(x_v).  For an integrand f with modulus
-of continuity omega_f,
+prod_j r_{v_j}^s.  A cell is a cylinder C_v = S_v(K), K the attractor, with
+its map S_v, hence its box S_v(E) (``IFS.cylinder_box``), and the fixed
+point x_v of S_v, which lies inside it.  For an integrand f with modulus of
+continuity omega_f,
 
     | int_R f dmu  -  sum_v mu(C_v) f(x_v) |  <=  sum_v mu(C_v) omega_f(d_v)
 
-whenever the cells v partition the region R.  Everything here returns a
+whenever the cells v partition the region R, with d_v >= sup_{y in C_v}
+d(x_v, y), here ``CellBlock.radii``.  Everything here returns a
 ``QuadratureResult`` carrying the midpoint value and that error bracket.
 
 Cells are built from self-similarity: the cells of a cylinder C_b refined by
@@ -29,8 +26,8 @@ the fixed point of S_1.
 
 Ball shells eps <= d(center, .) <= outer are split by ``_ball_cells`` (also
 used by ``sio``), which tracks the active cells as letter rows, maps and
-certified distance ranges, split by masks.  This module knows nothing of
-kernels.
+certified distance ranges, read from their boxes and split by masks.  This
+module knows nothing of kernels.
 
 Every bracket, here and in ``sio``, is summed by ``_cell_bracket``: value
 sum_v w_v f_v and err sum_v w_v e_v, each by ``pairwise_sum``, numpy's
@@ -102,19 +99,33 @@ class QuadratureResult:
 class CellBlock:
     """Quadrature cells in a fixed order, held as flat arrays.
 
-    ``segments`` lists, in cell order, the ``(bases, depth)`` blocks the
-    cells were built from: ``bases`` is an integer array with one base word
-    per row (1-based letters, all rows the same length), and each base
-    contributes the cells of every ``depth``-letter refinement of its
-    cylinder in lexicographic order.  ``letters`` is the one routine that
-    turns the segments into cell words.
+    Each cell has its weight, its node (``points``) and its map (``ratios``
+    and ``shifts``) in the system ``ifs``.  ``segments`` lists, in cell
+    order, the ``(bases, depth)`` blocks the cells were built from: ``bases``
+    is an integer array with one base word per row (1-based letters, all rows
+    the same length), and each base contributes the cells of every
+    ``depth``-letter refinement of its cylinder in lexicographic order.
+    ``letters`` is the one routine that turns the segments into cell words.
     """
 
     weights: np.ndarray
     points: np.ndarray
-    radii: np.ndarray
+    ratios: np.ndarray
+    shifts: np.ndarray
     segments: list
-    n_letters: int
+    ifs: IFS
+
+    @functools.cached_property
+    def radii(self) -> np.ndarray:
+        """Each cell's radius d_v = r_v rho(x_v), built when first read.  S_v
+        fixes x_v and scales distances by r_v, so sup_{y in C_v} d(x_v, y) =
+        r_v sup_{y in K} d(x_v, y) <= r_v rho(x_v), rho(p) the upper gauge
+        bound ``norm(|z| + H)`` over the displacements from p to the box E of
+        ``IFS.attractor_box``.  The empty word's radius is rho(f_1)."""
+        geom, (lo, hi) = self.ifs.geometry, self.ifs.attractor_box()
+        z, half = geom.displacement_box(self.points, np.zeros(geom.dim), 0.5 * (lo + hi),
+                                        0.5 * (hi - lo))
+        return self.ratios * geom.norm(np.add(np.abs(z, out=z), half, out=z))
 
     @property
     def count(self) -> int:
@@ -128,7 +139,7 @@ class CellBlock:
     def letters(self) -> np.ndarray:
         """Each cell's word as a row of 1-based letters, 0-padded to ``depth``,
         in the narrowest unsigned dtype that holds N."""
-        n = self.n_letters
+        n = self.ifs.n_letters
         out = np.zeros((self.count, self.depth), dtype=np.min_scalar_type(n))
         row = 0
         for bases, depth in self.segments:
@@ -262,34 +273,14 @@ def _check_budget(count: int):
                                  f"over the budget {IFS.DEFAULT_CELL_CAP}")
 
 
-def _nodes(ifs: IFS, ratio, shift):
-    """Each cell's node x_v, the fixed point of S_v, and its radius r_v rho(x_v).
-
-    rho(p) is the upper gauge bound ``norm(|z| + H)`` over the displacements
-    from the box E = c +- h of ``IFS.attractor_box`` to p, so the radius
-    bounds r_v sup_{y in K} d(x_v, y), the distance from x_v to any point of
-    the cylinder.  The empty word (ratio 1) has no contraction to take a
-    fixed point of; its node is f_1 and its radius rho(f_1).
-    """
-    geom = ifs.geometry
-    root = ratio == 1.0  # the empty word, whose fixed-point formula divides by 0
-    points = _fixed_points(geom, np.where(root, 0.0, ratio), shift)
-    points[root] = ifs.letter_fixed_points[0]
-    lo, hi = ifs.attractor_box()
-    z, half = geom.displacement_box(points, np.zeros(geom.dim), 0.5 * (lo + hi),
-                                    0.5 * (hi - lo))
-    z = np.abs(z, out=z)
-    z += half
-    return points, ratio * geom.norm(z)
-
-
 def _cell_block(ifs: IFS, segments) -> CellBlock:
     """The cells of each ``(bases, depth)`` segment, in order.
 
     The maps of the cells below the bases are ``IFS._fold`` of the bases
     onto the depth-``depth`` words: each cell's map is S_b o S_u, the chunk
     fold of its base b composed once with the net entry of its suffix u.
-    Each cell's node and radius r_v rho(x_v) come from ``_nodes``.
+    Each cell's node is the fixed point of its map.  The empty word (ratio 1)
+    has no contraction to take a fixed point of; its node is f_1.
     """
     geom = ifs.geometry
     parts = [(np.empty(0), np.empty((0, geom.dim)), np.empty(0))]
@@ -299,7 +290,10 @@ def _cell_block(ifs: IFS, segments) -> CellBlock:
                           ifs.relative_net(depth)[2])
         parts.append((ratio.ravel(), shift.reshape(-1, geom.dim), weight.ravel()))
     ratio, shift, weight = map(np.concatenate, zip(*parts))
-    return CellBlock(weight, *_nodes(ifs, ratio, shift), segments, ifs.n_letters)
+    root = ratio == 1.0  # the empty word, whose fixed-point formula divides by 0
+    points = _fixed_points(geom, np.where(root, 0.0, ratio), shift)
+    points[root] = ifs.letter_fixed_points[0]
+    return CellBlock(weight, points, ratio, shift, segments, ifs)
 
 
 def _word_segments(ifs: IFS, words, depth: int) -> list:
@@ -397,12 +391,13 @@ def _ball_cells(ifs: IFS, center, eps: float, depth: int, outer: float = math.in
     """The cells of the attractor in the shell eps <= d(center, .) <= outer.
 
     Each active cell carries its map (r_v, q_v) and [lo, hi], its certified
-    distance to the center, narrowed by d(center, x_v) -+ d_v at each level
-    and inherited by its children; the next level's maps are one
-    composition of the split cells' maps with the letter maps.  Cells inside
-    the shell are kept, refined to word length ``depth``, cells outside it
-    dropped, and the others split until that length.  Returns the kept
-    cells, the straddlers left then, and their lo.
+    distance to the center, narrowed at each level by the gauge bounds of its
+    box as seen from the center (``IFS.cylinder_box``) and inherited by its
+    children; the next level's maps are one composition of the split cells'
+    maps with the letter maps.  Cells inside the shell are kept, refined to
+    word length ``depth``, cells outside it dropped, and the others split
+    until that length.  Returns the kept cells, the straddlers left then,
+    and their lo.
     """
     geom = ifs.geometry
     center = geom.check_point(np.asarray(center, dtype=float))
@@ -417,10 +412,8 @@ def _ball_cells(ifs: IFS, center, eps: float, depth: int, outer: float = math.in
     lo, hi = 0.0, math.inf  # their certified distances to the center
     segments, n_kept = [], 0
     for level in range(depth + 1):
-        points, radii = _nodes(ifs, ratio, shift)
-        dist = geom.dist(points, center)
-        lo = np.maximum(lo, dist - radii)
-        hi = np.minimum(hi, dist + radii)
+        near, far = geom.gauge_bounds(*ifs.cylinder_box(ratio, shift, center))
+        lo, hi = np.maximum(lo, near), np.minimum(hi, far)
         kept = (lo >= eps) & (hi <= outer)
         split = ~kept & (hi > eps) & (lo < outer)
         m = depth - level

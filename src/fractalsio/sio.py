@@ -2,8 +2,8 @@
 
 ``_bracket`` is the first-order rule for k(pole, .): over a block of cells,
 value = sum_v w_v k(pole, x_v) and err = sum_v w_v err_v, err_v the kernel's
-``cell_err_bound`` on |k(pole, .) - k(pole, x_v)| over the cell at the
-certified pole distance delta_v = d(pole, x_v) - d_v.  On the line,
+``cell_err_bound`` on |k(pole, .) - k(pole, x_v)| over the cell's box S_v(E)
+as seen from the pole, which gives its certified pole distance.  On the line,
 ``_line_annuli`` integrates each cell instead by an expansion about its box
 centre from the exact moments of the measure, with a certified remainder.
 Both sums of every bracket here are taken by ``measure._cell_bracket``.  A
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, integer, positive
+from .errors import InputError, integer, positive
 from .ifs import IFS, _fixed_points
 from .kernels import HomogeneousKernel
 from .measure import (_U, QuadratureResult, _ball_cells, _cell_bracket, _gamma,
@@ -58,22 +58,28 @@ def _bracket(kern: HomogeneousKernel, pole, cells, depth: int,
              floor: float = 0.0) -> QuadratureResult:
     """The first-order bracket of k(pole, .) over ``cells``.
 
-    The value is sum_v w_v k(pole, x_v) and the err sum_v w_v err_v, with
-    err_v from ``kern.cell_err_bound`` at delta_v = max(d(pole, x_v) - d_v,
-    floor), the certified distance of cell v from the pole (``floor`` is one
-    the caller has certified for every cell).  Omega, ||z_v||^-s and err_v
-    are evaluated once over the block.  When some cell has delta_v <= 0 the
-    bracket is ``(0.0, inf)``.
+    The value is sum_v w_v k(pole, x_v) and the err sum_v w_v err_v, err_v
+    from ``kern.cell_err_bound`` over the cell's box z +- H as seen from the
+    pole (``IFS.cylinder_box``), centred at the node's displacement z_v as
+    z_v +- (|z - z_v| + H), with the gauge bounds delta_v = max(norm(max(|z|
+    - H, 0)), floor), the certified distance of cell v from the pole
+    (``floor`` is one the caller has certified for every cell), and norm(|z|
+    + H).  Omega, ||z_v||^-s and err_v are evaluated once over the block.
+    When some cell has delta_v <= 0 the bracket is ``(0.0, inf)``.
     """
     geom = kern.geometry
+    box, half = cells.ifs.cylinder_box(cells.ratios, cells.shifts, pole)
+    lo, hi = geom.gauge_bounds(box, half)
+    lo = np.maximum(lo, floor, out=lo)
+    if not (lo > 0.0).all():
+        return QuadratureResult(0.0, math.inf, depth, cells.count)
     z = kern.displacement(pole, cells.points)
     dist = geom.norm(z)
-    delta = np.maximum(dist - cells.radii, floor)
-    if not (delta > 0.0).all():
-        return QuadratureResult(0.0, math.inf, depth, cells.count)
+    box -= z
+    half += np.abs(box, out=box)  # node-centred half-widths
     omega_z = kern.omega.eval(geom, z, dist)
     inv_s = dist ** -kern.s
-    err = kern.cell_err_bound(z, dist, delta, cells.radii, omega_z, inv_s, floor > 0.0)
+    err = kern.cell_err_bound(z, dist, half, lo, hi, omega_z, inv_s)
     value = np.multiply(omega_z, inv_s, out=inv_s)  # shares err's pow
     return _cell_bracket(cells.weights, value, err, depth)
 
@@ -505,8 +511,10 @@ def maximal_symbolic(ifs: IFS, kern: HomogeneousKernel, w: EPWord, max_n: int,
                      depth: int) -> MaximalEstimate:
     """Scan all annulus sums T(m, n) = sum_{k=m}^{n-1} A_k and report the largest.
 
-    A_k are the pv_trace increments, computed once and reused; best is the
-    pair maximizing |T(m, n).value|, earliest pair on ties.
+    A_k are the pv_trace increments, computed once and reused.  best is the
+    earliest pair with |T.value| >= max |value| - (T.err + the maximiser's
+    err): annuli are scaled copies of unit annuli, so many pairs tie up to
+    rounding, and the choice must not follow that noise.
     """
     if not isinstance(w, EPWord):
         raise InputError("maximal_symbolic expects an EPWord")
@@ -516,7 +524,9 @@ def maximal_symbolic(ifs: IFS, kern: HomogeneousKernel, w: EPWord, max_n: int,
     annuli = _annuli(ifs, kern, w, max_n, depth)
     table = [(m, n, _total(annuli[m:n], depth))
              for m in range(max_n) for n in range(m + 1, max_n + 1)]
-    best = max(table, key=lambda entry: abs(entry[2].value))  # first on ties
+    top = max(table, key=lambda entry: abs(entry[2].value))[2]
+    best = next(entry for entry in table
+                if abs(entry[2].value) >= abs(top.value) - (entry[2].err + top.err))
     return MaximalEstimate(word=w, best=best, table=table,
                            separation=sep_flag, separation_search=sep_search,
                            depth=depth)
@@ -533,12 +543,9 @@ def ball_cylinder_gap(ifs: IFS, kern: HomogeneousKernel, w: EPWord, n: int,
     The cylinder term integrates over C_{w|n} minus C_{w|n+m1*p} (p the
     period length); the ball term, in one pass, over the shell B_1 minus B_2
     with radii ``radius_factor`` times the certified diameters of those
-    cylinders.  Returns |difference| with the combined bracket.  Requires the
-    IFS to carry its open-set ball (``osc_ball``).
+    cylinders.  Returns |difference| with the combined bracket.  Both terms
+    are bracketed directly, so no open-set ball is needed.
     """
-    if ifs.osc_ball is None:
-        raise ConfigError("ball_cylinder_gap needs the IFS osc_ball "
-                          "(open-set ball) in the configuration")
     if not isinstance(w, EPWord):
         raise InputError("ball_cylinder_gap expects an EPWord")
     n, m1 = integer(n, "n", 1), integer(m1, "m1", 1)
@@ -705,7 +712,7 @@ class WitnessIntegrand:
         geom = ifs.geometry
         pts = geom.check_point(np.asarray(pts, dtype=float))
         y = pts.reshape(-1, geom.dim)
-        center, _ = ifs.attractor_bound()
+        center = np.mean(ifs.letter_fixed_points, axis=0)
         inv_ratio = (1.0 / ifs.ratios)[:, np.newaxis]
         inv_shift = geom.inv(ifs.shifts)[:, np.newaxis]
         out = np.zeros(len(y))

@@ -57,6 +57,18 @@ def heis_config():
     }
 
 
+def translated_config(cfg, a):
+    """``cfg`` conjugated by the left translation by the point ``a``: each
+    S_i becomes p -> a * S_i(a^{-1} * p), with shift a * q_i * dilate(r_i,
+    a^{-1}), so the attractor moves to a * K and every distance is kept."""
+    ifs = make_ifs(cfg)
+    geom, a = ifs.geometry, np.asarray(a, dtype=float)
+    maps = [{"r": float(r), "q": [float(x) for x in
+                                  geom.op(geom.op(a, q), geom.dilate(r, geom.inv(a)))]}
+            for r, q in zip(ifs.ratios, ifs.shifts)]
+    return dict(cfg, maps=maps)
+
+
 def heis_twisted_config():
     # three Heisenberg similarities with ratio 1/3 and non-collinear shifts, so
     # compositions pick up the group twist (x y' - y x') / 2

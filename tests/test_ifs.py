@@ -226,15 +226,6 @@ def test_compose_batch_rejects_bad_letters(heis_twisted):
     assert ratio.shape == (0,) and shift.shape == (0, 3)
 
 
-def test_attractor_bound_contains_samples(four_corner):
-    center, radius = four_corner.attractor_bound()
-    rng = np.random.default_rng(3)
-    pts = np.stack([four_corner.fixed_point(w + 1)
-                    for w in rng.integers(0, 4, size=(200, 9))])
-    d = four_corner.geometry.dist(center, pts)
-    assert np.all(d <= radius + 1e-12)
-
-
 def _check_invariant_box(ifs, rng):
     """Deep fixed points lie in the box, and every map sends its corners into
     it (each map is affine in coordinates, so that holds the whole image)."""

@@ -7,7 +7,7 @@ import _helpers as h
 from fractalsio import (ConstantOmega, Euclidean, Heisenberg1, HomogeneousKernel,
                         InputError, PerturbedOmega, PolynomialOverNorm,
                         RieszComponent, SignOmega, bump_profile, complement_base_words,
-                        omega_from_config, region_cells)
+                        criterion, omega_from_config, region_cells)
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
@@ -112,62 +112,66 @@ _OSC_EXTRA = [
 ]
 
 
-def _cell_terms(kern, pole, nodes, radii, floor=0.0):
-    """(value_v, err_v) of each cell, as ``sio._bracket`` forms them."""
-    z = kern.displacement(pole, nodes)
-    dist = kern.geometry.norm(z)
-    delta = np.maximum(dist - radii, floor)
-    assert np.all(delta > 0.0)
-    omega_z = kern.omega.eval(kern.geometry, z)
+def _cell_terms(kern, z, box, half, floor=0.0):
+    """(value_v, err_v, lo_v, hi_v) of each cell whose displacements from the
+    pole lie in the box ``box`` +- ``half``, with its node at displacement
+    ``z``, as ``sio._bracket`` forms them."""
+    geom = kern.geometry
+    lo, hi = geom.gauge_bounds(box, half)
+    lo = np.maximum(lo, floor)
+    assert np.all(lo > 0.0)
+    dist = geom.norm(z)
+    omega_z = kern.omega.eval(geom, z)
     inv_s = dist ** -kern.s
-    err = kern.cell_err_bound(z, dist, delta, radii, omega_z, inv_s, np.any(floor > 0.0))
-    return omega_z * inv_s, err
+    err = kern.cell_err_bound(z, dist, np.abs(box - z) + half, lo, hi, omega_z, inv_s)
+    return omega_z * inv_s, err, lo, hi
 
 
-def _ball_samples(rng, geom, nodes, radii, k):
-    """k points of each cell's ball B(x_v, d_v), a quarter of them on its edge:
-    x_v + u in Euclidean space and x_v * u in the group, ||u|| <= d_v."""
-    u = rng.standard_normal((len(nodes), k, geom.dim))
-    radius = radii[:, None] * np.where(rng.random((len(nodes), k)) < 0.25, 1.0,
-                                       rng.random((len(nodes), k)))
-    u = geom.dilate(radius * (1.0 - 1e-12) / geom.norm(u), u)
-    return geom.op(nodes[:, None], u)
+def _box_samples(rng, box, half, k):
+    """k displacements of each box, a quarter of them on its corners."""
+    u = rng.uniform(-1.0, 1.0, (len(box), k, box.shape[-1]))
+    corner = rng.random((len(box), k)) < 0.25
+    u[corner] = np.sign(u[corner])
+    return box[:, None] + (1.0 - 1e-12) * u * half[:, None]
 
 
 @pytest.mark.parametrize("geom,omega", _omega_battery() + _OSC_EXTRA)
 def test_cell_err_bound_holds_in_cell_balls(geom, omega):
-    # |k(pole, y) - value_v| <= err_v at many y in each random cell's ball, for
-    # cells far from and near the pole, cells whose ball straddles z_1 = 0
-    # (some with z_1 = 0 at the node, off the line), and cells whose pole
-    # distance is floored
+    # |k(pole, y) - value_v| <= err_v and lo_v <= d(pole, y) <= hi_v at many y
+    # in each random cell box, for cells far from and near the pole, boxes
+    # that straddle z_1 = 0 (some with z_1 = 0 at the node, off the line),
+    # and cells whose pole distance is floored; k is evaluated at the sampled
+    # displacements themselves, so the pole's rounding plays no part
     rng = np.random.default_rng(53)
     kern = HomogeneousKernel(geom, 0.8, omega)
-    pole = rng.standard_normal(geom.dim)
     m = 300
-    z = h.random_points(rng, geom.dim, m)[:m]
-    z = geom.dilate(rng.uniform(0.05, 2.0, len(z)) / geom.norm(z), z)
-    radii = geom.norm(z) * rng.uniform(0.001, 0.7, len(z))
-    z[: m // 3, 0] = radii[: m // 3] * rng.uniform(-1.0, 1.0, m // 3)
+    box = h.random_points(rng, geom.dim, m)[:m]
+    box = geom.dilate(rng.uniform(0.05, 2.0, len(box)) / geom.norm(box), box)
+    size = geom.norm(box) * rng.uniform(0.001, 0.7, len(box))
+    half = geom.scale(size) * rng.uniform(0.2, 1.0, box.shape)
+    box[: m // 3, 0] = half[: m // 3, 0] * rng.uniform(-1.0, 1.0, m // 3)
+    z = box + half * rng.uniform(-1.0, 1.0, box.shape)  # the node, inside its box
     if geom.dim > 1:
         z[: m // 15, 0] = 0.0
-    nodes = pole - z if isinstance(geom, Euclidean) else geom.op(pole, z)
-    dist = geom.norm(kern.displacement(pole, nodes))
-    ys = _ball_samples(rng, geom, nodes, radii, 64)
-    k = kern.eval(pole, ys.reshape(-1, geom.dim)).reshape(ys.shape[:2])
-    straddle = np.abs(kern.displacement(pole, nodes)[:, 0]) <= radii
+    lo = geom.gauge_bounds(box, half)[0]
+    ys = _box_samples(rng, box, half, 64)
+    norm = geom.norm(ys)
+    k = kern.omega.eval(geom, ys, norm) / norm ** kern.s
+    straddle = np.abs(box[:, 0]) <= half[:, 0]
 
-    live = dist - radii > 0.0
+    live = lo > 0.0
     assert geom.dim == 1 or np.count_nonzero(straddle & live) > m // 5
-    value, err = _cell_terms(kern, pole, nodes[live], radii[live])
+    value, err, lo_v, hi_v = _cell_terms(kern, z[live], box[live], half[live])
+    assert np.all((lo_v[:, None] <= norm[live]) & (norm[live] <= hi_v[:, None]))
     assert np.all(np.abs(k[live] - value[:, None]) <= err[:, None])
 
-    # a floor between max(||z_v|| - d_v, 0) and ||z_v||, which the samples kept
-    # respect; in one dimension only a floor lets a cell straddle the pole
-    lo = np.maximum(dist - radii, 0.0)
+    # a floor between lo_v and ||z_v||, which the samples kept respect; in one
+    # dimension only a floor lets a cell straddle the pole
+    dist = geom.norm(z)
     floor = lo + (dist - lo) * rng.uniform(0.05, 1.0, len(dist))
     assert np.count_nonzero(straddle) > m // 5
-    value, err = _cell_terms(kern, pole, nodes, radii, floor)
-    held = geom.norm(kern.displacement(pole, ys)) >= floor[:, None]
+    value, err, _, _ = _cell_terms(kern, z, box, half, floor)
+    held = norm >= floor[:, None]
     assert np.all((np.abs(k - value[:, None]) <= err[:, None]) | ~held)
 
 
@@ -178,21 +182,61 @@ def test_cell_err_bound_holds_in_cell_balls(geom, omega):
     ("heis_twisted", RieszComponent(3), 0.9),
     ("heis_twisted", SignOmega(), 0.9),
     ("heis_quarter", PolynomialOverNorm(((1.0, (1, 1, 0)), (-0.5, (0, 0, 1))), 2), 0.8),
+    ("four_corner_far", RieszComponent(2), 1.0),
+    ("heis_quarter_far", RieszComponent(3), 0.9),
+    ("heis_quarter_far", SignOmega(), 0.9),
 ])
 def test_cell_bracket_holds_at_subcell_nodes(request, fixture, omega, s):
-    # each depth-2 cell around the periodic point of (1,) brackets k at the
-    # nodes of all its depth-6 subcells, which lie in the cell
-    ifs = request.getfixturevalue(fixture)
-    kern = HomogeneousKernel(ifs.geometry, s, omega)
+    # each depth-2 cell next to the periodic point of (1,) brackets k at the
+    # nodes of all its depth-6 subcells, which lie in the cell, and their
+    # distances from the pole lie between the gauge bounds of its box; the
+    # ``_far`` systems are conjugated by a translation that puts the pole far
+    # from the origin
+    if fixture.endswith("_far"):
+        name = fixture[:-len("_far")]
+        cfg = getattr(h, f"{name}_config")()
+        ifs = h.make_ifs(h.translated_config(cfg, _FAR[len(cfg["maps"][0]["q"])]))
+    else:
+        ifs = request.getfixturevalue(fixture)
+    geom = ifs.geometry
+    kern = HomogeneousKernel(geom, s, omega)
     pole = ifs.fixed_point((1,))
     bases = complement_base_words((1,), ifs.n_letters)
     cells, sub = region_cells(ifs, bases, 2), region_cells(ifs, bases, 6)
-    dist = ifs.geometry.norm(kern.displacement(pole, cells.points))
-    live = dist - cells.radii > 0.0
+    box, half = ifs.cylinder_box(cells.ratios, cells.shifts, pole)
+    live = geom.gauge_bounds(box, half)[0] > 0.0
     assert np.count_nonzero(live) > cells.count // 2
-    value, err = _cell_terms(kern, pole, cells.points[live], cells.radii[live])
-    k = kern.eval(pole, sub.points).reshape(cells.count, -1)[live]
+    z = kern.displacement(pole, cells.points)
+    value, err, lo, hi = _cell_terms(kern, z[live], box[live], half[live])
+    k, d = kern.pole_terms(pole, sub.points)
+    k, d = k.reshape(cells.count, -1)[live], d.reshape(cells.count, -1)[live]
+    assert np.all((lo[:, None] <= d) & (d <= hi[:, None]))
     assert np.all(np.abs(k - value[:, None]) <= err[:, None])
+
+
+_FAR = {2: [40.0, -30.0], 3: [30.0, -20.0, 50.0]}
+
+
+@pytest.mark.parametrize("name,omega,tol", [
+    ("four_corner", RieszComponent(1), 1e-9),
+    ("heis_quarter", RieszComponent(3), 0.05),
+    ("heis_twisted", RieszComponent(2), 0.05),
+])
+def test_cell_boxes_are_taken_in_the_poles_frame(name, omega, tol):
+    # k(a x, a y) = k(x, y), so a system conjugated by a translation a gives
+    # the same values, and each cell's box is taken in the pole's frame, from
+    # p^{-1} * q_v, so its twist does not grow with |p|.  In the group the
+    # box E of the moved set is sheared by a, hence the looser tolerance; a
+    # box of S_v(E) taken in absolute coordinates gives 29 to 51 times the
+    # heis_quarter err here.
+    cfg = getattr(h, f"{name}_config")()
+    near = h.make_ifs(cfg)
+    far = h.make_ifs(h.translated_config(cfg, _FAR[len(cfg["maps"][0]["q"])]))
+    kern = HomogeneousKernel(near.geometry, 1.0, omega)
+    for w in [(1,), (2, 1), (3,)]:
+        a, b = (criterion(ifs, kern, w, 4).result for ifs in (near, far))
+        assert b.err == pytest.approx(a.err, rel=tol)
+        assert abs(a.value - b.value) <= 1e-9 * a.err
 
 
 @pytest.mark.parametrize("c", ["x", math.nan, True, None])

@@ -7,7 +7,7 @@ import pytest
 
 import _helpers as h
 import fractalsio.sio as sio
-from fractalsio import (IFS, ConfigError, EPWord, HomogeneousKernel, InputError,
+from fractalsio import (IFS, EPWord, HomogeneousKernel, InputError,
                         RieszComponent, SignOmega, WitnessIntegrand,
                         ball_cylinder_gap, complement_base_words, criterion,
                         divergence_certificate, integrate, maximal_symbolic, net,
@@ -185,6 +185,25 @@ def test_criterion_nonzero_certified(middle_thirds):
         (abs(rep.result.value) > rep.result.err)
 
 
+# four-corner criterion errs at depths 4-8 under the first-order rule with
+# each cell widened to the ball of radius r_v rho(x_v); the box rule must not
+# exceed them
+_BALL_RULE_ERRS = {
+    "sign": [1.9057e-2, 9.2848e-3, 4.5812e-3, 2.2753e-3, 1.1338e-3],
+    "riesz": [2.1462e-3, 5.3582e-4, 1.3391e-4, 3.3475e-5, 8.3685e-6],
+}
+
+
+@pytest.mark.parametrize("omega", [SignOmega(), RieszComponent(1)], ids=["sign", "riesz"])
+def test_criterion_box_rule_errs_pinned(four_corner, omega):
+    kern = HomogeneousKernel(four_corner.geometry, 1.0, omega)
+    for w in [(1,), (2,)]:
+        for depth, pinned in zip(range(4, 9), _BALL_RULE_ERRS[omega.kind]):
+            rep = criterion(four_corner, kern, w, depth)
+            assert rep.verdict == "NonzeroCertified"
+            assert rep.result.err <= pinned
+
+
 def test_criterion_zero_within_bracket(line_ifs):
     # the vertical component vanishes identically on a horizontal attractor
     kern = HomogeneousKernel(line_ifs.geometry, line_ifs.dim_s,
@@ -358,6 +377,18 @@ def test_maximal_agrees_with_pv(middle_thirds):
         assert q.err <= 1e-12 * (n - m) * abs(ref)
 
 
+def test_maximal_best_ignores_rounding_ties(middle_thirds):
+    # on (2, 1)^inf every odd-length T(m, n) is +-0.71798721 up to rounding;
+    # best is the earliest pair whose bracket reaches the maximum, not the
+    # pair the last bits favour ((1, 6) by the largest |value| alone)
+    kern = h.sign_kernel(middle_thirds)
+    est = maximal_symbolic(middle_thirds, kern, EPWord((), (2, 1)), 6, 6)
+    m, n, q = est.best
+    assert (m, n) == (0, 1)
+    top = max(abs(t.value) for _, _, t in est.table)
+    assert top - abs(q.value) <= q.err
+
+
 def test_maximal_flags_uncertified_separation():
     from fractalsio import IFS
     ifs = IFS.from_config({
@@ -392,10 +423,15 @@ def _with_osc_ball(cfg, center, radius):
     (_with_osc_ball(h.middle_thirds_config(), [0.5], 0.5), SignOmega()),
     (_with_osc_ball(h.four_corner_config(), [0.5, 0.5], 0.75), RieszComponent(1)),
     (_with_osc_ball(h.heis_quarter_config(), [0.3, 0.3, 0.0], 0.9), RieszComponent(1)),
-], ids=["middle_thirds", "four_corner", "heis_quarter"])
+    (h.make_ifs(h.four_corner_config()), SignOmega()),
+    (h.make_ifs(h.heis_quarter_config()), RieszComponent(3)),
+], ids=["middle_thirds", "four_corner", "heis_quarter", "four_corner_without_osc_ball",
+        "heis_quarter_without_osc_ball"])
 def test_gap_ball_shell_is_one_pass(ifs, omega):
     # the gap's ball term, one pass over the shell between its two radii,
-    # against the difference of two ball complements
+    # against the difference of two ball complements; the gap itself, with or
+    # without an open-set ball, holds |cylinder term - that difference|, the
+    # cylinder term being the pv-trace annuli n <= k < n + m1 p
     kern = HomogeneousKernel(ifs.geometry, ifs.dim_s, omega)
     w, n, m1, depth, radius_factor = EPWord((2,), (1,)), 1, 1, 4, 1.5
     inner = n + m1 * len(w.period)
@@ -409,6 +445,12 @@ def test_gap_ball_shell_is_one_pass(ifs, omega):
     assert abs(one.value - (a.value - b.value)) <= one.err + a.err + b.err
     assert one.err <= a.err + b.err
     assert one.cells < a.cells + b.cells
+    rows = pv_trace(ifs, kern, w, inner, depth).rows[n:]
+    cyl = sum(r.A.value for r in rows)
+    gap = ball_cylinder_gap(ifs, kern, w, n, m1, depth, radius_factor)
+    assert math.isfinite(gap.err)
+    ref = abs(cyl - (a.value - b.value))
+    assert abs(gap.value - ref) <= gap.err + sum(r.A.err for r in rows) + a.err + b.err
 
 
 @pytest.mark.parametrize("radius_factor", [0.0, -1.0, math.nan, math.inf])
@@ -417,12 +459,6 @@ def test_gap_rejects_bad_radius_factor(middle_thirds_osc, radius_factor):
     with pytest.raises(InputError, match="radius_factor"):
         ball_cylinder_gap(middle_thirds_osc, kern, h.word1(), 2, 1, 4,
                           radius_factor=radius_factor)
-
-
-def test_gap_requires_osc_ball(middle_thirds):
-    kern = h.sign_kernel(middle_thirds)
-    with pytest.raises(ConfigError):
-        ball_cylinder_gap(middle_thirds, kern, h.word1(), 2, 1, 4)
 
 
 def test_divergence_pass(middle_thirds):
