@@ -244,8 +244,6 @@ def cmd_integrate(cfg, ifs, p, args):
         if "excluded" in p:
             raise ConfigError("excluded regions need method 'net'")
         n_samples = _int_param(p, "n_samples")
-        if args.seed is not None:
-            p["seed"] = int(args.seed)
         seed = _int_param(p, "seed", 0)
         mean, stderr = mc_integrate(ifs, f, n_samples, seed)
         body = {"method": "mc", "value": mean, "stderr": stderr,
@@ -320,8 +318,6 @@ def cmd_gap(cfg, ifs, p, args):
 def cmd_birkhoff(cfg, ifs, p, args):
     target = _word_param(p, "target")
     n_steps = _int_param(p, "n_steps")
-    if args.seed is not None:
-        p["seed"] = int(args.seed)
     seed = _int_param(p, "seed", 0)
     times = None
     if _bool_param(p, "with_hitting_times", False):
@@ -398,7 +394,8 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         if args.format is not None and args.command != "pv-trace":
             _PARSER.error("--format applies only to pv-trace")
-        cfg = load_config(args.config, args.override)
+        seed = [] if args.seed is None else [f"params.seed={args.seed}"]
+        cfg = load_config(args.config, args.override + seed)
         ifs = IFS.from_config(cfg)
         body, code = _COMMANDS[args.command][0](cfg, ifs, _params(cfg), args)
         if not isinstance(body, str):

@@ -161,14 +161,13 @@ class IFS:
     ``maps`` is a sequence of ``(ratio, shift)`` pairs, held as the arrays
     ``ratios`` and ``shifts``; letters are 1-based.  The measure exponent
     ``dim_s`` is always the similarity dimension of the ratios, so the letter
-    weights r_i^s sum to 1 up to rounding.  ``osc_ball=(center, radius)``
-    optionally declares a ball whose images under the maps are pairwise
-    disjoint and contained in it; the claim is checked on construction.
+    weights r_i^s sum to 1 up to rounding.  Separation is never declared:
+    it is certified from the maps by ``_gap_bracket`` and ``check_separation``.
     """
 
     DEFAULT_CELL_CAP = 1 << 24
 
-    def __init__(self, geometry, maps, *, osc_ball=None):
+    def __init__(self, geometry, maps):
         self.geometry = geometry
         try:
             pairs = [(ratio, shift) for ratio, shift in maps]
@@ -200,35 +199,6 @@ class IFS:
             self._chunk += 1
         self._place = (float(self.n_letters) ** np.arange(self._chunk - 1, -1, -1)
                        ).astype(np.float32)  # place values of a chunk's letters
-
-        self.osc_ball = None
-        if osc_ball is not None:
-            center, radius = osc_ball
-            center = geometry.check_point(np.asarray(center, dtype=float))
-            radius = positive(radius, "osc ball radius")
-            self._check_osc_ball(center, radius)
-            self.osc_ball = (center, radius)
-
-    def _check_osc_ball(self, center, radius):
-        geom = self.geometry
-        images = geom.op(self.shifts, geom.dilate(self.ratios, center))
-        slack = 1e-9 * radius
-        reach = geom.dist(images, center) + self.ratios * radius
-        if np.any(reach > radius + slack):
-            i = int(np.argmax(reach))
-            raise ConfigError(
-                f"osc ball is not invariant: map {i + 1} reaches {reach[i]!r} "
-                f"past radius {radius!r}"
-            )
-        for i in range(self.n_letters):
-            for j in range(i + 1, self.n_letters):
-                need = (self.ratios[i] + self.ratios[j]) * radius
-                got = float(geom.dist(images[i], images[j]))
-                if got < need - slack:
-                    raise ConfigError(
-                        f"osc ball images {i + 1} and {j + 1} overlap: "
-                        f"centers {got!r} apart, need {need!r}"
-                    )
 
     # ---- words and composition -------------------------------------------
 
@@ -472,17 +442,12 @@ class IFS:
     # ---- config --------------------------------------------------------------
 
     def to_config(self) -> dict:
-        cfg = {
+        return {
             "geometry": self.geometry.to_config(),
             "maps": [{"r": float(r), "q": [float(x) for x in q]}
                      for r, q in zip(self.ratios, self.shifts)],
             "s": self.dim_s,
         }
-        if self.osc_ball is not None:
-            center, radius = self.osc_ball
-            cfg["osc_ball"] = {"center": [float(x) for x in center],
-                               "radius": radius}
-        return cfg
 
     @classmethod
     def from_config(cls, cfg: dict) -> "IFS":
@@ -500,15 +465,7 @@ class IFS:
             with config_section(f"maps.{i}"):
                 maps.append((positive(m["r"], "contraction ratio", 1.0),
                              np.asarray(m["q"], dtype=float)))
-        osc = None
-        if cfg.get("osc_ball") is not None:
-            ob = cfg["osc_ball"]
-            if not isinstance(ob, dict) or "center" not in ob or "radius" not in ob:
-                raise ConfigError("osc_ball config needs 'center' and 'radius'")
-            with config_section("osc_ball"):
-                osc = (np.asarray(ob["center"], dtype=float),
-                       positive(ob["radius"], "osc ball radius"))
-        ifs = cls(geom, maps, osc_ball=osc)
+        ifs = cls(geom, maps)
         if cfg.get("s") is not None:  # written by to_config; checked, never used
             with config_section("s"):
                 declared = positive(cfg["s"], "declared exponent s")

@@ -30,9 +30,10 @@ eventually periodic w has at most |pre| + p distinct shifts, each bracketed
 once, and no displacement is formed at scale r^k.  ``truncated`` and the
 ball term of the comparison bracket the cells ``measure._ball_cells`` keeps
 in a shell around the pole as one block, their certified pole distance
-floored by the inner radius.  Results are also flagged when the system's
-separation cannot be certified, since cylinder weights presume essentially
-disjoint branches.
+floored by the inner radius.  Every driver that sums annuli is also flagged,
+through ``_annuli``, when the system's separation cannot be certified, since
+cylinder weights presume essentially disjoint branches; the shell needs no
+such check, as mu = sum_v p_v (S_v)_* mu holds with or without overlaps.
 """
 
 from __future__ import annotations
@@ -85,8 +86,12 @@ def _bracket(kern: HomogeneousKernel, pole, cells, depth: int,
 
 
 def _annuli(ifs: IFS, kern: HomogeneousKernel, w: EPWord, stop: int, depth: int,
-            start: int = 0) -> list:
-    """Bracketed integrals of k(pi(w), .) over A_k for start <= k < stop.
+            start: int = 0) -> tuple:
+    """Bracketed integrals of k(pi(w), .) over A_k for start <= k < stop, with
+    the system's separation flag and search record (``_separation``).
+
+    The cylinder weights below presume essentially disjoint branches, so every
+    driver that sums annuli reads the flag from here.
 
     A_k = p_u r_u^-s U_j, u = w|k, with U_j the unit-scale annulus of the
     distinct shift j of k (``_shift_poles``): an eventually periodic word has
@@ -100,6 +105,7 @@ def _annuli(ifs: IFS, kern: HomogeneousKernel, w: EPWord, stop: int, depth: int,
     none.
     """
     depth = integer(depth, "refinement depth", 0)
+    sep_flag, sep_search = _separation(ifs)
     pre, p = len(w.pre), len(w.period)
     rotations = [w.period[i:] + w.period[:i] for i in range(p)]
     keys = [k if k < pre else pre + rotations.index(rotations[(k - pre) % p])
@@ -129,7 +135,7 @@ def _annuli(ifs: IFS, kern: HomogeneousKernel, w: EPWord, stop: int, depth: int,
             unit = QuadratureResult(f * unit.value, f * unit.err + extra, unit.depth)
         out.append(QuadratureResult(unit.value, unit.err, unit.depth, count))
         f *= float(g[word[k] - 1])
-    return out
+    return out, sep_flag, sep_search
 
 
 def _shift_poles(ifs: IFS, w: EPWord, shifts) -> tuple:
@@ -376,9 +382,8 @@ def pv_trace(ifs: IFS, kern: HomogeneousKernel, w: EPWord, K: int,
         raise InputError("pv_trace expects an EPWord")
     K = integer(K, "K", 1)
     pole = ifs.code_point(w)
-    sep_flag, sep_search = _separation(ifs)
     p = len(w.period) if w.is_periodic() else 0
-    annuli = _annuli(ifs, kern, w, max(K, p), depth)
+    annuli, sep_flag, sep_search = _annuli(ifs, kern, w, max(K, p), depth)
 
     rows = []
     for k in range(K):
@@ -439,8 +444,8 @@ def _criterion(ifs: IFS, kern: HomogeneousKernel, word: tuple, depth: int,
     if len(word) == 0:
         raise InputError("criterion word must be nonempty")
     xi = ifs.fixed_point(word)
-    sep_flag, sep_search = _separation(ifs)
-    annuli = _annuli(ifs, kern, EPWord((), word), periods * len(word), depth)
+    annuli, sep_flag, sep_search = _annuli(ifs, kern, EPWord((), word),
+                                           periods * len(word), depth)
     quad = _total(annuli[:len(word)], depth)
     if sep_flag:
         quad = QuadratureResult(quad.value, math.inf, quad.depth, quad.cells)
@@ -519,9 +524,7 @@ def maximal_symbolic(ifs: IFS, kern: HomogeneousKernel, w: EPWord, max_n: int,
     if not isinstance(w, EPWord):
         raise InputError("maximal_symbolic expects an EPWord")
     max_n = integer(max_n, "max_n", 2)
-    sep_flag, sep_search = _separation(ifs)
-
-    annuli = _annuli(ifs, kern, w, max_n, depth)
+    annuli, sep_flag, sep_search = _annuli(ifs, kern, w, max_n, depth)
     table = [(m, n, _total(annuli[m:n], depth))
              for m in range(max_n) for n in range(m + 1, max_n + 1)]
     top = max(table, key=lambda entry: abs(entry[2].value))[2]
@@ -543,8 +546,9 @@ def ball_cylinder_gap(ifs: IFS, kern: HomogeneousKernel, w: EPWord, n: int,
     The cylinder term integrates over C_{w|n} minus C_{w|n+m1*p} (p the
     period length); the ball term, in one pass, over the shell B_1 minus B_2
     with radii ``radius_factor`` times the certified diameters of those
-    cylinders.  Returns |difference| with the combined bracket.  Both terms
-    are bracketed directly, so no open-set ball is needed.
+    cylinders.  Returns |difference| with the combined bracket, whose err is
+    infinite when the system's separation is not certified, as in
+    ``criterion``: the cylinder term's weights presume disjoint branches.
     """
     if not isinstance(w, EPWord):
         raise InputError("ball_cylinder_gap expects an EPWord")
@@ -554,12 +558,14 @@ def ball_cylinder_gap(ifs: IFS, kern: HomogeneousKernel, w: EPWord, n: int,
     inner = n + m1 * p
     pole = ifs.code_point(w)
 
-    cyl = _total(_annuli(ifs, kern, w, inner, depth, start=n), depth)
+    annuli, sep_flag, _ = _annuli(ifs, kern, w, inner, depth, start=n)
+    cyl = _total(annuli, depth)
     ball = _shell(ifs, kern, pole, radius_factor * ifs.cylinder_diam_hi(w.prefix(inner)),
                   radius_factor * ifs.cylinder_diam_hi(w.prefix(n)), inner + depth)
 
-    return QuadratureResult(abs(cyl.value - ball.value), cyl.err + ball.err,
-                            depth, cyl.cells + ball.cells)
+    err = math.inf if sep_flag else cyl.err + ball.err
+    return QuadratureResult(abs(cyl.value - ball.value), err, depth,
+                            cyl.cells + ball.cells)
 
 
 # ---- divergence certificate ---------------------------------------------------

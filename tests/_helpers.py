@@ -18,15 +18,12 @@ def overlap(a: QuadratureResult, b: QuadratureResult) -> bool:
     return abs(a.value - b.value) <= a.err + b.err
 
 
-def middle_thirds_config(with_ball=False):
-    cfg = {
+def middle_thirds_config():
+    return {
         "geometry": {"kind": "euclidean", "dim": 1},
         "maps": [{"r": 1.0 / 3.0, "q": [0.0]},
                  {"r": 1.0 / 3.0, "q": [2.0 / 3.0]}],
     }
-    if with_ball:
-        cfg["osc_ball"] = {"center": [0.5], "radius": 0.5}
-    return cfg
 
 
 def four_corner_config():

@@ -9,11 +9,6 @@ def middle_thirds():
 
 
 @pytest.fixture(scope="session")
-def middle_thirds_osc():
-    return h.make_ifs(h.middle_thirds_config(with_ball=True))
-
-
-@pytest.fixture(scope="session")
 def four_corner():
     return h.make_ifs(h.four_corner_config())
 

@@ -23,15 +23,11 @@ def _line(n, name, ok, detail=""):
     print(f"[{n:02d}] {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
 
 
-def _mt_osc():
-    return h.make_ifs(h.middle_thirds_config(with_ball=True))
-
-
 def test_01_constant_increments():
     # middle thirds, sign kernel, w = (1): the six truncation increments agree
     # pairwise within summed brackets, the shared value lies in the analytic
     # bracket, every bracket is at most 1e-4, and the run stays under 60 s
-    ifs = _mt_osc()
+    ifs = h.make_ifs(h.middle_thirds_config())
     kern = h.sign_kernel(ifs)
     t0 = time.perf_counter()
     tr = pv_trace(ifs, kern, h.word1(), 6, 9)
@@ -56,7 +52,7 @@ def test_01_constant_increments():
 def test_02_linear_growth():
     # |F_6 - F_0 - 6 eta| within summed brackets (telescoping is exact up to
     # quadrature error)
-    ifs = _mt_osc()
+    ifs = h.make_ifs(h.middle_thirds_config())
     kern = h.sign_kernel(ifs)
     tr = pv_trace(ifs, kern, h.word1(), 6, 9)
     eta = tr.eta_estimate
@@ -92,7 +88,7 @@ def test_04_region_identity():
     # point carves out exactly the cylinder, so the truncated integral matches
     # the complement integral within combined brackets for k <= 5
     cases = [
-        (_mt_osc(), SignOmega(), 6),
+        (h.make_ifs(h.middle_thirds_config()), SignOmega(), 6),
         (h.make_ifs(h.four_corner_config()), RieszComponent(1), 4),
     ]
     ok = True
@@ -119,7 +115,7 @@ def test_04_region_identity():
 def test_05_uniform_gap():
     # cylinder annulus versus ball annulus around the coding point: the gap
     # stays bounded by one constant over n = 2..6 (no growth trend)
-    ifs = _mt_osc()
+    ifs = h.make_ifs(h.middle_thirds_config())
     kern = h.sign_kernel(ifs)
     values, ubs = [], []
     for n in range(2, 7):

@@ -64,6 +64,8 @@ def test_removed_names_are_gone(middle_thirds):
         fractalsio.integrate_ball_complement).parameters
     assert not hasattr(fractalsio.EPWord, "shift")
     assert not hasattr(middle_thirds, "maps")  # read ratios and shifts
+    assert not hasattr(middle_thirds, "osc_ball")  # separation is only certified
+    assert list(inspect.signature(fractalsio.IFS).parameters) == ["geometry", "maps"]
     assert not hasattr(fractalsio.PVTrace, "to_csv")  # the CLI writes to_csv_text()
     assert not hasattr(fractalsio.CellBlock, "word")  # read from letters()
     assert not hasattr(fractalsio.QuadratureResult, "__sub__")  # the gap's shell is one pass

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fractalsio.cli import _integrand, main
 
 @pytest.fixture
 def mt_config(tmp_path):
-    cfg = h.middle_thirds_config(with_ball=True)
+    cfg = h.middle_thirds_config()
     cfg["kernel"] = {"s": 0.6309297535714574, "omega": {"kind": "sign"}}
     cfg["params"] = {}
     return h.write_config(tmp_path / "mt.json", cfg)
@@ -105,12 +106,23 @@ def test_integrate_mc(mt_config, capsys):
     args = ["integrate", "--config", mt_config,
             "--override", 'params.integrand={"kind":"monomial","exponents":[1]}',
             "--override", "params.method=mc",
-            "--override", "params.n_samples=20000", "--seed", "3"]
+            "--override", "params.n_samples=20000", "--seed", "3",
+            "--override", "params.seed=9"]  # --seed wins over any override
     assert main(args) == 0
     out = _json_out(capsys)
     assert abs(out["value"] - 0.5) <= 4 * out["stderr"]
     assert out["seed"] == 3
     assert out["config"]["params"]["seed"] == 3
+
+
+def test_seed_flag_sets_params_seed(mt_config, capsys):
+    # --seed is the last override, params.seed, whichever command runs
+    assert main(["dim", "--config", mt_config, "--seed", "5"]) == 0
+    assert _json_out(capsys)["config"]["params"] == {"seed": 5}
+    assert main(["birkhoff", "--config", mt_config, "--override", "params.target=[1]",
+                 "--override", "params.n_steps=100", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be a nonnegative integer, got -1\n"
 
 
 @pytest.mark.parametrize("exponents, coeff", [
@@ -217,6 +229,30 @@ def test_gap(mt_config, capsys):
     out = _json_out(capsys)
     assert out["value"] >= 0.0
     assert out["radius_factor"] == 2.0
+
+
+@pytest.mark.parametrize("command, params", [
+    ("pv-trace", {"word": [1], "K": 4, "depth": 8}),
+    ("criterion", {"word": [1], "depth": 8}),
+    ("gap", {"word": [1], "n": 2, "m1": 1, "depth": 6}),
+    ("truncated", {"x": [0.0], "eps": 0.1, "depth": 8}),
+])
+def test_osc_ball_key_is_ignored(tmp_path, capsys, command, params):
+    # a config written when an open-set ball could be declared still loads,
+    # and gives the same report as without the key, up to the echoed config
+    base = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "middle_thirds.json"
+    cfg = dict(json.loads(base.read_text()), params=params)
+    cfg.pop("osc_ball", None)
+    fmt = ["--format", "json"] if command == "pv-trace" else []
+    reports = []
+    for ball in (None, {"center": [0.5], "radius": 0.5}, {"radius": "x"}):
+        path = h.write_config(tmp_path / "mt.json",
+                              cfg if ball is None else dict(cfg, osc_ball=ball))
+        assert main([command, "--config", path] + fmt) == 0
+        out = _json_out(capsys)
+        assert out.pop("config").get("osc_ball") == ball
+        reports.append(out)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_birkhoff_seed_reproducible(mt_config, capsys):
@@ -347,7 +383,6 @@ def test_malformed_param_exits_one(mt_config, capsys, command, override, key):
     ('maps.0.q=["a"]', "'maps.0'"),
     ("maps=5", "'maps'"),
     ('s="x"', "'s'"),
-    ('osc_ball.radius="x"', "'osc_ball'"),
     ('kernel.s="x"', "'kernel'"),
     ('kernel.omega={"kind": "riesz", "axis": "a"}', "'omega'"),
     ('kernel.omega={"kind": "poly_over_norm", "coeffs": 5, "degree": 1}', "'omega'"),

@@ -15,52 +15,40 @@ def _coord(pts):
     return np.asarray(pts)[..., 0]
 
 
-def _ball_config(radius):
-    cfg = h.middle_thirds_config(with_ball=True)
-    cfg["osc_ball"]["radius"] = radius
-    return cfg
-
-
-MAPS = [(1.0 / 3.0, [0.0]), (1.0 / 3.0, [2.0 / 3.0])]
-
 # Each call passes malformed input to a library entry point.
 MALFORMED = {
-    "region_cells depth 2.5": lambda mt, osc: region_cells(mt, [()], 2.5),
-    "criterion depth 2.5": lambda mt, osc: criterion(mt, h.sign_kernel(mt), (1,), 2.5),
-    "truncated depth 2.5": lambda mt, osc: truncated(mt, h.sign_kernel(mt), [0.0], 0.1, 2.5),
-    "gap depth 2.5": lambda mt, osc: ball_cylinder_gap(osc, h.sign_kernel(osc), h.word1(),
-                                                       1, 1, 2.5),
-    "ball complement depth 2.5": lambda mt, osc: integrate_ball_complement(
+    "region_cells depth 2.5": lambda mt: region_cells(mt, [()], 2.5),
+    "criterion depth 2.5": lambda mt: criterion(mt, h.sign_kernel(mt), (1,), 2.5),
+    "truncated depth 2.5": lambda mt: truncated(mt, h.sign_kernel(mt), [0.0], 0.1, 2.5),
+    "gap depth 2.5": lambda mt: ball_cylinder_gap(mt, h.sign_kernel(mt), h.word1(),
+                                                  1, 1, 2.5),
+    "ball complement depth 2.5": lambda mt: integrate_ball_complement(
         mt, _coord, 1.0, [0.0], 0.1, 2.5),
-    "pv_trace depth None": lambda mt, osc: pv_trace(mt, h.sign_kernel(mt), h.word1(), 2, None),
-    "mc_integrate n_samples 'x'": lambda mt, osc: mc_integrate(mt, _coord, "x", 0),
-    "IFS maps 5": lambda mt, osc: IFS(Euclidean(1), 5),
-    "osc_ball radius nan": lambda mt, osc: IFS(Euclidean(1), MAPS, osc_ball=([0.5], math.nan)),
-    "osc_ball radius inf": lambda mt, osc: IFS(Euclidean(1), MAPS, osc_ball=([0.5], math.inf)),
-    "config osc_ball radius nan": lambda mt, osc: IFS.from_config(_ball_config(math.nan)),
-    "config osc_ball radius inf": lambda mt, osc: IFS.from_config(_ball_config(math.inf)),
-    "config riesz axis 1.7": lambda mt, osc: omega_from_config({"kind": "riesz", "axis": 1.7}),
-    "riesz axis True": lambda mt, osc: RieszComponent(True),
-    "poly_over_norm exponent 1.5": lambda mt, osc: PolynomialOverNorm(((1.0, (1.5,)),), 1),
-    "config poly_over_norm exponent 1.5": lambda mt, osc: omega_from_config(
+    "pv_trace depth None": lambda mt: pv_trace(mt, h.sign_kernel(mt), h.word1(), 2, None),
+    "mc_integrate n_samples 'x'": lambda mt: mc_integrate(mt, _coord, "x", 0),
+    "IFS maps 5": lambda mt: IFS(Euclidean(1), 5),
+    "config riesz axis 1.7": lambda mt: omega_from_config({"kind": "riesz", "axis": 1.7}),
+    "riesz axis True": lambda mt: RieszComponent(True),
+    "poly_over_norm exponent 1.5": lambda mt: PolynomialOverNorm(((1.0, (1.5,)),), 1),
+    "config poly_over_norm exponent 1.5": lambda mt: omega_from_config(
         {"kind": "poly_over_norm", "coeffs": [[1.0, [1.5]]], "degree": 1}),
-    "sample_orbit seed 1.5": lambda mt, osc: sample_orbit(mt, 10, seed=1.5),
-    "relative_net depth -1": lambda mt, osc: mt.relative_net(-1),
-    "relative_net depth 2.5": lambda mt, osc: mt.relative_net(2.5),
-    "constant omega c 'x'": lambda mt, osc: ConstantOmega("x"),
-    "config constant omega c '2'": lambda mt, osc: omega_from_config(
+    "sample_orbit seed 1.5": lambda mt: sample_orbit(mt, 10, seed=1.5),
+    "relative_net depth -1": lambda mt: mt.relative_net(-1),
+    "relative_net depth 2.5": lambda mt: mt.relative_net(2.5),
+    "constant omega c 'x'": lambda mt: ConstantOmega("x"),
+    "config constant omega c '2'": lambda mt: omega_from_config(
         {"kind": "constant", "c": "2"}),
-    "poly_over_norm coefficient nan": lambda mt, osc: PolynomialOverNorm(((math.nan, (1,)),), 1),
-    "poly_over_norm coefficient 'x'": lambda mt, osc: PolynomialOverNorm((("x", (1,)),), 1),
-    "config poly_over_norm coefficient '2'": lambda mt, osc: omega_from_config(
+    "poly_over_norm coefficient nan": lambda mt: PolynomialOverNorm(((math.nan, (1,)),), 1),
+    "poly_over_norm coefficient 'x'": lambda mt: PolynomialOverNorm((("x", (1,)),), 1),
+    "config poly_over_norm coefficient '2'": lambda mt: omega_from_config(
         {"kind": "poly_over_norm", "coeffs": [["2", [1]]], "degree": 1}),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
-def test_malformed_library_input_is_refused(middle_thirds, middle_thirds_osc, case):
+def test_malformed_library_input_is_refused(middle_thirds, case):
     with pytest.raises(FractalsioError):
-        MALFORMED[case](middle_thirds, middle_thirds_osc)
+        MALFORMED[case](middle_thirds)
 
 
 @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", None, [2], -1, np.int64(-1)])

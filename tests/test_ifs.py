@@ -411,15 +411,6 @@ def test_heisenberg_separation(heis_cantor):
     assert rep.certified_positive_gap()
 
 
-def test_osc_ball_validation():
-    cfg = h.middle_thirds_config(with_ball=True)
-    IFS.from_config(cfg)  # valid ball accepted
-    bad = h.middle_thirds_config(with_ball=True)
-    bad["osc_ball"]["radius"] = 0.2  # images escape the ball
-    with pytest.raises(ConfigError):
-        IFS.from_config(bad)
-
-
 @pytest.mark.parametrize("bad_map", [(0.5,), 0.5, (0.5, [0.0], 1), ("x", [0.0]),
                                      (0.5, "ab")])
 def test_malformed_map_is_an_input_error(bad_map):
@@ -434,8 +425,8 @@ def test_bad_words_rejected(middle_thirds):
         middle_thirds.fixed_point((3,))
 
 
-def test_config_round_trip(middle_thirds_osc):
-    cfg = middle_thirds_osc.to_config()
+def test_config_round_trip(middle_thirds):
+    cfg = middle_thirds.to_config()
     again = IFS.from_config(cfg)
     assert again.to_config() == cfg
-    assert again.dim_s == middle_thirds_osc.dim_s
+    assert again.dim_s == middle_thirds.dim_s

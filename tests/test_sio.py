@@ -399,39 +399,51 @@ def test_maximal_flags_uncertified_separation():
     assert est.separation == "separation:Overlapping"
 
 
-def test_gap_nonnegative_and_bracketed(middle_thirds_osc):
-    kern = h.sign_kernel(middle_thirds_osc)
-    quad = ball_cylinder_gap(middle_thirds_osc, kern, h.word1(), 2, 1, 6)
+def test_gap_nonnegative_and_bracketed(middle_thirds):
+    kern = h.sign_kernel(middle_thirds)
+    quad = ball_cylinder_gap(middle_thirds, kern, h.word1(), 2, 1, 6)
     assert quad.value >= 0.0
     assert math.isfinite(quad.err)
 
 
-def test_gap_tight_radius_sanity(middle_thirds_osc):
+def test_gap_flags_uncertified_separation(middle_thirds):
+    # r = 0.6 with shifts 0 and 0.4 overlaps: the cylinder term's weights
+    # presume disjoint branches, so the gap's err is infinite, as is the
+    # criterion's on the same system
+    ifs = IFS.from_config({
+        "geometry": {"kind": "euclidean", "dim": 1},
+        "maps": [{"r": 0.6, "q": [0.0]}, {"r": 0.6, "q": [0.4]}]})
+    kern = HomogeneousKernel(ifs.geometry, middle_thirds.dim_s, SignOmega())
+    quad = ball_cylinder_gap(ifs, kern, h.word1(), 2, 1, 6)
+    assert quad.value == pytest.approx(0.21883935260829068, rel=1e-12)
+    assert quad.err == math.inf
+    rep = criterion(ifs, kern, (1,), 6)
+    assert rep.verdict == "Inconclusive"
+    assert rep.separation.startswith(sio.SEP_FLAG)
+
+
+def test_gap_tight_radius_sanity(middle_thirds):
     # radius exactly the cylinder diameter: ball and cylinder regions coincide
-    kern = h.sign_kernel(middle_thirds_osc)
-    quad = ball_cylinder_gap(middle_thirds_osc, kern, h.word1(), 2, 1, 6,
+    kern = h.sign_kernel(middle_thirds)
+    quad = ball_cylinder_gap(middle_thirds, kern, h.word1(), 2, 1, 6,
                              radius_factor=1.0)
     assert quad.value <= quad.err + 1e-9
     assert quad.err < 0.0030  # the shell's straddlers are charged one pass
 
 
-def _with_osc_ball(cfg, center, radius):
-    return h.make_ifs(dict(cfg, osc_ball={"center": center, "radius": radius}))
-
-
 @pytest.mark.parametrize("ifs, omega", [
-    (_with_osc_ball(h.middle_thirds_config(), [0.5], 0.5), SignOmega()),
-    (_with_osc_ball(h.four_corner_config(), [0.5, 0.5], 0.75), RieszComponent(1)),
-    (_with_osc_ball(h.heis_quarter_config(), [0.3, 0.3, 0.0], 0.9), RieszComponent(1)),
+    (h.make_ifs(h.middle_thirds_config()), SignOmega()),
+    (h.make_ifs(h.four_corner_config()), RieszComponent(1)),
+    (h.make_ifs(h.heis_quarter_config()), RieszComponent(1)),
     (h.make_ifs(h.four_corner_config()), SignOmega()),
     (h.make_ifs(h.heis_quarter_config()), RieszComponent(3)),
-], ids=["middle_thirds", "four_corner", "heis_quarter", "four_corner_without_osc_ball",
-        "heis_quarter_without_osc_ball"])
+], ids=["middle_thirds", "four_corner", "heis_quarter", "four_corner_sign",
+        "heis_quarter_riesz3"])
 def test_gap_ball_shell_is_one_pass(ifs, omega):
     # the gap's ball term, one pass over the shell between its two radii,
-    # against the difference of two ball complements; the gap itself, with or
-    # without an open-set ball, holds |cylinder term - that difference|, the
-    # cylinder term being the pv-trace annuli n <= k < n + m1 p
+    # against the difference of two ball complements; the gap itself holds
+    # |cylinder term - that difference|, the cylinder term being the pv-trace
+    # annuli n <= k < n + m1 p
     kern = HomogeneousKernel(ifs.geometry, ifs.dim_s, omega)
     w, n, m1, depth, radius_factor = EPWord((2,), (1,)), 1, 1, 4, 1.5
     inner = n + m1 * len(w.period)
@@ -454,10 +466,10 @@ def test_gap_ball_shell_is_one_pass(ifs, omega):
 
 
 @pytest.mark.parametrize("radius_factor", [0.0, -1.0, math.nan, math.inf])
-def test_gap_rejects_bad_radius_factor(middle_thirds_osc, radius_factor):
-    kern = h.sign_kernel(middle_thirds_osc)
+def test_gap_rejects_bad_radius_factor(middle_thirds, radius_factor):
+    kern = h.sign_kernel(middle_thirds)
     with pytest.raises(InputError, match="radius_factor"):
-        ball_cylinder_gap(middle_thirds_osc, kern, h.word1(), 2, 1, 4,
+        ball_cylinder_gap(middle_thirds, kern, h.word1(), 2, 1, 4,
                           radius_factor=radius_factor)
 
 
@@ -468,6 +480,19 @@ def test_divergence_pass(middle_thirds):
     assert rep.checks["pairwise_ok"] and rep.checks["growth_ok"]
     assert len(rep.blocks) == 5
     assert rep.reason == ""
+
+
+@pytest.mark.parametrize("s, growth_ok", [(0.7, True), (0.5, False)])
+def test_divergence_fails_off_the_similarity_dimension(middle_thirds, s, growth_ok):
+    # for s != dim_s the k-th block is rho^k eta, rho = r_w^(dim_s - s), so
+    # the blocks are not constant and the pairwise check is what fails
+    kern = HomogeneousKernel(middle_thirds.geometry, s, SignOmega())
+    rep = divergence_certificate(middle_thirds, kern, (1,), 6, 10)
+    assert rep.status == "FAIL"
+    assert rep.reason == "block increments disagree beyond brackets"
+    assert not rep.checks["pairwise_ok"]
+    assert rep.checks["pairwise_excess"] > 0.25
+    assert rep.checks["growth_ok"] is growth_ok
 
 
 def test_divergence_builds_each_annulus_once(middle_thirds, monkeypatch):
