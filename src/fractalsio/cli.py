@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, FractalsioError, integer, nonnegative, positive, real
+from .errors import ConfigError, FractalsioError, integer, positive, real
 from .ergodic import _block_statistics, birkhoff_frequency, hitting_times
 from .ifs import IFS
 from .kernels import HomogeneousKernel
@@ -52,22 +52,18 @@ def _parse_override(item: str):
 
 
 def _set_path(cfg, dotted: str, value):
-    parts = dotted.split(".")
+    """Set the dotted path in ``cfg``, creating missing object keys; a path
+    through a value that is neither an object nor a list is a ConfigError."""
+    *parents, last = dotted.split(".")
     node = cfg
     try:
-        for part in parts[:-1]:
-            if isinstance(node, list):
-                node = node[int(part)]
-            else:
-                if not isinstance(node.get(part), (dict, list)):
-                    node[part] = {}
-                node = node[part]
-        last = parts[-1]
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
         if isinstance(node, list):
             node[int(last)] = value
         else:
             node[last] = value
-    except (ValueError, IndexError, KeyError, AttributeError) as exc:
+    except (ValueError, IndexError, KeyError, AttributeError, TypeError) as exc:
         raise ConfigError(f"cannot apply override {dotted!r}: {exc}") from exc
 
 
@@ -184,18 +180,18 @@ def _monomial(ifs: IFS, desc: dict):
             out = out * pts[..., j] ** e
         return coeff * out
 
-    if "lipschitz" in desc:
-        lip = _field(desc, "lipschitz", lambda raw: nonnegative(raw, "lipschitz"),
-                     "a finite nonnegative number")
-    elif geom.kind == "euclidean":
-        lo, hi = ifs.attractor_box()
-        bounds = np.maximum(np.abs(lo), np.abs(hi))  # of |x_j| over the attractor
-        # the sum over j of the bounds of |d/dx_j x^e| = e_j x^(e - 1_j)
-        lip = abs(coeff) * sum(e * math.prod(bounds[l] ** (exps[l] - (l == j))
-                                             for l in range(geom.dim)) for j, e in powers)
-    else:
-        raise ConfigError("provide integrand.lipschitz for group geometries "
-                          "(the automatic bound is Euclidean only)")
+    # |f(p) - f(q)| <= sum_j sup |d f / d x_j| |x_j(p) - x_j(q)| over the
+    # attractor's box, where |x_j| <= B_j; |x_j(p) - x_j(q)| <= L_j d(p, q)
+    # with L_j = 1, except the group's t: the t of q^-1 p is t_p - t_q - (x_q
+    # y_p - y_q x_p) / 2, at most d^2 in size, so L_t = diam + (B_x + B_y) / 2
+    lo, hi = ifs.attractor_box()
+    bounds = np.maximum(np.abs(lo), np.abs(hi))
+    coord_lip = [1.0] * geom.dim
+    if geom.kind == "heisenberg1" and exps[2]:
+        coord_lip[2] = ifs.diam_bracket()[1] + 0.5 * (bounds[0] + bounds[1])
+    lip = abs(coeff) * sum(e * coord_lip[j] * math.prod(bounds[l] ** (exps[l] - (l == j))
+                                                        for l in range(geom.dim))
+                           for j, e in powers)
     return f, lip
 
 

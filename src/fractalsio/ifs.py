@@ -57,6 +57,13 @@ _MAX_NODES = 200000
 _DIM_TOL = 1e-14
 _DIM_MAX_ITER = 200
 _CHUNK_NET = 1 << 12  # entries of the largest relative net a fold gathers from
+_U = 2.0 ** -53  # the unit roundoff of a float
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): k roundings of relative error u
+    compound to at most gamma_k."""
+    return k * _U / (1.0 - k * _U)
 
 
 def similarity_dimension(ratios) -> float:
@@ -121,9 +128,16 @@ def _fixed_points(geom, ratios, shifts):
 
     For both supported geometries the twist contribution vanishes at the
     fixed point, giving the closed form x_j = q_j / (1 - r^(degree_j)), the
-    power being the geometry's ``scale`` factor.
+    power being the geometry's ``scale`` factor.  The division is taken a
+    whole column at a time, as broadcasting over the short last axis is
+    several times slower.
     """
-    return np.asarray(shifts, dtype=float) / (1.0 - geom.scale(ratios))
+    shifts = np.asarray(shifts, dtype=float)
+    den = 1.0 - geom.scale(ratios)  # its last axis is 1 in Euclidean space
+    out = np.empty(shifts.shape)
+    for j in range(shifts.shape[-1]):
+        np.divide(shifts[..., j], den[..., j % den.shape[-1]], out=out[..., j])
+    return out
 
 
 @dataclass(frozen=True)
@@ -312,17 +326,53 @@ class IFS:
         return _fixed_points(self.geometry, ratio, shift)
 
     def code_point(self, w) -> np.ndarray:
-        """Point addressed by the eventually periodic word ``w``.
+        """Point addressed by the eventually periodic word ``w``: the shift-0
+        row of ``code_points``, exact up to float rounding rather than
+        truncation."""
+        return self.code_points(w, [0])[0][0]
 
-        The point is S_pre applied to the fixed point of S_period, so it is
-        exact up to float rounding rather than truncation.
+    def code_points(self, w, shifts) -> tuple:
+        """The points pi(sigma^j w) for the shifts 0 <= j < |pre| + p in
+        ``shifts`` (p the period length), each from its own shifted word, and
+        on the line bounds on their rounding (0 elsewhere).
+
+        A shift j >= |pre| is a rotation of the period, and its point is the
+        fixed point of the rotation's map, so S_pre's rounding never enters
+        it; an earlier shift's point is S_{w_{j+1}} of the next one.  On the
+        line the fixed point x of S = S_rot, r_S its ratio, satisfies x - pi =
+        (x - S(x)) / (1 - r_S), and S(x) applied letter by letter, y -> r_i y
+        + q_i, is within u sum (|r_i y| + |r_i y + q_i|) of its float, later
+        letters only contracting earlier errors; one letter map takes a bound
+        e to r e + u (|r y| + |r y + q|).
         """
         if not isinstance(w, EPWord):
             raise InputError("code_point expects an EPWord")
-        core = self.fixed_point(w.period)
-        if len(w.pre) == 0:
-            return core
-        return self.apply_word(w.pre, core)
+        validate_word(w.pre + w.period, n_letters=self.n_letters)
+        geom = self.geometry
+        pre, p = len(w.pre), len(w.period)
+        rot = np.array([w.period[i:] + w.period[:i] for i in range(p)]) - 1
+        ratio, shift = self._fold(rot, 0)
+        fixed = _fixed_points(geom, ratio[:, 0], shift[:, 0])
+        err = np.zeros(p)
+        line = geom.kind == "euclidean" and geom.dim == 1
+        if line:
+            x = y = fixed[:, 0]
+            size = np.zeros(p)
+            for col in range(p - 1, -1, -1):
+                step = self.ratios[rot[:, col]] * y
+                y = step + self.shifts[rot[:, col], 0]
+                size += np.abs(step) + np.abs(y)
+            err = ((np.abs(x - y) + _U * size) * (1.0 + _gamma(4))
+                   / (1.0 - ratio[:, 0] * (1.0 + _gamma(p + 2))))
+        points = {pre + i: (fixed[i], err[i]) for i in range(p)}
+        for j in range(pre - 1, min(shifts) - 1, -1):
+            (x, e), a = points[j + 1], w.pre[j] - 1
+            step = geom.dilate(self.ratios[a], x)
+            y = geom.op(self.shifts[a], step)
+            points[j] = y, ((self.ratios[a] * e + _U * float(abs(step[0]) + abs(y[0])))
+                            * (1.0 + _gamma(2)) if line else 0.0)
+        pts, errs = zip(*(points[j] for j in shifts))
+        return np.array(pts), np.array(errs)
 
     # ---- certified geometry ------------------------------------------------
 

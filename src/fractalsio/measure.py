@@ -51,7 +51,7 @@ import numpy as np
 from .ergodic import _letter_stream
 from .errors import (EvaluationError, InputError, ResourceLimitError, integer,
                      nonnegative, positive)
-from .ifs import IFS, _compose, _fixed_points, _frozen
+from .ifs import IFS, _U, _compose, _fixed_points, _frozen, _gamma
 from .symbolic import validate_word
 
 _MC_BLOCK = 1 << 12  # Monte Carlo samples composed per block
@@ -150,15 +150,6 @@ class CellBlock:
             block[:, k:k + depth] = np.tile(suffixes, (len(bases), 1))
             row += len(block)
         return out
-
-
-_U = 2.0 ** -53  # the unit roundoff of a float
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u): k roundings of relative error u
-    compound to at most gamma_k."""
-    return k * _U / (1.0 - k * _U)
 
 
 def _on_grid(terms, bound: float) -> bool:

@@ -44,10 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, integer, positive
-from .ifs import IFS, _fixed_points
+from .ifs import IFS, _U, _gamma
 from .kernels import HomogeneousKernel
-from .measure import (_U, QuadratureResult, _ball_cells, _cell_bracket, _gamma,
-                      moments, region_cells)
+from .measure import QuadratureResult, _ball_cells, _cell_bracket, moments, region_cells
 from .symbolic import EPWord, validate_word
 
 SEP_FLAG = "separation:"
@@ -94,7 +93,7 @@ def _annuli(ifs: IFS, kern: HomogeneousKernel, w: EPWord, stop: int, depth: int,
     driver that sums annuli reads the flag from here.
 
     A_k = p_u r_u^-s U_j, u = w|k, with U_j the unit-scale annulus of the
-    distinct shift j of k (``_shift_poles``): an eventually periodic word has
+    distinct shift j of k (``IFS.code_points``): an eventually periodic word has
     at most |pre| + p of them, each bracketed once, by ``_line_annuli`` on the
     line and by ``_bracket`` over C minus C_a refined ``depth`` letters
     elsewhere (the cells built once per letter a).  The factor is the float
@@ -111,7 +110,7 @@ def _annuli(ifs: IFS, kern: HomogeneousKernel, w: EPWord, stop: int, depth: int,
     keys = [k if k < pre else pre + rotations.index(rotations[(k - pre) % p])
             for k in range(start, stop)]
     shifts = sorted(set(keys))
-    poles, pole_err = _shift_poles(ifs, w, shifts)
+    poles, pole_err = ifs.code_points(w, shifts)
     word = w.prefix(stop)
     letters = [word[j] for j in shifts]
     geom = ifs.geometry
@@ -136,46 +135,6 @@ def _annuli(ifs: IFS, kern: HomogeneousKernel, w: EPWord, stop: int, depth: int,
         out.append(QuadratureResult(unit.value, unit.err, unit.depth, count))
         f *= float(g[word[k] - 1])
     return out, sep_flag, sep_search
-
-
-def _shift_poles(ifs: IFS, w: EPWord, shifts) -> tuple:
-    """The poles pi(sigma^j w) for the shifts j in ``shifts``, each from its own
-    shifted word, and on the line bounds on their rounding (0 elsewhere).
-
-    A shift j >= |pre| is a rotation of the period, and its pole is the fixed
-    point of the rotation's map, so S_pre's rounding never enters it; an
-    earlier shift's pole is S_{w_{j+1}} of the next one.  On the line the
-    fixed point x of S = S_rot, r_S its ratio, satisfies x - pi = (x - S(x)) /
-    (1 - r_S), and S(x) applied letter by letter, y -> r_i y + q_i, is within
-    u sum (|r_i y| + |r_i y + q_i|) of its float, later letters only
-    contracting earlier errors; one letter map takes a bound e to r e + u
-    (|r y| + |r y + q|).
-    """
-    geom = ifs.geometry
-    pre, p = len(w.pre), len(w.period)
-    rot = np.array([w.period[i:] + w.period[:i] for i in range(p)]) - 1
-    ratio, shift = ifs._fold(rot, 0)
-    fixed = _fixed_points(geom, ratio[:, 0], shift[:, 0])
-    err = np.zeros(p)
-    line = geom.kind == "euclidean" and geom.dim == 1
-    if line:
-        x = y = fixed[:, 0]
-        size = np.zeros(p)
-        for col in range(p - 1, -1, -1):
-            step = ifs.ratios[rot[:, col]] * y
-            y = step + ifs.shifts[rot[:, col], 0]
-            size += np.abs(step) + np.abs(y)
-        err = ((np.abs(x - y) + _U * size) * (1.0 + _gamma(4))
-               / (1.0 - ratio[:, 0] * (1.0 + _gamma(p + 2))))
-    poles = {pre + i: (fixed[i], err[i]) for i in range(p)}
-    for j in range(pre - 1, min(shifts) - 1, -1):
-        (x, e), a = poles[j + 1], w.pre[j] - 1
-        step = geom.dilate(ifs.ratios[a], x)
-        y = geom.op(ifs.shifts[a], step)
-        poles[j] = y, ((ifs.ratios[a] * e + _U * float(abs(step[0]) + abs(y[0])))
-                       * (1.0 + _gamma(2)) if line else 0.0)
-    pts, errs = zip(*(poles[j] for j in shifts))
-    return np.array(pts), np.array(errs)
 
 
 _LINE_ORDER = 11  # the odd order M of ``_line_annuli``'s expansions

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import _helpers as h
-from fractalsio import region_cells
-from fractalsio.cli import _integrand, main
+from fractalsio import mc_integrate, net, region_cells
+from fractalsio.cli import _integrand, _monomial, main
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 @pytest.fixture
@@ -138,8 +140,7 @@ def test_monomial_is_the_per_point_product(heis_twisted, four_corner, exponents,
         ifs, pts = heis_twisted, region_cells(heis_twisted, [()], 6).points
     else:
         ifs, pts = four_corner, np.random.default_rng(61).standard_normal((700, 2))
-    f, _ = _integrand(ifs, {"kind": "monomial", "exponents": exponents,
-                            "coeff": coeff, "lipschitz": 1.0})
+    f, _ = _integrand(ifs, {"kind": "monomial", "exponents": exponents, "coeff": coeff})
     vals = f(pts)
     assert vals.shape == (len(pts),)
     for p, v in zip(pts, vals):
@@ -154,6 +155,69 @@ def test_monomial_is_the_per_point_product(heis_twisted, four_corner, exponents,
         for j, e in enumerate(exponents):
             if e == 2:
                 assert (p[j:j + 1] ** 2)[0] == p[j] * p[j]
+
+
+@pytest.mark.parametrize("config, exponents, depth, exact", [
+    ("heisenberg.json", [2, 0, 0], 6, 11 / 45),
+    ("four_corner.json", [2, 0], 4, 0.4),
+])
+def test_lipschitz_key_is_ignored(tmp_path, capsys, config, exponents, depth, exact):
+    # a monomial's constant is derived from the invariant box in both
+    # geometries, so a typed "lipschitz" cannot narrow the bracket
+    base = json.loads((_CONFIGS / config).read_text())
+    reports = []
+    for extra in ({}, {"lipschitz": 0}):
+        integrand = {"kind": "monomial", "exponents": exponents, **extra}
+        path = h.write_config(tmp_path / "c.json",
+                              dict(base, params={"depth": depth, "integrand": integrand}))
+        assert main(["integrate", "--config", path]) == 0
+        out = _json_out(capsys)
+        assert out.pop("config")["params"]["integrand"] == integrand
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert abs(reports[0]["value"] - exact) <= reports[0]["err"]
+
+
+def test_group_monomial_runs(tmp_path, capsys):
+    # no constant is asked for on the group, a t exponent included
+    cfg = dict(h.heis_quarter_config(), params={
+        "depth": 5, "integrand": {"kind": "monomial", "exponents": [1, 0, 1]}})
+    assert main(["integrate", "--config", h.write_config(tmp_path / "q.json", cfg)]) == 0
+    out = _json_out(capsys)
+    assert 0.0 < out["err"] < 0.01
+
+
+def test_euclidean_monomial_constant_is_unchanged(capsys):
+    # the four-corner x^2 bracket at depth 4, bit for bit, as when the
+    # constant was derived in Euclidean space alone
+    assert main(["integrate", "--config", str(_CONFIGS / "four_corner.json"),
+                 "--override", 'params.integrand={"kind": "monomial", "exponents": [2, 0]}',
+                 "--override", "params.depth=4"]) == 0
+    assert _json_out(capsys)["err"] == 0.009713418161948144
+
+
+@pytest.mark.parametrize("ifs_name", ["heis_quarter", "heis_twisted"])
+def test_group_t_constant_bounds_node_pairs(request, ifs_name):
+    # |t_p - t_q| <= L_t d(p, q) over the node pairs of the depth-5 net, L_t
+    # the constant of the monomial t
+    ifs = request.getfixturevalue(ifs_name)
+    _, lip_t = _monomial(ifs, {"kind": "monomial", "exponents": [0, 0, 1]})
+    pts = net(ifs, 5).points
+    d = ifs.geometry.dist(pts[:, np.newaxis], pts[np.newaxis])
+    dt = np.abs(pts[:, np.newaxis, 2] - pts[np.newaxis, :, 2])
+    assert (dt <= lip_t * d).all()
+
+
+@pytest.mark.parametrize("ifs_name", ["heis_quarter", "heis_twisted"])
+@pytest.mark.parametrize("exponents", [[0, 0, 1], [1, 0, 1], [0, 0, 2]])
+def test_group_t_monomials_meet_monte_carlo(request, ifs_name, exponents):
+    # depth-7 net brackets of monomials in t contain a Monte Carlo reference
+    # to within 4 standard errors
+    ifs = request.getfixturevalue(ifs_name)
+    f, bracket = _integrand(ifs, {"kind": "monomial", "exponents": exponents})
+    quad = bracket(net(ifs, 7))
+    mean, stderr = mc_integrate(ifs, f, 200000, 1)
+    assert abs(quad.value - mean) <= quad.err + 4 * stderr
 
 
 def test_pv_trace_csv(mt_config, tmp_path):
@@ -240,7 +304,7 @@ def test_gap(mt_config, capsys):
 def test_osc_ball_key_is_ignored(tmp_path, capsys, command, params):
     # a config written when an open-set ball could be declared still loads,
     # and gives the same report as without the key, up to the echoed config
-    base = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "middle_thirds.json"
+    base = _CONFIGS / "middle_thirds.json"
     cfg = dict(json.loads(base.read_text()), params=params)
     cfg.pop("osc_ball", None)
     fmt = ["--format", "json"] if command == "pv-trace" else []
@@ -314,6 +378,22 @@ def test_bad_config_exits_one(tmp_path, capsys):
 def test_missing_param_exits_one(mt_config, capsys):
     assert main(["criterion", "--config", mt_config]) == 1
     assert "params.word" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--override", "params.x=1"]])
+def test_override_through_a_scalar_exits_one(tmp_path, capsys, flag):
+    # an override path through a value that is neither an object nor a list
+    # is an error, not a fresh object in its place
+    path = h.write_config(tmp_path / "bad.json", dict(h.middle_thirds_config(), params=5))
+    assert main(["dim", "--config", path] + flag) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_override_creates_missing_keys(tmp_path, capsys):
+    path = h.write_config(tmp_path / "mt.json", h.middle_thirds_config())
+    assert main(["dim", "--config", path, "--override", "params.x.y=1", "--seed", "3"]) == 0
+    assert _json_out(capsys)["config"]["params"] == {"x": {"y": 1}, "seed": 3}
 
 
 def test_override_raw_string(mt_config, capsys):
@@ -403,12 +483,10 @@ def test_malformed_config_section_exits_one(mt_config, capsys, override, section
     ({"kind": "monomial", "exponents": [1.5]}, "exponents"),
     ({"kind": "monomial", "exponents": [float("inf")]}, "exponents"),
     ({"kind": "monomial", "exponents": [1], "coeff": "abc"}, "coeff"),
-    ({"kind": "monomial", "exponents": [1], "lipschitz": -1.0}, "lipschitz"),
-    ({"kind": "constant", "value": [1.0]}, "value"),
-    ({"kind": "monomial", "exponents": [1], "lipschitz": float("inf")}, "lipschitz"),
-    ({"kind": "monomial", "exponents": [1], "coeff": "2"}, "coeff"),
     ({"kind": "monomial", "exponents": [1], "coeff": float("nan")}, "coeff"),
+    ({"kind": "constant", "value": [1.0]}, "value"),
     ({"kind": "constant", "value": "3"}, "value"),
+    ({"kind": "monomial", "exponents": [1], "coeff": "2"}, "coeff"),
 ])
 def test_malformed_integrand_field_exits_one(mt_config, capsys, integrand, key):
     assert main(["integrate", "--config", mt_config, "--override", "params.depth=3",

@@ -701,7 +701,7 @@ def test_shift_poles_bound_their_rounding_on_the_line():
     r = [Fraction(x) for x in ifs.ratios]
     q = [Fraction(x) for x in ifs.shifts[:, 0]]
     word = EPWord((2, 1, 2), (1, 2, 2, 1, 2))
-    poles, errs = sio._shift_poles(ifs, word, list(range(8)))
+    poles, errs = ifs.code_points(word, list(range(8)))
     exact = {}
     for j in range(7, -1, -1):
         if j >= 3:
@@ -714,3 +714,20 @@ def test_shift_poles_bound_their_rounding_on_the_line():
             exact[j] = q[a - 1] + r[a - 1] * exact[j + 1]
         assert abs(Fraction(poles[j][0]) - exact[j]) <= Fraction(errs[j]), j
         assert 0.0 < errs[j] < 1e-14
+
+
+def test_reported_point_is_the_annuli_pole(middle_thirds, monkeypatch):
+    # pv-trace reports the pole its annuli are centred on: both come from
+    # one coding map, S_pre applied letter by letter to the period's point
+    seen = []
+    real = sio._line_annuli
+
+    def recording(ifs, kern, poles, *args):
+        seen.append(poles.copy())
+        return real(ifs, kern, poles, *args)
+
+    monkeypatch.setattr(sio, "_line_annuli", recording)
+    word = EPWord((1, 1), (2,))
+    trace = pv_trace(middle_thirds, h.sign_kernel(middle_thirds), word, 1, 8)
+    assert trace.point[0] == seen[0][0]
+    assert middle_thirds.code_point(word)[0] == seen[0][0]
